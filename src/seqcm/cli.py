@@ -14,7 +14,7 @@ import secrets
 import sys
 
 from .decide import is_sequentially_cm, main_theorem_check, theorem41_check
-from .errors import ParseError, SeqcmError
+from .errors import CapacityError, ParseError, SeqcmError
 from .groebner import GinCache, PolynomialIdeal, gin, initial_ideal
 from .monomial import (
     MonomialIdeal,
@@ -39,6 +39,9 @@ _USAGE_CODES = {
     "window-instability", "bound-too-small",
 }
 _CAPACITY_CODES = {"capacity", "genericity-failure", "certification-failure"}
+
+# Most degrees a --window may span; wider ones are refused before any work.
+MAX_WINDOW_WIDTH = 10000
 
 
 def _exit_code(exc):
@@ -107,9 +110,14 @@ def _load_any(path):
 def _parse_window(text):
     try:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ParseError("window must look like -8..4, got %r" % text)
+    if lo > hi:
+        raise ParseError("window %r is empty: %d > %d" % (text, lo, hi))
+    if hi - lo + 1 > MAX_WINDOW_WIDTH:
+        raise CapacityError("window width", MAX_WINDOW_WIDTH, hi - lo + 1)
+    return lo, hi
 
 
 def _resolve_seed(args):

@@ -1,7 +1,8 @@
 """Deciders built on the two local cohomology routes and on shifting.
 
 Equality of eventually-polynomial cohomology tables is decided on a finite
-window and then re-checked once on a widened window.  Both routes produce
+window and re-checked on a widened one; each table is computed once, on the
+widened window, and both verdicts are read from it.  Both routes produce
 tables whose negative-degree behavior is polynomial of degree < n starting
 just below the default window, so agreement on the widened window settles
 agreement everywhere; a base verdict that flips under widening means the
@@ -71,21 +72,18 @@ class ComparisonReport:
         }
 
 
-def conclusive_table_comparison(make_left, make_right, window, n):
-    """(equal, wide left table, wide right table, wide window).
+def conclusive_table_comparison(left, right, window):
+    """Whether two tables computed on a widened window agree on all of it.
 
-    Raises WindowInstabilityError when the base window said equal but the
-    widened window disagrees.
+    The base-window verdict is read from the same tables, whose values are
+    exact on their whole window.  Raises WindowInstabilityError when the
+    base window said equal but the widened window disagrees.
     """
-    base_equal = make_left(window).equal_on(make_right(window), window)
-    wide = widen_window(window, n)
-    left_wide = make_left(wide)
-    right_wide = make_right(wide)
-    wide_equal = left_wide.equal_on(right_wide, wide)
-    if base_equal and not wide_equal:
+    wide_equal = left.equal_on(right, left.window)
+    if not wide_equal and left.equal_on(right, window):
         raise WindowInstabilityError(
-            "tables agree on %r but not on %r" % (window, wide))
-    return wide_equal, left_wide, right_wide, wide
+            "tables agree on %r but not on %r" % (window, left.window))
+    return wide_equal
 
 
 class BettiComparison:
@@ -182,28 +180,24 @@ def main_theorem_check(ideal, seed, window=None):
         if monomial is not None:
             window = _merge_windows(window, default_cohomology_window(monomial))
 
-    def right(w):
-        return local_cohomology_strongly_stable(gin_ideal, w)
-
     if monomial is None:
-        table = right(window)
+        table = local_cohomology_strongly_stable(gin_ideal, window)
         return ComparisonReport(
             "cech R/I", "filtration R/gin(I)", window, None,
             "left-skipped", (), None, table, seed,
             ["input is not a monomial ideal; only the gin side was computed"])
 
-    def left(w):
-        return cech_local_cohomology(monomial, w)
-
-    equal, left_wide, right_wide, wide = conclusive_table_comparison(
-        left, right, window, n)
-    if not left_wide.leq_on(right_wide, wide):
+    wide = widen_window(window, n)
+    left = cech_local_cohomology(monomial, wide)
+    right = local_cohomology_strongly_stable(gin_ideal, wide)
+    equal = conclusive_table_comparison(left, right, window)
+    if not left.leq_on(right, wide):
         raise InconsistencyError(
             "cohomology of R/I exceeds that of R/gin(I) somewhere on %r" % (wide,))
     return ComparisonReport(
         "cech R/I", "filtration R/gin(I)", window, wide,
         "equal" if equal else "unequal",
-        left_wide.diff(right_wide, wide), left_wide, right_wide, seed)
+        left.diff(right, wide), left, right, seed)
 
 
 def theorem41_check(cx, seed, window=None):
@@ -220,10 +214,10 @@ def theorem41_check(cx, seed, window=None):
     if window is None:
         window = _merge_windows(default_cohomology_window(ideal),
                                 default_cohomology_window(shifted_ideal))
-    equal, left_wide, right_wide, wide = conclusive_table_comparison(
-        lambda w: cech_local_cohomology(ideal, w),
-        lambda w: cech_local_cohomology(shifted_ideal, w),
-        window, n)
+    wide = widen_window(window, n)
+    left = cech_local_cohomology(ideal, wide)
+    right = cech_local_cohomology(shifted_ideal, wide)
+    equal = conclusive_table_comparison(left, right, window)
     verdict = is_sequentially_cm(cx, seed)
     if equal != verdict.value:
         raise InconsistencyError(
@@ -232,6 +226,6 @@ def theorem41_check(cx, seed, window=None):
     report = ComparisonReport(
         "cech face ring", "cech shifted face ring", window, wide,
         "equal" if equal else "unequal",
-        left_wide.diff(right_wide, wide), left_wide, right_wide, seed,
+        left.diff(right, wide), left, right, seed,
         ["verdict concords with the sequential Cohen-Macaulay decider"])
     return report, verdict

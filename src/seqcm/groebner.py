@@ -18,6 +18,7 @@ import hashlib
 import json
 from math import gcd
 import os
+import tempfile
 
 from .errors import (
     AmbientMismatchError,
@@ -25,6 +26,7 @@ from .errors import (
     CertificationError,
     GenericityError,
     NotHomogeneousError,
+    SeqcmError,
     StrongStabilityViolationError,
     UndefinedInputError,
 )
@@ -33,14 +35,16 @@ from .rings import (
     Monomial,
     Polynomial,
     RationalMatrix,
-    apply_coordinate_change,
     degrevlex_key,
     parse_polynomial,
+    substitute,
 )
 from .version import __version__
 
 GIN_RETRY_BUDGET = 3
 PAIR_CAP = 20000
+# In-process gin results kept; the oldest entry is evicted beyond this.
+GIN_MEMO_CAP = 256
 
 
 class PolynomialIdeal:
@@ -413,11 +417,16 @@ def _derive_seed(seed, k):
     return (int(seed) * 1000003 + 10007 * k + 17) % (1 << 64)
 
 
+def _substituted(ideal, rows):
+    """The ideal under x_i -> sum_j rows[i][j] x_j; rows must be invertible."""
+    return PolynomialIdeal(ideal.n, [
+        _to_polynomial(ideal.n, substitute(_to_int(f), rows))
+        for f in ideal.generators])
+
+
 def _transformed(ideal, seed):
     g = RationalMatrix.random_invertible(ideal.n, seed)
-    moved = PolynomialIdeal(
-        ideal.n, [apply_coordinate_change(f, g) for f in ideal.generators])
-    return g, moved
+    return g, _substituted(ideal, [[int(a) for a in row] for row in g.rows])
 
 
 def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
@@ -437,11 +446,7 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
             s = _derive_seed(seed, 2 * t + k)
             g, moved = _transformed(ideal, s)
             sat = saturate_by_last_variable(moved)
-            ginv = g.inverse()
-            back = PolynomialIdeal(
-                ideal.n,
-                [apply_coordinate_change(f, ginv) for f in sat.generators])
-            canonical = buchberger(back)
+            canonical = buchberger(_substituted(sat, g.inverse().rows))
             pair.append(PolynomialIdeal(ideal.n, canonical.elements))
         if equal_ideals(pair[0], pair[1]):
             return pair[0]
@@ -489,6 +494,8 @@ def gin(ideal, seed, retries=GIN_RETRY_BUDGET):
             if not ok:
                 raise StrongStabilityViolationError(
                     "gin candidate %s fails the exchange test" % result, witness)
+            if len(_GIN_MEMO) >= GIN_MEMO_CAP:
+                del _GIN_MEMO[next(iter(_GIN_MEMO))]
             _GIN_MEMO[memo_key] = result
             return result
     raise GenericityError(
@@ -509,19 +516,22 @@ class GinCache:
         return os.path.join(self.directory, key + ".json")
 
     def get(self, ideal, seed):
-        path = self._path(ideal, seed)
-        if not os.path.exists(path):
+        """The cached gin, or None; an unreadable or mismatched entry is a miss."""
+        try:
+            with open(self._path(ideal, seed)) as fh:
+                data = json.load(fh)
+            gin_data = data["gin"]
+            if (data["version"] != __version__ or data["seed"] != int(seed)
+                    or gin_data["n"] != ideal.n):
+                return None
+            return MonomialIdeal(
+                ideal.n,
+                [parse_polynomial(g, ideal.n).leading_monomial()
+                 for g in gin_data["generators"]],
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                SeqcmError):
             return None
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("version") != __version__ or data.get("seed") != int(seed):
-            return None
-        gin_data = data["gin"]
-        return MonomialIdeal(
-            gin_data["n"],
-            [parse_polynomial(g, gin_data["n"]).leading_monomial()
-             for g in gin_data["generators"]],
-        )
 
     def put(self, ideal, seed, result):
         os.makedirs(self.directory, exist_ok=True)
@@ -532,7 +542,11 @@ class GinCache:
             "version": __version__,
             "gin": result.to_json(),
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=self.directory)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh, sort_keys=True, indent=1)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

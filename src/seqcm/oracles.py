@@ -194,6 +194,10 @@ def koszul_betti(ideal, bound=None):
     n = ideal.n
     if n > KOSZUL_MAX_N:
         raise CapacityError("Koszul oracle variables", KOSZUL_MAX_N, n)
+    if bound is not None and bound < 2:
+        raise BoundTooSmallError(
+            "degree bound %d leaves no room for degree 0 and two empty "
+            "degrees above the table" % bound)
     monomial = isinstance(ideal, MonomialIdeal)
     if monomial:
         lcm_deg = 0

@@ -9,6 +9,9 @@ Canonical text form: terms in decreasing order, coefficients as integers or
 ``p/q``, e.g. ``3/2*x1^2*x3 - x2``.  The parser accepts exactly the same
 grammar (plus surrounding whitespace) and reports line/column on rejection.
 
+``substitute``, on plain ``{exponent tuple: coefficient}`` dictionaries, is
+the one substitution routine; ``apply_coordinate_change`` wraps it.
+
 >>> f = parse_polynomial("3/2*x1^2*x3 - x2", 3)
 >>> str(f)
 '3/2*x1^2*x3 - x2'
@@ -161,31 +164,6 @@ def compare(u, v):
     _same_ambient(u, v)
     ku, kv = degrevlex_key(u), degrevlex_key(v)
     return (ku > kv) - (ku < kv)
-
-
-class TermOrder:
-    """The single supported order; kept as a named value so signatures can
-    state their order explicitly."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TermOrder is immutable")
-
-    def key(self, monomial):
-        return degrevlex_key(monomial)
-
-    def compare(self, u, v):
-        return compare(u, v)
-
-    def __repr__(self):
-        return "TermOrder(%r)" % (self.name,)
-
-
-DEGREVLEX = TermOrder("degrevlex")
 
 
 class Polynomial:
@@ -589,26 +567,30 @@ def apply_coordinate_change(f, matrix):
         )
     if not matrix.is_invertible():
         raise SingularMatrixError("coordinate change must be invertible")
-    n = f.n
-    images = [
-        Polynomial(n, [(Monomial.variable(j + 1, n), matrix.rows[i][j])
-                       for j in range(n) if matrix.rows[i][j]])
-        for i in range(n)
-    ]
-    # Power cache per variable; degrees stay small (corpus degree <= ~6).
-    powers = [{0: Polynomial.constant(1, n)} for _ in range(n)]
+    image = substitute({m.exponents: c for m, c in f._coeffs.items()}, matrix.rows)
+    return Polynomial(f.n, [(Monomial(e), c) for e, c in image.items()])
 
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * images[i]
-        return cache[e]
 
-    total = Polynomial.zero(n)
-    for mono, c in f.terms():
-        piece = Polynomial.constant(c, n)
-        for i, e in enumerate(mono.exponents):
-            if e:
-                piece = piece * power(i, e)
-        total = total + piece
-    return total
+def substitute(p, rows):
+    """Image of p = {exponent tuple: coefficient} under x_i -> sum_j rows[i][j] x_j.
+
+    Coefficients and entries may be ints or Fractions; zero terms are dropped.
+
+    >>> substitute({(1, 1): 1}, [[1, 1], [0, 1]]) == {(1, 1): 1, (0, 2): 1}
+    True
+    """
+    total = {}
+    for exps, c in p.items():
+        piece = {(0,) * len(rows): c}
+        for i, e in enumerate(exps):
+            for _ in range(e):  # multiply by the linear form of row i
+                grown = {}
+                for m, v in piece.items():
+                    for j, a in enumerate(rows[i]):
+                        if a:
+                            t = m[:j] + (m[j] + 1,) + m[j + 1:]
+                            grown[t] = grown.get(t, 0) + v * a
+                piece = grown
+        for m, v in piece.items():
+            total[m] = total.get(m, 0) + v
+    return {m: v for m, v in total.items() if v}

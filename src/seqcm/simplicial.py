@@ -20,6 +20,7 @@ from .errors import (
     CapacityError,
     InconsistencyError,
     NotSquarefreeError,
+    ParseError,
     ShiftedViolationError,
 )
 from .groebner import PolynomialIdeal, gin
@@ -140,7 +141,12 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["n"], data["facets"])
+        facets = data["facets"]
+        if not isinstance(facets, list) or not all(
+                isinstance(f, list) and all(type(v) is int for v in f)
+                for f in facets):
+            raise ParseError("facets must be lists of integer vertices")
+        return cls(data["n"], facets)
 
 
 def stanley_reisner_ideal(cx):

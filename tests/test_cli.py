@@ -1,11 +1,14 @@
 """Command line behavior: payloads, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
-from seqcm.cli import main
+from seqcm.cli import MAX_WINDOW_WIDTH, main
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 
 def run(capsys, *argv):
@@ -74,6 +77,20 @@ def test_gin_cache_dir(capsys, edge_ideal, tmp_path):
     assert code == 0 and second == first
 
 
+def test_gin_cache_corrupt_entry_is_rewritten(capsys, edge_ideal, tmp_path):
+    cache = tmp_path / "cache"
+    code, first, _ = run(capsys, "gin", edge_ideal, "--seed", "5",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    (entry,) = os.listdir(cache)
+    (cache / entry).write_text("{garbage")
+    code, second, err = run(capsys, "gin", edge_ideal, "--seed", "5",
+                            "--cache-dir", str(cache))
+    assert code == 0 and second == first and err == ""
+    assert os.listdir(cache) == [entry]
+    assert json.loads((cache / entry).read_text())["gin"]["generators"] == ["x1^2"]
+
+
 def test_gin_of_zero_is_usage_error(capsys, tmp_path):
     path = write_json(tmp_path, "zero.json", {"n": 2, "generators": []})
     code, out, err = run(capsys, "gin", path, "--seed", "1")
@@ -114,6 +131,35 @@ def test_bad_window_text(capsys, edge_ideal):
     code, _, err = run(capsys, "hilbert", edge_ideal, "--window=oops")
     assert code == 2
     assert "error[parse-error]" in err
+
+
+def test_empty_window_is_parse_error(capsys, edge_ideal):
+    for argv in (("hilbert", edge_ideal, "--window=5..2"),
+                 ("localcoh", edge_ideal, "--window=3..-3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error[parse-error]" in err
+
+
+def test_window_wider_than_cap_is_capacity_error(capsys, edge_ideal):
+    code, out, err = run(capsys, "hilbert", edge_ideal,
+                         "--window=0..%d" % MAX_WINDOW_WIDTH)
+    assert code == 3 and out == ""
+    assert "error[capacity]" in err
+
+
+def test_negative_koszul_bound_is_rejected(capsys, edge_ideal):
+    code, out, err = run(capsys, "betti", edge_ideal, "--oracle", "--bound", "-5")
+    assert code == 2 and out == ""
+    assert "error[bound-too-small]" in err
+
+
+def test_non_integer_vertex_is_parse_error(capsys, tmp_path):
+    for vertex in ("a", 1.5):
+        path = write_json(tmp_path, "v.json", {"n": 2, "facets": [[vertex, 2]]})
+        code, out, err = run(capsys, "dual", path)
+        assert code == 2 and out == ""
+        assert "error[parse-error]" in err
 
 
 def test_betti_routes_agree(capsys, tmp_path):
@@ -280,6 +326,14 @@ def test_verify_corpus(capsys, tmp_path):
     assert payload["summary"]["equal"] == 2
     assert payload["results"]["a_edge.json"]["verdict"] == "equal"
     assert payload["results"]["b_hollow.json"]["sequentially_cm"] is True
+
+
+def test_verify_corpus_stdout_digest(capsys):
+    # Pins the seed-7 corpus verdicts byte for byte.
+    code, out, _ = run(capsys, "verify", "corpus", CORPUS, "--seed", "7")
+    assert code == 0 and len(out.encode()) == 1931
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0943de1160fc24d38484e890e720677517e99f987317be83e1e9addc7760aa83")
 
 
 def test_verify_corpus_empty_dir(capsys, tmp_path):

@@ -115,22 +115,19 @@ def spot_table(window, degree):
 def test_window_instability_detected():
     base = (-2, 1)
     probe = base[0] - 1  # only visible after widening
-
-    def left(w):
-        return CohomologyTable(w, {})
-
-    def right(w):
-        return spot_table(w, probe)
+    wide = widen_window(base, 2)
+    left = CohomologyTable(wide, {})
+    right = spot_table(wide, probe)
 
     with pytest.raises(WindowInstabilityError):
-        conclusive_table_comparison(left, right, base, n=2)
+        conclusive_table_comparison(left, right, base)
 
 
 def test_conclusive_comparison_equal():
-    def both(w):
-        return spot_table(w, 0)
+    wide = widen_window((-2, 1), 2)
+    left, right = spot_table(wide, 0), spot_table(wide, 0)
 
-    equal, left, right, wide = conclusive_table_comparison(both, both, (-2, 1), n=2)
+    equal = conclusive_table_comparison(left, right, (-2, 1))
     assert equal and wide == (-6, 3)
     assert left.equal_on(right, wide)
 

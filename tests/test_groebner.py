@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqcm import groebner
 from seqcm.errors import UndefinedInputError
 from seqcm.groebner import (
     GinCache,
@@ -220,3 +221,13 @@ def test_gin_cache_roundtrip(tmp_path):
     cache.put(base, 5, result)
     assert cache.get(base, 5) == result
     assert cache.get(base, 6) is None
+
+
+def test_gin_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(groebner, "GIN_MEMO_CAP", 2)
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    base = ideal(2, "x1*x2")
+    for seed in range(5):
+        result = gin(base, seed=seed)
+        assert len(groebner._GIN_MEMO) <= 2
+        assert groebner._GIN_MEMO[(ideal_content_hash(base), seed)] == result
