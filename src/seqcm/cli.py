@@ -78,6 +78,9 @@ def _load_json(path):
 def _sniff(data, path):
     if not isinstance(data, dict) or "n" not in data:
         raise ParseError("%s: expected an object with an \"n\" key" % path)
+    if type(data["n"]) is not int:
+        raise ParseError("%s: \"n\" must be an integer, got %r"
+                         % (path, data["n"]))
     if "generators" in data:
         return "ideal"
     if "facets" in data:
@@ -89,7 +92,7 @@ def _load_ideal(path):
     data = _load_json(path)
     if _sniff(data, path) != "ideal":
         raise ParseError("%s: expected an ideal file" % path)
-    return PolynomialIdeal.from_strings(int(data["n"]),
+    return PolynomialIdeal.from_strings(data["n"],
                                         [str(g) for g in data["generators"]])
 
 

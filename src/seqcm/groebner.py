@@ -2,9 +2,13 @@
 
 The engine is a Buchberger loop with the normal selection strategy and the
 two classical pair-dropping criteria, followed by interreduction, so the
-output is the reduced (hence unique) Groebner basis for degrevlex.  Internally
-polynomials are integer-primitive dictionaries and all eliminations are
-fraction-free; the public API speaks Fraction-coefficient Polynomials.
+output is the reduced (hence unique) Groebner basis for degrevlex.  The
+engine's one element form is (lead, terms), an integer-primitive
+{exponent tuple: int} dictionary and its lead, recorded once by
+`_primitive`; eliminations are fraction-free.  `_divide`, the rational
+division behind the public `normal_form`, certifies the output: it finds
+leads itself, so it checks the engine independently.  The public API speaks
+Fraction-coefficient Polynomials.
 
 Randomized operations (saturation by a generic coordinate change, gin) are
 certified: the computation runs under two seeds derived deterministically from
@@ -15,8 +19,9 @@ stability test; in characteristic zero a failure there is a bug, not data.
 
 from fractions import Fraction
 import hashlib
+import heapq
 import json
-from math import gcd
+from math import gcd, lcm
 import os
 import tempfile
 
@@ -35,7 +40,6 @@ from .rings import (
     Monomial,
     Polynomial,
     RationalMatrix,
-    degrevlex_key,
     parse_polynomial,
     substitute,
 )
@@ -147,73 +151,67 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# Integer-primitive engine.  A working polynomial is {exponent tuple: int}
-# with content 1 and positive leading coefficient.
+# Integer-primitive engine.  An element is (lead, terms): terms is
+# {exponent tuple: int} with content 1 and a positive coefficient at lead.
 
 def _key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def _lead(p):
-    return max(p, key=_key)
-
-
-def _content_normalize(p):
-    if not p:
-        return p
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
-    lead = _lead(p)
-    if p[lead] < 0:
-        g = -g
-    if g != 1:
-        for k in p:
-            p[k] //= g
-    return p
-
-
-def _to_int(poly):
-    mult = 1
-    for _, c in poly.terms():
-        d = c.denominator
-        mult = mult // gcd(mult, d) * d
-    p = {m.exponents: int(c * mult) for m, c in poly.terms()}
-    return _content_normalize(p)
-
-
-def _to_polynomial(n, p):
-    lead = _lead(p)
-    lc = p[lead]
-    return Polynomial(n, [(Monomial(e), Fraction(c, lc)) for e, c in p.items()])
 
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _primitive(p, lead):
+    """The element (lead, p): p divided by its content, sign so p[lead] > 0."""
+    g = 0
+    for c in p.values():
+        g = gcd(g, c)
+    if p[lead] < 0:
+        g = -g
+    if g != 1:
+        for k in p:
+            p[k] //= g
+    return lead, p
+
+
+def _terms(poly):
+    return {m.exponents: c for m, c in poly.terms()}
+
+
+def _to_int(poly):
+    """The element of a nonzero Polynomial, denominators cleared."""
+    terms = _terms(poly)
+    mult = lcm(*(c.denominator for c in terms.values()))
+    p = {e: c.numerator * (mult // c.denominator) for e, c in terms.items()}
+    return _primitive(p, poly.leading_monomial().exponents)
+
+
+def _to_polynomial(n, p, lc=1):
+    return Polynomial(n, [(Monomial(e), Fraction(c, lc)) for e, c in p.items()])
+
+
 def _reduce_int(p, basis):
-    """Full fraction-free remainder of p modulo basis = [(lead, lc, poly)].
+    """Full fraction-free remainder of the dict p modulo basis elements.
 
     Maintains new = lc_b * old - c * (m / lm_b) * b at each step, so the
-    result times a nonzero rational lies in (old) + (basis); after content
-    normalization it is the primitive normal form.
+    result times a nonzero rational lies in (old) + (basis).  Terms leave p
+    in decreasing order, so the first key of r is the remainder's lead.
+    Returns the remainder as an element, or None when it is zero.
     """
     p = dict(p)
     r = {}
     while p:
-        m = _lead(p)
+        m = max(p, key=_key)
         c = p.pop(m)
-        hit = None
-        for lb, lc, bp in basis:
+        for lb, bp in basis:
             if _divides(lb, m):
-                hit = (lb, lc, bp)
                 break
-        if hit is None:
+        else:
             r[m] = c
             continue
-        lb, lc, bp = hit
         quot = tuple(a - b for a, b in zip(m, lb))
+        lc = bp[lb]
         if lc != 1:
             for k in p:
                 p[k] *= lc
@@ -239,115 +237,128 @@ def _reduce_int(p, basis):
                 p[k] //= g
             for k in r:
                 r[k] //= g
-    return _content_normalize(r)
-
-
-def _prep(polys):
-    return [(_lead(p), p[_lead(p)], p) for p in polys]
+    return _primitive(r, next(iter(r))) if r else None
 
 
 def _s_poly(f, g):
-    lf, lg = _lead(f), _lead(g)
-    cf, cg = f[lf], g[lg]
+    (lf, pf), (lg, pg) = f, g
+    cf, cg = pf[lf], pg[lg]
     l = tuple(max(a, b) for a, b in zip(lf, lg))
     qf = tuple(a - b for a, b in zip(l, lf))
     qg = tuple(a - b for a, b in zip(l, lg))
     out = {}
-    for m, c in f.items():
+    for m, c in pf.items():
         t = tuple(a + b for a, b in zip(m, qf))
         out[t] = out.get(t, 0) + cg * c
-    for m, c in g.items():
+    for m, c in pg.items():
         t = tuple(a + b for a, b in zip(m, qg))
         v = out.get(t, 0) - cf * c
         if v:
             out[t] = v
         elif t in out:
             del out[t]
-    return _content_normalize(out)
+    return out
 
 
-def _interreduce(polys):
-    polys = [dict(p) for p in polys if p]
+def _interreduce(elements):
+    """Reduce each element by the others until nothing changes; the result
+    is sorted by increasing lead."""
+    elements = list(elements)
     while True:
-        polys.sort(key=lambda p: _key(_lead(p)))
+        elements.sort(key=lambda e: _key(e[0]))
         changed = False
-        for idx in range(len(polys)):
-            if not polys[idx]:
-                continue
-            others = [p for k, p in enumerate(polys) if k != idx and p]
-            if not others:
-                continue
-            r = _reduce_int(polys[idx], _prep(others))
-            if r != polys[idx]:
-                polys[idx] = r
+        for idx, e in enumerate(elements):
+            others = [o for k, o in enumerate(elements) if k != idx and o]
+            r = _reduce_int(e[1], others)
+            if r != e:
+                elements[idx] = r
                 changed = True
-        polys = [p for p in polys if p]
+        elements = [e for e in elements if e]
         if not changed:
-            return polys
+            return elements
+
+
+def _push_pairs(pairs, basis, t):
+    """Queue the pairs (k, t), k < t, keyed by the order of their lcm."""
+    lt = basis[t][0]
+    for k in range(t):
+        l = tuple(max(a, b) for a, b in zip(basis[k][0], lt))
+        heapq.heappush(pairs, (_key(l), k, t, l))
+
+
+def _divide(p, basis):
+    """Remainder of the dict p on rational division by the dicts in basis.
+
+    Leads are found here, not read from the engine's elements, so that
+    certification is independent of the Buchberger bookkeeping.
+    """
+    divisors = [(max(bp, key=_key), bp) for bp in basis]
+    p = dict(p)
+    r = {}
+    while p:
+        m = max(p, key=_key)
+        c = p.pop(m)
+        for lb, bp in divisors:
+            if _divides(lb, m):
+                break
+        else:
+            r[m] = c
+            continue
+        q = Fraction(c) / bp[lb]
+        quot = tuple(a - b for a, b in zip(m, lb))
+        for bm, bc in bp.items():
+            if bm == lb:
+                continue
+            t = tuple(a + b for a, b in zip(bm, quot))
+            v = p.get(t, 0) - q * bc
+            if v:
+                p[t] = v
+            elif t in p:
+                del p[t]
+    return r
 
 
 def buchberger(ideal):
     """Reduced degrevlex Groebner basis of a PolynomialIdeal.
 
-    Normal selection (smallest pair lcm in the order first); a pair is
-    dropped when its leading monomials are coprime or when the chain
-    criterion applies.  Every input generator is certified to reduce to zero
-    against the output.
+    Normal selection (smallest pair lcm in the order first, ties by pair
+    index); a pair is dropped when its leading monomials are coprime or when
+    the chain criterion applies.  Every input generator is certified by
+    rational division to reduce to zero against the output.
     """
     if ideal.is_zero():
         return GroebnerBasis(ideal.n, ())
     n = ideal.n
-    work = []
-    for g in ideal.generators:
-        p = _to_int(g)
-        if p:
-            work.append(p)
-    basis = _interreduce(work)
-    if any(_lead(p) == (0,) * n for p in basis):
-        basis = [{(0,) * n: 1}]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    basis = _interreduce(_to_int(g) for g in ideal.generators)
+    pairs = []
+    for t in range(len(basis)):
+        _push_pairs(pairs, basis, t)
     done = set()
-
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(_lead(basis[i]), _lead(basis[j])))
-
     while pairs:
         if len(pairs) > PAIR_CAP:
             raise CapacityError("buchberger pair queue", PAIR_CAP, len(pairs))
-        i, j = min(pairs, key=lambda ij: (_key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
+        _, i, j, l = heapq.heappop(pairs)
         done.add((i, j))
-        li, lj = _lead(basis[i]), _lead(basis[j])
+        li, lj = basis[i][0], basis[j][0]
         if all(min(a, b) == 0 for a, b in zip(li, lj)):
             continue  # criterion 1: coprime leads
-        l = lcm_of(i, j)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(_lead(basis[k]), l):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True  # criterion 2: chain
-                break
-        if skip:
-            continue
-        s = _s_poly(basis[i], basis[j])
-        r = _reduce_int(s, _prep(basis)) if s else {}
-        if r:
-            t = len(basis)
-            basis.append(r)
-            for k in range(t):
-                pairs.add((k, t))
+        for k, (lk, _) in enumerate(basis):
+            if (k not in (i, j) and _divides(lk, l)
+                    and (min(i, k), max(i, k)) in done
+                    and (min(j, k), max(j, k)) in done):
+                break  # criterion 2: chain
+        else:
+            r = _reduce_int(_s_poly(basis[i], basis[j]), basis)
+            if r:
+                basis.append(r)
+                _push_pairs(pairs, basis, len(basis) - 1)
     basis = _interreduce(basis)
-    out = sorted((_to_polynomial(n, p) for p in basis),
-                 key=lambda f: degrevlex_key(f.leading_monomial()))
-    gb = GroebnerBasis(n, out)
+    terms = [p for _, p in basis]
     for g in ideal.generators:
-        if normal_form(g, gb):
+        if _divide(_terms(g), terms):
             raise CertificationError(
                 "generator %s does not reduce to zero against its basis" % g)
-    return gb
+    return GroebnerBasis(n, [_to_polynomial(n, p, p[lead]) for lead, p in basis])
 
 
 def normal_form(f, basis):
@@ -360,24 +371,8 @@ def normal_form(f, basis):
     for b in elements:
         if b.n != f.n:
             raise AmbientMismatchError("polynomial and basis ambient differ")
-    leads = [(b.leading_monomial(), b.leading_coefficient(), b) for b in elements if b]
-    work = f
-    out = Polynomial.zero(f.n)
-    while work:
-        m, c = work.leading_term()
-        hit = None
-        for lm, lc, b in leads:
-            if lm.divides(m):
-                hit = (lm, lc, b)
-                break
-        if hit is None:
-            t = Polynomial(f.n, [(m, c)])
-            out = out + t
-            work = work - t
-        else:
-            lm, lc, b = hit
-            work = work - b.times_monomial(m / lm, c / lc)
-    return out
+    remainder = _divide(_terms(f), [_terms(b) for b in elements if b])
+    return _to_polynomial(f.n, remainder)
 
 
 def initial_ideal(ideal):
@@ -420,7 +415,7 @@ def _derive_seed(seed, k):
 def _substituted(ideal, rows):
     """The ideal under x_i -> sum_j rows[i][j] x_j; rows must be invertible."""
     return PolynomialIdeal(ideal.n, [
-        _to_polynomial(ideal.n, substitute(_to_int(f), rows))
+        _to_polynomial(ideal.n, substitute(_to_int(f)[1], rows))
         for f in ideal.generators])
 
 
@@ -433,13 +428,12 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
     """Full saturation with respect to the irrelevant maximal ideal.
 
     Route: generic coordinate change, saturate by the last variable, change
-    back.  Two derived seeds must give equal ideals (mutual normal-form
-    membership); generators of the result are the reduced Groebner basis, so
-    the output is canonical.
+    back.  Two derived seeds must give equal ideals; generators of the
+    result are the reduced Groebner basis, which is unique for the ideal, so
+    the two results are compared directly and the output is canonical.
     """
     if ideal.is_zero():
         return ideal
-    results = []
     for t in range(retries):
         pair = []
         for k in (0, 1):
@@ -448,9 +442,8 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
             sat = saturate_by_last_variable(moved)
             canonical = buchberger(_substituted(sat, g.inverse().rows))
             pair.append(PolynomialIdeal(ideal.n, canonical.elements))
-        if equal_ideals(pair[0], pair[1]):
+        if pair[0] == pair[1]:
             return pair[0]
-        results.append(pair)
     raise CertificationError(
         "saturation results disagreed across %d seed pairs" % retries)
 

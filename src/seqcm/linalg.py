@@ -7,25 +7,23 @@ floating point anywhere; rank decisions are never numerical.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _int_rows(matrix):
-    # Scale each row by the lcm of its denominators; rank is unchanged.
-    out = []
+    """Int or Fraction rows, each scaled by the lcm of its denominators, and
+    the product of those multipliers (rank is unchanged, det divides by it)."""
+    out, scale = [], 1
     for row in matrix:
-        fr = [Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            d = x.denominator
-            mult = mult // gcd(mult, d) * d
-        out.append([int(x * mult) for x in fr])
-    return out
+        mult = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+        scale *= mult
+    return out, scale
 
 
 def rank(matrix):
     """Exact rank of a rectangular matrix with int or Fraction entries."""
-    m = _int_rows(matrix)
+    m, _ = _int_rows(matrix)
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -62,16 +60,7 @@ def det(matrix):
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    scale = 1
-    m = []
-    for row in matrix:
-        fr = [Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            d = x.denominator
-            mult = mult // gcd(mult, d) * d
-        scale *= mult
-        m.append([int(x * mult) for x in fr])
+    m, scale = _int_rows(matrix)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -35,6 +35,9 @@ from .rings import Monomial, Polynomial
 from .tables import BettiTable, CohomologyTable, HilbertFunction
 
 KOSZUL_MAX_N = 10
+# Largest supplied Koszul degree bound (corpus and benchmark defaults reach
+# 10); the general route enumerates every degree up to the bound.
+KOSZUL_MAX_BOUND = 32
 CECH_MAX_N = 8
 
 
@@ -189,7 +192,8 @@ def koszul_betti(ideal, bound=None):
     monomial basis of a Groebner normal form.  The default degree bound
     (lcm degree of the generators, plus two) covers the whole table; the
     two top degrees must come out empty, otherwise the bound was too small
-    and BoundTooSmallError reports it.
+    and BoundTooSmallError reports it.  A supplied bound above
+    KOSZUL_MAX_BOUND is refused with CapacityError before any work.
     """
     n = ideal.n
     if n > KOSZUL_MAX_N:
@@ -198,6 +202,8 @@ def koszul_betti(ideal, bound=None):
         raise BoundTooSmallError(
             "degree bound %d leaves no room for degree 0 and two empty "
             "degrees above the table" % bound)
+    if bound is not None and bound > KOSZUL_MAX_BOUND:
+        raise CapacityError("Koszul degree bound", KOSZUL_MAX_BOUND, bound)
     monomial = isinstance(ideal, MonomialIdeal)
     if monomial:
         lcm_deg = 0

@@ -141,6 +141,8 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data):
+        if type(data["n"]) is not int:
+            raise ParseError("n must be an integer, got %r" % (data["n"],))
         facets = data["facets"]
         if not isinstance(facets, list) or not all(
                 isinstance(f, list) and all(type(v) is int for v in f)

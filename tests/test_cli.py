@@ -7,6 +7,7 @@ import os
 import pytest
 
 from seqcm.cli import MAX_WINDOW_WIDTH, main
+from seqcm.oracles import KOSZUL_MAX_BOUND
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -152,6 +153,27 @@ def test_negative_koszul_bound_is_rejected(capsys, edge_ideal):
     code, out, err = run(capsys, "betti", edge_ideal, "--oracle", "--bound", "-5")
     assert code == 2 and out == ""
     assert "error[bound-too-small]" in err
+
+
+def test_koszul_bound_above_cap_is_capacity_error(capsys, tmp_path):
+    path = write_json(tmp_path, "q.json", {"n": 2, "generators": ["x1^2 + x2^2"]})
+    code, out, err = run(capsys, "betti", path, "--oracle",
+                         "--bound", str(KOSZUL_MAX_BOUND + 1))
+    assert code == 3 and out == ""
+    assert "error[capacity]" in err
+    code, out, _ = run(capsys, "betti", path, "--oracle",
+                       "--bound", str(KOSZUL_MAX_BOUND))
+    assert code == 0 and out
+
+
+def test_non_integer_n_is_parse_error(capsys, tmp_path):
+    cases = (("hilbert", {"n": "a", "generators": ["x1"]}),
+             ("hilbert", {"n": True, "generators": ["x1"]}),
+             ("dual", {"n": 2.5, "facets": [[1]]}))
+    for command, data in cases:
+        code, out, err = run(capsys, command, write_json(tmp_path, "n.json", data))
+        assert code == 2 and out == ""
+        assert "error[parse-error]" in err and "Traceback" not in err
 
 
 def test_non_integer_vertex_is_parse_error(capsys, tmp_path):

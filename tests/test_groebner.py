@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcm import groebner
-from seqcm.errors import UndefinedInputError
+from seqcm.errors import CertificationError, UndefinedInputError
 from seqcm.groebner import (
     GinCache,
     PolynomialIdeal,
@@ -45,6 +45,23 @@ def test_reduced_basis_shape():
 def test_twisted_cubic_basis():
     gb = buchberger(ideal(4, "x1*x3 - x2^2", "x2*x4 - x3^2", "x1*x4 - x2*x3"))
     assert [str(g) for g in gb] == ["x3^2 - x2*x4", "x2*x3 - x1*x4", "x2^2 - x1*x3"]
+
+
+def test_certification_catches_a_dropped_element(monkeypatch):
+    # The final interreduction loses an element; the certifier, which does
+    # its own division, must notice that a generator no longer reduces to 0.
+    real = groebner._interreduce
+    calls = []
+
+    def dropping(elements):
+        out = real(elements)
+        calls.append(out)
+        return out[:-1] if len(calls) == 2 else out
+
+    monkeypatch.setattr(groebner, "_interreduce", dropping)
+    with pytest.raises(CertificationError):
+        buchberger(ideal(2, "x1", "x2"))
+    assert len(calls) == 2
 
 
 def test_initial_ideal():
