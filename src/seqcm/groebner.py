@@ -1,14 +1,17 @@
 """Groebner bases, saturation, and generic initial ideals.
 
-The engine is a Buchberger loop with the normal selection strategy and the
-two classical pair-dropping criteria, followed by interreduction, so the
-output is the reduced (hence unique) Groebner basis for degrevlex.  The
-engine's one element form is (lead, terms), an integer-primitive
+The engine, `_groebner`, is a Buchberger loop with the normal selection
+strategy and the two classical pair-dropping criteria, followed by
+interreduction, so the output is the reduced (hence unique) Groebner basis
+for degrevlex.  Its one element form is (lead, terms), an integer-primitive
 {exponent tuple: int} dictionary and its lead, recorded once by
-`_primitive`; eliminations are fraction-free.  `_divide`, the rational
-division behind the public `normal_form`, certifies the output: it finds
-leads itself, so it checks the engine independently.  The public API speaks
-Fraction-coefficient Polynomials.
+`_primitive`; eliminations are fraction-free.  gin, saturation and the
+Koszul oracle all run on this form: generators have their denominators
+cleared once, coordinate changes substitute integer rows into them, and
+leads are read off the elements.  `_divide`, the rational division behind
+the public `normal_form`, certifies every engine run: it finds leads
+itself, so it checks the engine independently.  Fraction-coefficient
+Polynomials appear only at the public entry points.
 
 Randomized operations (saturation by a generic coordinate change, gin) are
 certified: the computation runs under two seeds derived deterministically from
@@ -31,6 +34,7 @@ from .errors import (
     CertificationError,
     GenericityError,
     NotHomogeneousError,
+    ParseError,
     SeqcmError,
     StrongStabilityViolationError,
     UndefinedInputError,
@@ -116,7 +120,9 @@ class PolynomialIdeal:
 
     @classmethod
     def from_json(cls, data):
-        return cls.from_strings(int(data["n"]), list(data["generators"]))
+        if type(data["n"]) is not int:
+            raise ParseError("n must be an integer, got %r" % (data["n"],))
+        return cls.from_strings(data["n"], list(data["generators"]))
 
 
 class GroebnerBasis:
@@ -179,16 +185,26 @@ def _terms(poly):
     return {m.exponents: c for m, c in poly.terms()}
 
 
-def _to_int(poly):
-    """The element of a nonzero Polynomial, denominators cleared."""
-    terms = _terms(poly)
-    mult = lcm(*(c.denominator for c in terms.values()))
-    p = {e: c.numerator * (mult // c.denominator) for e, c in terms.items()}
-    return _primitive(p, poly.leading_monomial().exponents)
+def _cleared(p):
+    """The element of a nonzero dict with int or Fraction coefficients,
+    denominators cleared."""
+    mult = lcm(*(c.denominator for c in p.values()))
+    q = {e: c.numerator * (mult // c.denominator) for e, c in p.items()}
+    return _primitive(q, max(q, key=_key))
+
+
+def _generators(ideal):
+    """The generators of a PolynomialIdeal as integer dicts."""
+    return [_cleared(_terms(g))[1] for g in ideal.generators]
 
 
 def _to_polynomial(n, p, lc=1):
     return Polynomial(n, [(Monomial(e), Fraction(c, lc)) for e, c in p.items()])
+
+
+def _polynomials(n, basis):
+    """Monic Polynomials of engine elements."""
+    return [_to_polynomial(n, p, p[lead]) for lead, p in basis]
 
 
 def _reduce_int(p, basis):
@@ -318,18 +334,16 @@ def _divide(p, basis):
     return r
 
 
-def buchberger(ideal):
-    """Reduced degrevlex Groebner basis of a PolynomialIdeal.
+def _groebner(gens):
+    """Reduced degrevlex Groebner basis of a list of nonzero dicts with int
+    or Fraction coefficients, as elements sorted by increasing lead.
 
     Normal selection (smallest pair lcm in the order first, ties by pair
     index); a pair is dropped when its leading monomials are coprime or when
-    the chain criterion applies.  Every input generator is certified by
-    rational division to reduce to zero against the output.
+    the chain criterion applies.  Every input is certified by rational
+    division to reduce to zero against the output.
     """
-    if ideal.is_zero():
-        return GroebnerBasis(ideal.n, ())
-    n = ideal.n
-    basis = _interreduce(_to_int(g) for g in ideal.generators)
+    basis = _interreduce(_cleared(p) for p in gens)
     pairs = []
     for t in range(len(basis)):
         _push_pairs(pairs, basis, t)
@@ -354,11 +368,18 @@ def buchberger(ideal):
                 _push_pairs(pairs, basis, len(basis) - 1)
     basis = _interreduce(basis)
     terms = [p for _, p in basis]
-    for g in ideal.generators:
-        if _divide(_terms(g), terms):
+    for p in gens:
+        if _divide(p, terms):
             raise CertificationError(
-                "generator %s does not reduce to zero against its basis" % g)
-    return GroebnerBasis(n, [_to_polynomial(n, p, p[lead]) for lead, p in basis])
+                "generator with leading monomial %s does not reduce to zero "
+                "against its basis" % Monomial(max(p, key=_key)))
+    return basis
+
+
+def buchberger(ideal):
+    """Reduced degrevlex Groebner basis of a PolynomialIdeal (`_groebner`)."""
+    basis = _groebner(_generators(ideal))
+    return GroebnerBasis(ideal.n, _polynomials(ideal.n, basis))
 
 
 def normal_form(f, basis):
@@ -377,8 +398,8 @@ def normal_form(f, basis):
 
 def initial_ideal(ideal):
     """Monomial ideal of leading terms, from the reduced Groebner basis."""
-    gb = buchberger(ideal)
-    return MonomialIdeal(ideal.n, gb.leading_monomials())
+    basis = _groebner(_generators(ideal))
+    return MonomialIdeal(ideal.n, [lead for lead, _ in basis])
 
 
 def equal_ideals(a, b):
@@ -390,38 +411,37 @@ def equal_ideals(a, b):
             and all(not normal_form(g, gb_b) for g in a.generators))
 
 
-def saturate_by_last_variable(ideal):
-    """(I : x_n^infinity) via the reverse-lex device: in a reduced degrevlex
-    basis of a homogeneous ideal, dividing each element by its full power of
-    x_n generates the saturation.  The result is re-interreduced."""
-    gb = buchberger(ideal)
-    if not gb.elements:
-        return PolynomialIdeal(ideal.n, ())
+def _saturate_last(gens):
+    """(I : x_n^infinity) of integer dicts via the reverse-lex device: in a
+    reduced degrevlex basis of a homogeneous ideal, dividing each element by
+    its full power of x_n generates the saturation.  The result is the
+    reduced basis of that, as engine elements."""
     divided = []
-    for g in gb:
-        k = min(m.exponent(ideal.n) for m in g.monomials())
-        if k:
-            mono = Monomial((0,) * (ideal.n - 1) + (k,))
-            g = Polynomial(g.n, [(m / mono, c) for m, c in g.terms()])
-        divided.append(g)
-    out = buchberger(PolynomialIdeal(ideal.n, divided))
-    return PolynomialIdeal(ideal.n, out.elements)
+    for _, p in _groebner(gens):
+        k = min(e[-1] for e in p)
+        divided.append({e[:-1] + (e[-1] - k,): c for e, c in p.items()}
+                       if k else p)
+    return _groebner(divided)
+
+
+def saturate_by_last_variable(ideal):
+    """(I : x_n^infinity), generated by its reduced Groebner basis."""
+    return PolynomialIdeal(
+        ideal.n, _polynomials(ideal.n, _saturate_last(_generators(ideal))))
 
 
 def _derive_seed(seed, k):
     return (int(seed) * 1000003 + 10007 * k + 17) % (1 << 64)
 
 
-def _substituted(ideal, rows):
-    """The ideal under x_i -> sum_j rows[i][j] x_j; rows must be invertible."""
-    return PolynomialIdeal(ideal.n, [
-        _to_polynomial(ideal.n, substitute(_to_int(f)[1], rows))
-        for f in ideal.generators])
+def _integer_rows(matrix):
+    """Rows of c * matrix as ints, c the lcm of the entry denominators.
 
-
-def _transformed(ideal, seed):
-    g = RationalMatrix.random_invertible(ideal.n, seed)
-    return g, _substituted(ideal, [[int(a) for a in row] for row in g.rows])
+    Substituting them scales a form of degree d by c^d, so the image of an
+    ideal of forms is the same as under the matrix itself.
+    """
+    c = lcm(*(a.denominator for row in matrix.rows for a in row))
+    return [[int(a * c) for a in row] for row in matrix.rows]
 
 
 def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
@@ -434,16 +454,18 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
     """
     if ideal.is_zero():
         return ideal
+    gens = _generators(ideal)
     for t in range(retries):
         pair = []
         for k in (0, 1):
-            s = _derive_seed(seed, 2 * t + k)
-            g, moved = _transformed(ideal, s)
-            sat = saturate_by_last_variable(moved)
-            canonical = buchberger(_substituted(sat, g.inverse().rows))
-            pair.append(PolynomialIdeal(ideal.n, canonical.elements))
+            g = RationalMatrix.random_invertible(
+                ideal.n, _derive_seed(seed, 2 * t + k))
+            rows = _integer_rows(g)
+            sat = _saturate_last([substitute(p, rows) for p in gens])
+            back = _integer_rows(g.inverse())
+            pair.append(_groebner([substitute(p, back) for _, p in sat]))
         if pair[0] == pair[1]:
-            return pair[0]
+            return PolynomialIdeal(ideal.n, _polynomials(ideal.n, pair[0]))
     raise CertificationError(
         "saturation results disagreed across %d seed pairs" % retries)
 
@@ -475,12 +497,15 @@ def gin(ideal, seed, retries=GIN_RETRY_BUDGET):
     memo_key = (ideal_content_hash(ideal), int(seed))
     if memo_key in _GIN_MEMO:
         return _GIN_MEMO[memo_key]
+    gens = _generators(ideal)
     for t in range(retries):
         candidates = []
         for k in (0, 1):
-            s = _derive_seed(seed, 2 * t + k)
-            _, moved = _transformed(ideal, s)
-            candidates.append(initial_ideal(moved))
+            rows = _integer_rows(RationalMatrix.random_invertible(
+                ideal.n, _derive_seed(seed, 2 * t + k)))
+            basis = _groebner([substitute(p, rows) for p in gens])
+            candidates.append(
+                MonomialIdeal(ideal.n, [lead for lead, _ in basis]))
         if candidates[0] == candidates[1]:
             result = candidates[0]
             ok, witness = is_strongly_stable(result)

@@ -22,7 +22,7 @@ from .errors import (
     CapacityError,
     UndefinedInputError,
 )
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import GroebnerBasis, _divide, _generators, _groebner
 from .linalg import rank
 from .monomial import (
     MonomialIdeal,
@@ -31,7 +31,7 @@ from .monomial import (
     krull_dimension,
     monomials_of_degree,
 )
-from .rings import Monomial, Polynomial
+from .rings import Monomial
 from .tables import BettiTable, CohomologyTable, HilbertFunction
 
 KOSZUL_MAX_N = 10
@@ -117,29 +117,25 @@ def _koszul_monomial(ideal, bound):
     return entries
 
 
-def _standard_basis(lead_ideal, d):
-    return [m for m in monomials_of_degree(lead_ideal.n, d)
-            if not lead_ideal.contains(m)]
-
-
-def _koszul_general(ideal, bound):
-    n = ideal.n
-    gb = buchberger(ideal)
-    lead_ideal = MonomialIdeal(n, gb.leading_monomials())
+def _koszul_general(n, elements, bound):
+    """Koszul homology of R/I from the engine elements of I's reduced basis."""
+    lead_ideal = MonomialIdeal(n, [lead for lead, _ in elements])
     if lead_ideal.is_unit():
         return {}
-    std = {d: _standard_basis(lead_ideal, d) for d in range(bound + 1)}
+    std = {d: [m.exponents for m in monomials_of_degree(n, d)
+               if not lead_ideal.contains(m)] for d in range(bound + 1)}
+    terms = [p for _, p in elements]
     nf_cache = {}
 
-    def reduced_coeffs(var, mono):
-        key = (var, mono)
+    def reduced_coeffs(k, mono):
+        # normal form of x_(k+1) * mono, keyed by exponent tuple
+        key = (k, mono)
         if key not in nf_cache:
-            shifted = mono * Monomial.variable(var, n)
-            if lead_ideal.contains(shifted):
-                f = normal_form(Polynomial(n, {shifted: Fraction(1)}), gb)
-                nf_cache[key] = dict(f.terms())
+            shifted = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+            if lead_ideal.contains(Monomial(shifted)):
+                nf_cache[key] = _divide({shifted: 1}, terms)
             else:
-                nf_cache[key] = {shifted: Fraction(1)}
+                nf_cache[key] = {shifted: 1}
         return nf_cache[key]
 
     subsets = _subsets_by_size(n)
@@ -160,12 +156,12 @@ def _koszul_general(ideal, bound):
         target = {key: idx for idx, key in enumerate(basis(i - 1, j))}
         rows = []
         for mask, m in cols:
-            row = [Fraction(0)] * len(target)
+            row = [0] * len(target)
             sign = 1
             for k in range(n):
                 if mask >> k & 1:
                     sub = mask ^ (1 << k)
-                    for mono, c in reduced_coeffs(k + 1, m).items():
+                    for mono, c in reduced_coeffs(k, m).items():
                         row[target[(sub, mono)]] += sign * c
                     sign = -sign
             rows.append(row)
@@ -213,17 +209,17 @@ def koszul_betti(ideal, bound=None):
                 lcm_exps[k] = max(lcm_exps[k], g.exponents[k])
         lcm_deg = sum(lcm_exps)
     else:
-        gb = buchberger(ideal)
+        elements = _groebner(_generators(ideal))
         lcm_exps = [0] * n
-        for m in gb.leading_monomials():
+        for lead, _ in elements:
             for k in range(n):
-                lcm_exps[k] = max(lcm_exps[k], m.exponents[k])
+                lcm_exps[k] = max(lcm_exps[k], lead[k])
         lcm_deg = sum(lcm_exps)
     requested = bound
     if bound is None:
         bound = lcm_deg + 2
     entries = (_koszul_monomial(ideal, bound) if monomial
-               else _koszul_general(ideal, bound))
+               else _koszul_general(n, elements, bound))
     top = [j for (_, j) in entries]
     if top and max(top) > bound - 2:
         raise BoundTooSmallError(
@@ -245,8 +241,8 @@ def depth_and_dim(ideal):
             raise UndefinedInputError("depth of the zero ring")
         lead = ideal
     else:
-        gb = buchberger(ideal)
-        lead = MonomialIdeal(ideal.n, gb.leading_monomials())
+        lead = MonomialIdeal(
+            ideal.n, [lead for lead, _ in _groebner(_generators(ideal))])
         if lead.is_unit():
             raise UndefinedInputError("depth of the zero ring")
     betti = koszul_betti(ideal)

@@ -119,13 +119,6 @@ class Monomial:
     def is_squarefree(self):
         return all(e <= 1 for e in self.exponents)
 
-    def extended(self, n):
-        """The same monomial viewed in Q[x1..xn], n >= current ambient."""
-        if n < len(self.exponents):
-            raise AmbientMismatchError("cannot shrink ambient from %d to %d"
-                                       % (len(self.exponents), n))
-        return Monomial(self.exponents + (0,) * (n - len(self.exponents)))
-
     def __str__(self):
         parts = []
         for i, e in enumerate(self.exponents):
@@ -204,10 +197,6 @@ class Polynomial:
         return cls(n, [(Monomial.one(n), Fraction(c))])
 
     @classmethod
-    def variable(cls, i, n):
-        return cls(n, [(Monomial.variable(i, n), Fraction(1))])
-
-    @classmethod
     def from_monomial(cls, mono, coeff=1):
         return cls(mono.n, [(mono, Fraction(coeff))])
 
@@ -239,12 +228,6 @@ class Polynomial:
     def leading_coefficient(self):
         lm = self.leading_monomial()
         return self._coeffs[lm] if lm is not None else Fraction(0)
-
-    def leading_term(self):
-        lm = self.leading_monomial()
-        if lm is None:
-            return None
-        return (lm, self._coeffs[lm])
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -314,12 +297,6 @@ class Polynomial:
         if not lc:
             return self
         return self.scale(Fraction(1) / lc)
-
-    def times_monomial(self, mono, coeff=1):
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Polynomial.zero(self.n)
-        return Polynomial(self.n, {m * mono: c * coeff for m, c in self._coeffs.items()})
 
     def evaluate(self, point):
         """Value at a rational point (sequence of n numbers)."""

@@ -1,10 +1,14 @@
 """Buchberger, normal forms, saturation, and generic initial ideals."""
 
+from fractions import Fraction
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm import groebner
-from seqcm.errors import CertificationError, UndefinedInputError
+from seqcm import groebner, oracles
+from seqcm.corpus import IDEALS, corpus_ideal
+from seqcm.errors import CertificationError, ParseError, UndefinedInputError
 from seqcm.groebner import (
     GinCache,
     PolynomialIdeal,
@@ -18,7 +22,8 @@ from seqcm.groebner import (
     saturation,
 )
 from seqcm.monomial import MonomialIdeal, is_strongly_stable
-from seqcm.rings import Monomial, parse_polynomial
+from seqcm.oracles import koszul_betti
+from seqcm.rings import Monomial, Polynomial, parse_polynomial
 
 
 def ideal(n, *texts):
@@ -248,3 +253,109 @@ def test_gin_memo_is_bounded(monkeypatch):
         result = gin(base, seed=seed)
         assert len(groebner._GIN_MEMO) <= 2
         assert groebner._GIN_MEMO[(ideal_content_hash(base), seed)] == result
+
+
+@pytest.mark.parametrize("n", [2.5, True, "a"])
+def test_from_json_rejects_non_integer_n(n):
+    with pytest.raises(ParseError):
+        PolynomialIdeal.from_json({"n": n, "generators": ["x1"]})
+
+
+SCALED_CASES = [
+    ideal(3, "x1*x2 - x3^2", "x2^2"),
+    ideal(4, "x1*x3 - x2^2", "x2*x4 - x3^2", "x1*x4 - x2*x3"),
+    ideal(3, "1/2*x1^2 + x2*x3", "x1*x3 - 3/4*x2^2"),
+]
+
+
+@pytest.mark.parametrize("base", SCALED_CASES, ids=str)
+def test_rational_scaling_of_generators_changes_nothing(base, monkeypatch):
+    # Denominators are cleared once per generator; rational multiples of the
+    # generators present the same ideal and must give the same answers.
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    factors = [Fraction(2, 3), Fraction(-5, 7)]
+    scaled = PolynomialIdeal(base.n, [
+        g.scale(factors[k % 2]) for k, g in enumerate(base.generators)])
+    assert gin(scaled, seed=13) == gin(base, seed=13)
+    assert saturation(scaled, seed=13) == saturation(base, seed=13)
+    assert koszul_betti(scaled).entries == koszul_betti(base).entries
+
+
+def test_engine_routes_skip_polynomial_entry_points(monkeypatch):
+    # gin, saturation and the Koszul oracle run on the engine's dict form:
+    # the Polynomial-level entry points are never called, and the Koszul
+    # oracle computes its Groebner basis once.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Polynomial-level entry point called")
+
+    for module in (groebner, oracles):
+        for name in ("buchberger", "normal_form", "initial_ideal"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    runs = []
+    real = groebner._groebner
+
+    def counting(gens):
+        runs.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(oracles, "_groebner", counting)
+    base = ideal(3, "x1*x2 - x3^2", "x2^2")
+    assert is_strongly_stable(gin(base, seed=3))[0]
+    # The complete intersection is saturated, and x3 vanishes at its point.
+    assert gens(saturation(base, seed=3)) == \
+        ["x1*x2 - x3^2", "x2*x3^2", "x2^2", "x3^4"]
+    assert gens(saturate_by_last_variable(base)) == ["1"]
+    assert koszul_betti(base).entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    assert runs == [2]
+
+
+def _basis_as_sets(polys):
+    return {frozenset((m.exponents, c) for m, c in g.terms()) for g in polys}
+
+
+def _sympy_basis(sympy, base):
+    xs = sympy.symbols("x1:%d" % (base.n + 1))
+    names = {str(x): x for x in xs}
+    exprs = [sympy.sympify(str(g).replace("^", "**"), locals=names)
+             for g in base.generators]
+    gb = sympy.groebner(exprs, *xs, order="grevlex", domain="QQ")
+    out = []
+    for e in gb.exprs:
+        terms = sympy.Poly(e, *xs, domain="QQ").terms(order="grevlex")
+        lc = terms[0][1]
+        out.append(Polynomial(base.n, [
+            (Monomial(exps), Fraction(int((c / lc).p), int((c / lc).q)))
+            for exps, c in terms]))
+    return out
+
+
+def _random_quadrics(seed):
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    quadrics = [tuple(int(k == a) + int(k == b) for k in range(n))
+                for a in range(n) for b in range(a, n)]
+    gens = []
+    for _ in range(rng.choice((2, 3))):
+        terms = [(Monomial(e), Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                        rng.randint(1, 5)))
+                 for e in rng.sample(quadrics, 3)]
+        gens.append(Polynomial(n, terms))
+    return PolynomialIdeal(n, gens)
+
+
+NON_MONOMIAL_CORPUS = [name for name in sorted(IDEALS)
+                       if not corpus_ideal(name).is_monomial()]
+
+
+@pytest.mark.parametrize(
+    "base",
+    [corpus_ideal(name) for name in NON_MONOMIAL_CORPUS]
+    + [_random_quadrics(seed) for seed in range(4)],
+    ids=NON_MONOMIAL_CORPUS + ["random-%d" % seed for seed in range(4)])
+def test_buchberger_matches_sympy(base):
+    # A third, independent route: sympy's reduced grevlex basis over QQ with
+    # x1 > ... > xn, compared as a set of monic polynomials.
+    sympy = pytest.importorskip("sympy")
+    assert _basis_as_sets(buchberger(base)) == \
+        _basis_as_sets(_sympy_basis(sympy, base))
