@@ -92,6 +92,8 @@ def _load_ideal(path):
     data = _load_json(path)
     if _sniff(data, path) != "ideal":
         raise ParseError("%s: expected an ideal file" % path)
+    if not isinstance(data["generators"], list):
+        raise ParseError("%s: \"generators\" must be a list" % path)
     return PolynomialIdeal.from_strings(data["n"],
                                         [str(g) for g in data["generators"]])
 

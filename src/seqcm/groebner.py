@@ -5,24 +5,36 @@ strategy and the two classical pair-dropping criteria, followed by
 interreduction, so the output is the reduced (hence unique) Groebner basis
 for degrevlex.  Its one element form is (lead, terms), an integer-primitive
 {exponent tuple: int} dictionary and its lead, recorded once by
-`_primitive`; eliminations are fraction-free.  gin, saturation and the
-Koszul oracle all run on this form: generators have their denominators
-cleared once, coordinate changes substitute integer rows into them, and
-leads are read off the elements.  `_divide`, the rational division behind
-the public `normal_form`, certifies every engine run: it finds leads
-itself, so it checks the engine independently.  Fraction-coefficient
-Polynomials appear only at the public entry points.
+`_primitive`.  gin, saturation and the Koszul oracle all run on this form:
+generators have their denominators cleared once, coordinate changes
+substitute integer rows into them, and leads are read off the elements.
+
+Reduction, `_remainder`, is ordered and fraction-free: the working
+polynomial's monomials sit in a heap, so each step pops the next term
+instead of searching for it, and each step scales by lc/gcd(c, lc) while a
+running integer scale is kept.  `_divide`, the rational division behind the
+public `normal_form`, certifies every engine run: it finds the divisors'
+leads itself (`_divisors`), so it checks the Buchberger bookkeeping
+independently, and it divides by the scale once at the end, so a zero
+remainder never builds a Fraction.  Fraction-coefficient Polynomials appear
+only at the public entry points.
 
 Randomized operations (saturation by a generic coordinate change, gin) are
 certified: the computation runs under two seeds derived deterministically from
 the caller's seed and must agree, with a bounded retry budget before a
-genericity failure is raised.  Gin outputs additionally must pass the strong
-stability test; in characteristic zero a failure there is a bug, not data.
+genericity failure is raised.  The changes are unipotent,
+x_i -> x_i + sum_{j<i} a_ij x_j: a generic g factors as such a u times an
+upper triangular matrix that leaves initial ideals alone, so
+gin(I) = in(u . I) (Galligo; Bayer-Stillman, Invent. Math. 87, 1987), and
+u needs no singular redraw and has an integral inverse.  Gin outputs
+additionally must pass the strong stability test; in characteristic zero a
+failure there is a bug, not data.
 """
 
 from fractions import Fraction
 import hashlib
 import heapq
+from itertools import chain
 import json
 from math import gcd, lcm
 import os
@@ -44,6 +56,7 @@ from .rings import (
     Monomial,
     Polynomial,
     RationalMatrix,
+    _check_ambient,
     parse_polynomial,
     substitute,
 )
@@ -61,6 +74,7 @@ class PolynomialIdeal:
     __slots__ = ("n", "generators")
 
     def __init__(self, n, generators=()):
+        _check_ambient(n)
         generators = tuple(generators)
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -185,11 +199,17 @@ def _terms(poly):
     return {m.exponents: c for m, c in poly.terms()}
 
 
+def _scaled(p):
+    """(mult, mult * p) for a dict with int or Fraction coefficients, mult
+    the lcm of the denominators, so the second has int coefficients."""
+    mult = lcm(*(c.denominator for c in p.values()))
+    return mult, {e: c.numerator * (mult // c.denominator) for e, c in p.items()}
+
+
 def _cleared(p):
     """The element of a nonzero dict with int or Fraction coefficients,
     denominators cleared."""
-    mult = lcm(*(c.denominator for c in p.values()))
-    q = {e: c.numerator * (mult // c.denominator) for e, c in p.items()}
+    q = _scaled(p)[1]
     return _primitive(q, max(q, key=_key))
 
 
@@ -207,52 +227,70 @@ def _polynomials(n, basis):
     return [_to_polynomial(n, p, p[lead]) for lead, p in basis]
 
 
-def _reduce_int(p, basis):
-    """Full fraction-free remainder of the dict p modulo basis elements.
+def _remainder(p, divisors, scale=1):
+    """(scale', r): the remainder of p / scale on division by the integer
+    (lead, terms) pairs in divisors is r / scale'.  Consumes p.
 
-    Maintains new = lc_b * old - c * (m / lm_b) * b at each step, so the
-    result times a nonzero rational lies in (old) + (basis).  Terms leave p
-    in decreasing order, so the first key of r is the remainder's lead.
-    Returns the remainder as an element, or None when it is zero.
+    Fraction-free: with g = gcd(c, lc), a step is
+    p <- (lc/g) p - (c/g) (m/lm) b, and the running integer scale takes the
+    factor lc/g.  The monomials of p sit in a min-heap under
+    (-degree, reversed exponents), so they pop in decreasing degrevlex order
+    and r's first key is the remainder's lead.  A monomial that cancels
+    keeps a zero entry in p, so it is never pushed twice, and is skipped
+    when it pops.
     """
-    p = dict(p)
+    heap = [(-sum(m), m[::-1], m) for m in p]
+    heapq.heapify(heap)
     r = {}
-    while p:
-        m = max(p, key=_key)
+    while heap:
+        m = heapq.heappop(heap)[2]
         c = p.pop(m)
-        for lb, bp in basis:
+        if not c:
+            continue
+        for lb, bp in divisors:
             if _divides(lb, m):
                 break
         else:
             r[m] = c
             continue
-        quot = tuple(a - b for a, b in zip(m, lb))
-        lc = bp[lb]
+        g = gcd(c, bp[lb])
+        lc, c = bp[lb] // g, c // g
         if lc != 1:
+            scale *= lc
             for k in p:
                 p[k] *= lc
             for k in r:
                 r[k] *= lc
+        quot = tuple(a - b for a, b in zip(m, lb))
         for bm, bc in bp.items():
-            if bm == lb:
-                continue
-            t = tuple(a + b for a, b in zip(bm, quot))
-            v = p.get(t, 0) - c * bc
-            if v:
-                p[t] = v
-            elif t in p:
-                del p[t]
-        # Keep coefficients primitive across both halves.
-        g = 0
-        for v in p.values():
+            if bm != lb:
+                t = tuple(a + b for a, b in zip(bm, quot))
+                v = p.get(t)
+                if v is None:
+                    p[t] = -c * bc
+                    heapq.heappush(heap, (-sum(t), t[::-1], t))
+                else:
+                    p[t] = v - c * bc
+        # Divide out what the coefficients share with the scale.
+        g = scale
+        for v in chain(p.values(), r.values()):
             g = gcd(g, v)
-        for v in r.values():
-            g = gcd(g, v)
-        if g > 1:
+            if g == 1:
+                break
+        else:
+            scale //= g
             for k in p:
                 p[k] //= g
             for k in r:
                 r[k] //= g
+    return scale, r
+
+
+def _reduce_int(p, basis):
+    """Full remainder of the int dict p modulo engine elements, as an
+    element (its lead is the remainder's first key), or None when zero.
+    The result times a nonzero rational lies in (p) + (basis)."""
+    r = _remainder(dict(p), basis)[1]
     return _primitive(r, next(iter(r))) if r else None
 
 
@@ -302,36 +340,23 @@ def _push_pairs(pairs, basis, t):
         heapq.heappush(pairs, (_key(l), k, t, l))
 
 
-def _divide(p, basis):
-    """Remainder of the dict p on rational division by the dicts in basis.
+def _divisors(basis):
+    """The dicts of basis in integer form with their leads, for `_divide`.
 
     Leads are found here, not read from the engine's elements, so that
-    certification is independent of the Buchberger bookkeeping.
+    certification is independent of the Buchberger bookkeeping.  Scaling a
+    divisor leaves every remainder unchanged.
     """
-    divisors = [(max(bp, key=_key), bp) for bp in basis]
-    p = dict(p)
-    r = {}
-    while p:
-        m = max(p, key=_key)
-        c = p.pop(m)
-        for lb, bp in divisors:
-            if _divides(lb, m):
-                break
-        else:
-            r[m] = c
-            continue
-        q = Fraction(c) / bp[lb]
-        quot = tuple(a - b for a, b in zip(m, lb))
-        for bm, bc in bp.items():
-            if bm == lb:
-                continue
-            t = tuple(a + b for a, b in zip(bm, quot))
-            v = p.get(t, 0) - q * bc
-            if v:
-                p[t] = v
-            elif t in p:
-                del p[t]
-    return r
+    return [_cleared(bp) for bp in basis]
+
+
+def _divide(p, divisors):
+    """Remainder of the dict p on rational division by `_divisors(basis)`;
+    denominators are cleared first and the remainder divided by the running
+    scale once at the end, so a zero remainder builds no Fraction."""
+    mult, q = _scaled(p)
+    scale, r = _remainder(q, divisors, mult)
+    return {m: Fraction(v, scale) for m, v in r.items()}
 
 
 def _groebner(gens):
@@ -367,9 +392,9 @@ def _groebner(gens):
                 basis.append(r)
                 _push_pairs(pairs, basis, len(basis) - 1)
     basis = _interreduce(basis)
-    terms = [p for _, p in basis]
+    divisors = _divisors(p for _, p in basis)
     for p in gens:
-        if _divide(p, terms):
+        if _divide(p, divisors):
             raise CertificationError(
                 "generator with leading monomial %s does not reduce to zero "
                 "against its basis" % Monomial(max(p, key=_key)))
@@ -392,7 +417,7 @@ def normal_form(f, basis):
     for b in elements:
         if b.n != f.n:
             raise AmbientMismatchError("polynomial and basis ambient differ")
-    remainder = _divide(_terms(f), [_terms(b) for b in elements if b])
+    remainder = _divide(_terms(f), _divisors(_terms(b) for b in elements if b))
     return _to_polynomial(f.n, remainder)
 
 
@@ -458,7 +483,7 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
     for t in range(retries):
         pair = []
         for k in (0, 1):
-            g = RationalMatrix.random_invertible(
+            g = RationalMatrix.random_unipotent(
                 ideal.n, _derive_seed(seed, 2 * t + k))
             rows = _integer_rows(g)
             sat = _saturate_last([substitute(p, rows) for p in gens])
@@ -484,7 +509,7 @@ def ideal_content_hash(ideal):
 def gin(ideal, seed, retries=GIN_RETRY_BUDGET):
     """Generic initial ideal for degrevlex, certified by two-seed agreement.
 
-    The result of in(g . I) for a random invertible integer matrix g is
+    The result of in(u . I) for a random unipotent integer matrix u is
     recomputed under a second derived seed; agreement certifies genericity,
     disagreement burns a retry.  The certified result must be strongly
     stable (characteristic zero), else a violation error is raised: that
@@ -501,7 +526,7 @@ def gin(ideal, seed, retries=GIN_RETRY_BUDGET):
     for t in range(retries):
         candidates = []
         for k in (0, 1):
-            rows = _integer_rows(RationalMatrix.random_invertible(
+            rows = _integer_rows(RationalMatrix.random_unipotent(
                 ideal.n, _derive_seed(seed, 2 * t + k)))
             basis = _groebner([substitute(p, rows) for p in gens])
             candidates.append(

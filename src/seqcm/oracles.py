@@ -22,7 +22,7 @@ from .errors import (
     CapacityError,
     UndefinedInputError,
 )
-from .groebner import GroebnerBasis, _divide, _generators, _groebner
+from .groebner import GroebnerBasis, _divide, _divisors, _generators, _groebner
 from .linalg import rank
 from .monomial import (
     MonomialIdeal,
@@ -124,7 +124,7 @@ def _koszul_general(n, elements, bound):
         return {}
     std = {d: [m.exponents for m in monomials_of_degree(n, d)
                if not lead_ideal.contains(m)] for d in range(bound + 1)}
-    terms = [p for _, p in elements]
+    divisors = _divisors(p for _, p in elements)
     nf_cache = {}
 
     def reduced_coeffs(k, mono):
@@ -133,7 +133,7 @@ def _koszul_general(n, elements, bound):
         if key not in nf_cache:
             shifted = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
             if lead_ideal.contains(Monomial(shifted)):
-                nf_cache[key] = _divide({shifted: 1}, terms)
+                nf_cache[key] = _divide({shifted: 1}, divisors)
             else:
                 nf_cache[key] = {shifted: 1}
         return nf_cache[key]
@@ -200,26 +200,21 @@ def koszul_betti(ideal, bound=None):
             "degrees above the table" % bound)
     if bound is not None and bound > KOSZUL_MAX_BOUND:
         raise CapacityError("Koszul degree bound", KOSZUL_MAX_BOUND, bound)
-    monomial = isinstance(ideal, MonomialIdeal)
-    if monomial:
-        lcm_deg = 0
-        lcm_exps = [0] * n
-        for g in ideal.gens:
-            for k in range(n):
-                lcm_exps[k] = max(lcm_exps[k], g.exponents[k])
-        lcm_deg = sum(lcm_exps)
-    else:
-        elements = _groebner(_generators(ideal))
-        lcm_exps = [0] * n
-        for lead, _ in elements:
-            for k in range(n):
-                lcm_exps[k] = max(lcm_exps[k], lead[k])
-        lcm_deg = sum(lcm_exps)
+    if isinstance(ideal, MonomialIdeal):
+        return _koszul(ideal, None, bound)
+    return _koszul(ideal, _groebner(_generators(ideal)), bound)
+
+
+def _koszul(ideal, elements, bound):
+    """The Koszul Betti table of R/I; elements is the engine's reduced basis
+    of I, or None when I is a MonomialIdeal."""
+    leads = ([g.exponents for g in ideal.gens] if elements is None
+             else [lead for lead, _ in elements])
     requested = bound
     if bound is None:
-        bound = lcm_deg + 2
-    entries = (_koszul_monomial(ideal, bound) if monomial
-               else _koszul_general(n, elements, bound))
+        bound = sum(max(col) for col in zip(*leads)) + 2
+    entries = (_koszul_monomial(ideal, bound) if elements is None
+               else _koszul_general(ideal.n, elements, bound))
     top = [j for (_, j) in entries]
     if top and max(top) > bound - 2:
         raise BoundTooSmallError(
@@ -236,17 +231,16 @@ def depth_and_dim(ideal):
     off the Koszul Betti table; the dimension comes from vertex covers of
     the initial ideal.  Undefined for the unit ideal (the zero ring).
     """
+    if ideal.n > KOSZUL_MAX_N:
+        raise CapacityError("Koszul oracle variables", KOSZUL_MAX_N, ideal.n)
     if isinstance(ideal, MonomialIdeal):
-        if ideal.is_unit():
-            raise UndefinedInputError("depth of the zero ring")
-        lead = ideal
+        elements, lead = None, ideal
     else:
-        lead = MonomialIdeal(
-            ideal.n, [lead for lead, _ in _groebner(_generators(ideal))])
-        if lead.is_unit():
-            raise UndefinedInputError("depth of the zero ring")
-    betti = koszul_betti(ideal)
-    pd = betti.projective_dimension()
+        elements = _groebner(_generators(ideal))
+        lead = MonomialIdeal(ideal.n, [lead for lead, _ in elements])
+    if lead.is_unit():
+        raise UndefinedInputError("depth of the zero ring")
+    pd = _koszul(ideal, elements, None).projective_dimension()
     return ideal.n - pd, krull_dimension(lead)
 
 

@@ -27,7 +27,7 @@ from .errors import AmbientMismatchError, ParseError, SingularMatrixError
 
 MAX_VARIABLES = 16
 
-# Entry range for random coordinate changes; singular draws are rejected.
+# Entry range below the diagonal of random unipotent coordinate changes.
 RANDOM_ENTRY_BOUND = 10**4
 
 
@@ -489,18 +489,15 @@ class RationalMatrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def random_invertible(cls, n, seed):
-        """Dense integer matrix, entries uniform in [-10^4, 10^4], redrawn
-        (deterministically from the same stream) until nonsingular."""
+    def random_unipotent(cls, n, seed):
+        """Lower unitriangular integer matrix, x_i -> x_i + sum_{j<i} a_ij x_j
+        with a_ij uniform in [-10^4, 10^4]: determinant 1, integral inverse."""
         rng = random.Random(seed)
-        while True:
-            rows = [
-                [rng.randint(-RANDOM_ENTRY_BOUND, RANDOM_ENTRY_BOUND) for _ in range(n)]
-                for _ in range(n)
-            ]
-            mat = cls(rows)
-            if mat.det() != 0:
-                return mat
+        return cls([
+            [rng.randint(-RANDOM_ENTRY_BOUND, RANDOM_ENTRY_BOUND) if j < i
+             else int(i == j) for j in range(n)]
+            for i in range(n)
+        ])
 
     def det(self):
         return linalg.det([list(r) for r in self.rows])
@@ -509,9 +506,11 @@ class RationalMatrix:
         return self.det() != 0
 
     def inverse(self):
-        if not self.is_invertible():
-            raise SingularMatrixError("matrix is singular")
-        return RationalMatrix(linalg.invert([list(r) for r in self.rows]))
+        try:
+            rows = linalg.invert([list(r) for r in self.rows])
+        except ValueError:
+            raise SingularMatrixError("matrix is singular") from None
+        return RationalMatrix(rows)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):

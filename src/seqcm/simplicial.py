@@ -61,8 +61,9 @@ class SimplicialComplex:
         object.__setattr__(self, "n", int(n))
         cleaned = sorted(set(_as_face(f, n) for f in facets),
                          key=lambda f: (len(f), f))
-        maximal = [f for f in cleaned
-                   if not any(set(f) < set(g) for g in cleaned)]
+        sets = [frozenset(f) for f in cleaned]
+        maximal = [f for f, s in zip(cleaned, sets)
+                   if not any(s < t for t in sets)]
         object.__setattr__(self, "facets", tuple(maximal))
 
     def __setattr__(self, name, value):

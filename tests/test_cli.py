@@ -3,7 +3,9 @@
 import hashlib
 import json
 import os
+import re
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from seqcm.cli import MAX_WINDOW_WIDTH, main
@@ -399,3 +401,80 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Well-formed files on at most 3 (ideals) or 5 (complexes) vertices, and
+# files whose pieces are misused or of the wrong type.
+_QUADRICS = st.lists(
+    st.tuples(st.sampled_from(["", "2*", "-3*", "1/2*"]),
+              st.sampled_from(["x1^2", "x1*x2", "x2^2", "x1*x3", "x3^2"])
+              ).map("".join), min_size=1, max_size=3).map(" - ".join)
+_TERMS = st.tuples(
+    st.sampled_from(["", "0*", "1/0*", "x", "2", "2*"]),
+    st.sampled_from(["x0", "x9", "y", "1", "x1", "x1^-1", "x2^", "x1*", "x3^3"])
+).map("".join)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 20),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.text(max_size=3))
+_GOOD_IDEALS = st.fixed_dictionaries({
+    "n": st.just(3), "generators": st.lists(_QUADRICS, min_size=1, max_size=3)})
+_BAD_IDEALS = st.fixed_dictionaries({
+    "n": st.one_of(st.integers(-1, 4), st.sampled_from([17, 99]), _SCALARS),
+    "generators": st.one_of(
+        st.lists(st.one_of(_QUADRICS, st.lists(_TERMS, max_size=3).map(" + ".join),
+                           _SCALARS), max_size=3),
+        _SCALARS)})
+_GOOD_COMPLEXES = st.fixed_dictionaries({
+    "n": st.integers(3, 5),
+    "facets": st.lists(st.lists(st.integers(1, 3), max_size=3), max_size=4)})
+_BAD_COMPLEXES = st.fixed_dictionaries({
+    "n": st.one_of(st.integers(-1, 5), st.sampled_from([17, 99]), _SCALARS),
+    "facets": st.one_of(
+        st.lists(st.lists(st.one_of(st.integers(-1, 6), _SCALARS), max_size=3),
+                 max_size=4),
+        _SCALARS)})
+_DOCUMENTS = st.one_of(
+    _GOOD_IDEALS.map(json.dumps), _GOOD_COMPLEXES.map(json.dumps),
+    _BAD_IDEALS.map(json.dumps), _BAD_COMPLEXES.map(json.dumps),
+    st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=2)
+                 | st.dictionaries(st.sampled_from(["n", "facets", "x"]), kids,
+                                   max_size=2)).map(json.dumps),
+    st.text(max_size=12))
+_WINDOWS = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map("%d..%d".__mod__),
+    st.just("0..%d" % MAX_WINDOW_WIDTH),
+    st.text(alphabet="0123456789-. a", max_size=8))
+_COMMANDS = st.sampled_from(
+    ["gin", "hilbert", "betti", "localcoh", "dual", "shift", "seqcm"])
+
+
+@given(command=_COMMANDS, document=_DOCUMENTS, data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_exits_with_typed_errors(capsys, tmp_path, command, document,
+                                           data):
+    # Malformed files, options and windows end in exit 0, 2 or 3, and every
+    # failure is one error[code] line on stderr, never a traceback.
+    path = tmp_path / "input.json"
+    path.write_text(document)
+    argv = [command, str(path), "--format",
+            data.draw(st.sampled_from(["json", "tsv"]))]
+    if command in ("gin", "shift", "seqcm"):
+        argv += ["--seed", str(data.draw(st.integers(0, 9)))]
+    if command in ("hilbert", "localcoh") and data.draw(st.booleans()):
+        argv.append("--window=" + data.draw(_WINDOWS))
+    if command == "localcoh":
+        argv += ["--route",
+                 data.draw(st.sampled_from(["cech", "filtration", "enrico"]))]
+    if command == "betti":
+        if data.draw(st.booleans()):
+            argv.append("--oracle")
+        bound = data.draw(st.sampled_from(
+            [None, -5, 0, 2, 4, KOSZUL_MAX_BOUND + 1]))
+        if bound is not None:
+            argv += ["--bound", str(bound)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2, 3), (argv, document, err)
+    assert "Traceback" not in err
+    if code:
+        assert re.search(r"^error\[[a-z-]+\]: ", err, re.M), (argv, err)

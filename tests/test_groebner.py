@@ -1,6 +1,7 @@
 """Buchberger, normal forms, saturation, and generic initial ideals."""
 
 from fractions import Fraction
+from math import gcd
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from seqcm import groebner, oracles
 from seqcm.corpus import IDEALS, corpus_ideal
 from seqcm.errors import CertificationError, ParseError, UndefinedInputError
+from seqcm.linalg import det
 from seqcm.groebner import (
     GinCache,
     PolynomialIdeal,
@@ -22,8 +24,16 @@ from seqcm.groebner import (
     saturation,
 )
 from seqcm.monomial import MonomialIdeal, is_strongly_stable
-from seqcm.oracles import koszul_betti
-from seqcm.rings import Monomial, Polynomial, parse_polynomial
+from seqcm.oracles import depth_and_dim, koszul_betti
+from seqcm.rings import (
+    Monomial,
+    Polynomial,
+    RationalMatrix,
+    apply_coordinate_change,
+    degrevlex_key,
+    parse_polynomial,
+)
+from seqcm.simplicial import SimplicialComplex, stanley_reisner_ideal
 
 
 def ideal(n, *texts):
@@ -359,3 +369,103 @@ def test_buchberger_matches_sympy(base):
     sympy = pytest.importorskip("sympy")
     assert _basis_as_sets(buchberger(base)) == \
         _basis_as_sets(_sympy_basis(sympy, base))
+
+
+def _cycle_ideal(n):
+    return PolynomialIdeal.from_monomial_ideal(stanley_reisner_ideal(
+        SimplicialComplex(n, [(i, i % n + 1) for i in range(1, n + 1)])))
+
+
+def _dense_matrix(n, seed):
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)]
+        if det(rows) != 0:
+            return RationalMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "base", [corpus_ideal(name) for name in sorted(IDEALS)]
+    + [_cycle_ideal(6), _cycle_ideal(7)],
+    ids=sorted(IDEALS) + ["cycle-6", "cycle-7"])
+def test_gin_matches_dense_coordinate_change(base):
+    # gin uses unipotent changes; a dense invertible change is generic too
+    # and must give the same initial ideal.
+    g = _dense_matrix(base.n, 101)
+    moved = PolynomialIdeal(
+        base.n, [apply_coordinate_change(f, g) for f in base.generators])
+    assert initial_ideal(moved) == gin(base, seed=7)
+
+
+def _reference_remainder(p, divisors):
+    # Plain rational division, the next term found by max over p.
+    def key(e):
+        return degrevlex_key(Monomial(e))
+    leads = [(max(b, key=key), b) for b in divisors]
+    p = {m: Fraction(c) for m, c in p.items()}
+    r = {}
+    while p:
+        m = max(p, key=key)
+        c = p.pop(m)
+        for lb, b in leads:
+            if all(x <= y for x, y in zip(lb, m)):
+                break
+        else:
+            r[m] = c
+            continue
+        q = c / b[lb]
+        for bm, bc in b.items():
+            if bm != lb:
+                t = tuple(x + y - z for x, y, z in zip(bm, m, lb))
+                v = p.get(t, 0) - q * bc
+                if v:
+                    p[t] = v
+                else:
+                    p.pop(t, None)
+    return r
+
+
+_EXPONENTS = st.tuples(*[st.integers(0, 2)] * 3)
+_NONZERO = st.integers(-6, 6).filter(bool)
+_INT_DICTS = st.dictionaries(_EXPONENTS, _NONZERO, min_size=1, max_size=6)
+_RATIONAL_DICTS = st.dictionaries(
+    _EXPONENTS, st.fractions(-6, 6, max_denominator=4).filter(bool),
+    min_size=1, max_size=6)
+
+
+@given(_RATIONAL_DICTS, st.lists(_RATIONAL_DICTS, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_divide_matches_max_reference(p, divisors):
+    assert groebner._divide(p, groebner._divisors(divisors)) == \
+        _reference_remainder(p, divisors)
+
+
+@given(_INT_DICTS, st.lists(_INT_DICTS, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_reduce_int_matches_max_reference(p, divisors):
+    # The engine's remainder is the reference remainder made integer
+    # primitive with a positive lead.
+    expected = _reference_remainder(p, divisors)
+    got = groebner._reduce_int(p, [groebner._cleared(b) for b in divisors])
+    if not expected:
+        assert got is None
+        return
+    lead = max(expected, key=lambda e: degrevlex_key(Monomial(e)))
+    lead_got, terms = got
+    assert lead_got == lead and terms[lead] > 0
+    assert gcd(*terms.values()) == 1
+    ratio = Fraction(terms[lead]) / expected[lead]
+    assert terms == {m: ratio * c for m, c in expected.items()}
+
+
+def test_depth_and_dim_runs_the_engine_once(monkeypatch):
+    runs = []
+    real = groebner._groebner
+
+    def counting(gens):
+        runs.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(oracles, "_groebner", counting)
+    assert depth_and_dim(ideal(3, "x1*x2 - x3^2", "x2^2")) == (1, 1)
+    assert runs == [2]

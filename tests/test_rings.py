@@ -159,7 +159,7 @@ def test_coordinate_change_known():
 @given(polys, st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_coordinate_change_roundtrip(f, seed):
-    m = RationalMatrix.random_invertible(3, seed)
+    m = RationalMatrix.random_unipotent(3, seed)
     g = apply_coordinate_change(apply_coordinate_change(f, m), m.inverse())
     assert g == f
 
@@ -168,7 +168,7 @@ def test_coordinate_change_roundtrip(f, seed):
 @settings(max_examples=25, deadline=None)
 def test_substitute_via_evaluation(f, seed, p):
     # (g.f)(p) = f(A p) for the substitution x_i -> sum_j a_ij x_j.
-    rows = RationalMatrix.random_invertible(3, seed).rows
+    rows = RationalMatrix.random_unipotent(3, seed).rows
     image = substitute({m.exponents: c for m, c in f.terms()}, rows)
     moved = Polynomial(3, [(Monomial(e), c) for e, c in image.items()])
     ap = [sum(a * x for a, x in zip(row, p)) for row in rows]
@@ -184,9 +184,22 @@ def test_substitute_keeps_integers():
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=25)
 def test_random_invertible(seed):
-    m = RationalMatrix.random_invertible(4, seed)
+    m = RationalMatrix.random_unipotent(4, seed)
     assert m.det() != 0
     assert m * m.inverse() == RationalMatrix.identity(4)
+
+
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=25)
+def test_random_unipotent(n, seed):
+    # x_i -> x_i + sum_{j<i} a_ij x_j: determinant 1 and an integral inverse.
+    m = RationalMatrix.random_unipotent(n, seed)
+    assert all(m.rows[i][j] == int(i == j)
+               for i in range(n) for j in range(i, n))
+    assert m.det() == 1
+    assert all(a.denominator == 1 for row in m.inverse().rows for a in row)
+    assert m == RationalMatrix.random_unipotent(n, seed)
 
 
 def test_matrix_ops():
