@@ -13,7 +13,12 @@ import os
 import secrets
 import sys
 
-from .decide import is_sequentially_cm, main_theorem_check, theorem41_check
+from .decide import (
+    MAX_WINDOW_WIDTH,
+    is_sequentially_cm,
+    main_theorem_check,
+    theorem41_check,
+)
 from .errors import CapacityError, ParseError, SeqcmError
 from .groebner import GinCache, PolynomialIdeal, gin, initial_ideal
 from .monomial import (
@@ -36,12 +41,9 @@ from .version import __version__
 _USAGE_CODES = {
     "parse-error", "undefined-input", "not-homogeneous", "not-squarefree",
     "ambient-mismatch", "ambient-growth", "not-strongly-stable",
-    "window-instability", "bound-too-small",
+    "bound-too-small",
 }
 _CAPACITY_CODES = {"capacity", "genericity-failure", "certification-failure"}
-
-# Most degrees a --window may span; wider ones are refused before any work.
-MAX_WINDOW_WIDTH = 10000
 
 
 def _exit_code(exc):

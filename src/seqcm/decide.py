@@ -1,20 +1,16 @@
 """Deciders built on the two local cohomology routes and on shifting.
 
-Equality of eventually-polynomial cohomology tables is decided on a finite
-window and re-checked on a widened one; each table is computed once, on the
-widened window, and both verdicts are read from it.  Both routes produce
-tables whose negative-degree behavior is polynomial of degree < n starting
-just below the default window, so agreement on the widened window settles
-agreement everywhere; a base verdict that flips under widening means the
-caller picked a window too small to be conclusive, and is reported as
-WindowInstabilityError rather than silently trusted.
+Cohomology tables are compared exactly, not on a sample of degrees.  Both
+routes make each H^i exact on its window and attach polynomial tails once the
+window reaches past the last degree where the function is irregular.  The
+deciders compute both tables on the widened hull of the caller's window and
+the derived one, which always reaches that far, and CohomologyTable.
+same_function compares window values and tails, which settles every degree.
+A caller's window can therefore widen what is compared and reported, but
+never narrows it and never changes a verdict.
 """
 
-from .errors import (
-    InconsistencyError,
-    UndefinedInputError,
-    WindowInstabilityError,
-)
+from .errors import CapacityError, InconsistencyError, UndefinedInputError
 from .groebner import PolynomialIdeal, gin
 from .monomial import (
     MonomialIdeal,
@@ -31,12 +27,25 @@ from .simplicial import (
 )
 
 
+# Most degrees a window may span: a --window, or the hull a comparison
+# takes of it and the derived window.  Wider ones are refused before any work.
+MAX_WINDOW_WIDTH = 10000
+
+
 def widen_window(window, n):
     return (window[0] - (n + 2), window[1] + 2)
 
 
 def _merge_windows(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _compared_window(window, derived, n):
+    """Widened hull of the caller's window and the derived one."""
+    lo, hi = _merge_windows(window, derived)
+    if hi - lo + 1 > MAX_WINDOW_WIDTH:
+        raise CapacityError("compared window width", MAX_WINDOW_WIDTH, hi - lo + 1)
+    return widen_window((lo, hi), n)
 
 
 class ComparisonReport:
@@ -70,20 +79,6 @@ class ComparisonReport:
             "seed": self.seed,
             "notes": self.notes,
         }
-
-
-def conclusive_table_comparison(left, right, window):
-    """Whether two tables computed on a widened window agree on all of it.
-
-    The base-window verdict is read from the same tables, whose values are
-    exact on their whole window.  Raises WindowInstabilityError when the
-    base window said equal but the widened window disagrees.
-    """
-    wide_equal = left.equal_on(right, left.window)
-    if not wide_equal and left.equal_on(right, window):
-        raise WindowInstabilityError(
-            "tables agree on %r but not on %r" % (window, left.window))
-    return wide_equal
 
 
 class BettiComparison:
@@ -175,10 +170,11 @@ def main_theorem_check(ideal, seed, window=None):
         gin_ideal = MonomialIdeal.zero(n)  # gin of 0 is 0
     else:
         gin_ideal = gin(poly, seed)
+    derived = default_cohomology_window(gin_ideal)
+    if monomial is not None:
+        derived = _merge_windows(derived, default_cohomology_window(monomial))
     if window is None:
-        window = default_cohomology_window(gin_ideal)
-        if monomial is not None:
-            window = _merge_windows(window, default_cohomology_window(monomial))
+        window = derived
 
     if monomial is None:
         table = local_cohomology_strongly_stable(gin_ideal, window)
@@ -187,10 +183,10 @@ def main_theorem_check(ideal, seed, window=None):
             "left-skipped", (), None, table, seed,
             ["input is not a monomial ideal; only the gin side was computed"])
 
-    wide = widen_window(window, n)
+    wide = _compared_window(window, derived, n)
     left = cech_local_cohomology(monomial, wide)
     right = local_cohomology_strongly_stable(gin_ideal, wide)
-    equal = conclusive_table_comparison(left, right, window)
+    equal = left.same_function(right)
     if not left.leq_on(right, wide):
         raise InconsistencyError(
             "cohomology of R/I exceeds that of R/gin(I) somewhere on %r" % (wide,))
@@ -211,13 +207,14 @@ def theorem41_check(cx, seed, window=None):
     shifted = shifted_complex(cx, seed)
     shifted_ideal = stanley_reisner_ideal(shifted)
     n = cx.n
+    derived = _merge_windows(default_cohomology_window(ideal),
+                             default_cohomology_window(shifted_ideal))
     if window is None:
-        window = _merge_windows(default_cohomology_window(ideal),
-                                default_cohomology_window(shifted_ideal))
-    wide = widen_window(window, n)
+        window = derived
+    wide = _compared_window(window, derived, n)
     left = cech_local_cohomology(ideal, wide)
     right = cech_local_cohomology(shifted_ideal, wide)
-    equal = conclusive_table_comparison(left, right, window)
+    equal = left.same_function(right)
     verdict = is_sequentially_cm(cx, seed)
     if equal != verdict.value:
         raise InconsistencyError(

@@ -126,12 +126,6 @@ class BoxInstabilityError(SeqcmError):
     code = "box-instability"
 
 
-class WindowInstabilityError(SeqcmError):
-    """Widening the comparison window changed a verdict."""
-
-    code = "window-instability"
-
-
 class InconsistencyError(SeqcmError):
     """Two routes that must agree did not; always a bug, never a verdict."""
 

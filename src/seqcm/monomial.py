@@ -68,9 +68,6 @@ class MonomialIdeal:
     def is_unit(self):
         return bool(self.gens) and self.gens[0].degree == 0
 
-    def is_proper(self):
-        return not self.is_unit()
-
     def is_squarefree(self):
         return all(g.is_squarefree() for g in self.gens)
 

@@ -2,9 +2,9 @@
 
 A HilbertFunction is exact data on a finite degree window plus, optionally, a
 polynomial tail descriptor on each side that extends it beyond the window.
-Comparisons are always windowed; the callers that need "equal everywhere"
-combine a windowed check with a widening pass (see decide.py), which is
-conclusive for the eventually-polynomial functions this artifact produces.
+Windowed checks (equal_on, leq_on, diff) read degrees one at a time;
+CohomologyTable.same_function decides "equal in every degree" exactly from
+the same finite data: equal window values and equal tails on both sides.
 
 BettiTable rows are homological degrees i, columns are internal degrees j.
 The ``module`` tag records whether the numbers refer to a quotient ring or to
@@ -23,6 +23,11 @@ def _eval_poly(coeffs, d):
     for k, c in enumerate(coeffs):
         total += Fraction(c) * d**k
     return total
+
+
+def _same_polynomial(p, q):
+    pad = max(len(p), len(q))
+    return p + (0,) * (pad - len(p)) == q + (0,) * (pad - len(q))
 
 
 def _fraction_to_str(c):
@@ -87,9 +92,6 @@ class HilbertFunction:
 
     def support(self):
         return sorted(self.values)
-
-    def is_zero_on_window(self):
-        return not self.values
 
     def equal_on(self, other, window):
         lo, hi = window
@@ -255,29 +257,38 @@ class CohomologyTable:
         """Indices i with a nonzero H^i somewhere on the window."""
         return sorted(i for i, hf in self.functions.items() if hf.values)
 
-    def equal_on(self, other, window=None, max_i=None):
-        window = window or self._shared_window(other)
-        top = self._top_index(other, max_i)
-        lo, hi = window
-        return all(
-            self.value(i, d) == other.value(i, d)
-            for i in range(top + 1) for d in range(lo, hi + 1)
-        )
+    def same_function(self, other):
+        """Whether every H^i agrees with the other table's in every degree.
 
-    def leq_on(self, other, window=None, max_i=None):
-        window = window or self._shared_window(other)
-        top = self._top_index(other, max_i)
-        lo, hi = window
-        return all(
-            self.value(i, d) <= other.value(i, d)
-            for i in range(top + 1) for d in range(lo, hi + 1)
-        )
+        Equal window values and equal left and right tails settle all
+        degrees; a missing index is the zero function, with tails ((), ()).
+        A function without a tail means the window never reached the
+        polynomial range, which the deciders rule out: InconsistencyError.
+        """
+        if self.window != other.window:
+            raise ValueError("windows %r and %r differ" % (self.window, other.window))
+        for table in (self, other):
+            for i, hf in table.functions.items():
+                if None in hf.tails:
+                    raise InconsistencyError(
+                        "H^%d has no tail on window %r" % (i, self.window))
+        zero = HilbertFunction(self.window, {}, ((), ()))
+        for i in set(self.functions) | set(other.functions):
+            a, b = self.functions.get(i, zero), other.functions.get(i, zero)
+            if a.values != b.values or not all(map(_same_polynomial, a.tails, b.tails)):
+                return False
+        return True
 
-    def diff(self, other, window=None, max_i=None):
+    def equal_on(self, other, window=None):
+        return not self.diff(other, window)
+
+    def leq_on(self, other, window=None):
+        return all(a <= b for _, _, a, b in self.diff(other, window))
+
+    def diff(self, other, window=None):
         """[(i, d, self value, other value)] where the tables differ."""
-        window = window or self._shared_window(other)
-        top = self._top_index(other, max_i)
-        lo, hi = window
+        lo, hi = window or self._shared_window(other)
+        top = max([0] + list(self.functions) + list(other.functions))
         out = []
         for i in range(top + 1):
             for d in range(lo, hi + 1):
@@ -293,11 +304,6 @@ class CohomologyTable:
             raise ValueError("windows %r and %r do not overlap"
                              % (self.window, other.window))
         return (lo, hi)
-
-    def _top_index(self, other, max_i):
-        if max_i is not None:
-            return max_i
-        return max([0] + list(self.functions) + list(other.functions))
 
     def __eq__(self, other):
         return (isinstance(other, CohomologyTable)

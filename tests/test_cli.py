@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from seqcm.cli import MAX_WINDOW_WIDTH, main
+from seqcm.decide import widen_window
 from seqcm.oracles import KOSZUL_MAX_BOUND
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -360,6 +361,44 @@ def test_verify_corpus_stdout_digest(capsys):
         "0943de1160fc24d38484e890e720677517e99f987317be83e1e9addc7760aa83")
 
 
+@pytest.mark.parametrize(
+    "name", sorted(f for f in os.listdir(CORPUS) if f.endswith(".json")))
+def test_verify_verdict_does_not_depend_on_window(capsys, name):
+    # A --window may widen what is compared, never narrow it: every window
+    # gives the default run's verdict, and one that already contains the
+    # derived window is compared on exactly its own widening.
+    path = os.path.join(CORPUS, name)
+    with open(path) as handle:
+        data = json.load(handle)
+    what = "thm41" if "facets" in data else "main-theorem"
+    argv = ["verify", what, path, "--seed", "7"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    verdict = json.loads(out)["report"]["verdict"]
+    for window in ("1..2", "3..4", "-1..0", "50..60"):
+        code, out, err = run(capsys, *argv, "--window=" + window)
+        assert code == 0, (window, err)
+        assert json.loads(out)["report"]["verdict"] == verdict, window
+    code, out, err = run(capsys, *argv, "--window=-20..8")
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["verdict"] == verdict and report["window"] == [-20, 8]
+    if verdict == "left-skipped":  # nothing is compared
+        assert report["wide_window"] is None
+    else:
+        assert tuple(report["wide_window"]) == widen_window((-20, 8), data["n"])
+
+
+def test_verify_far_window_is_capacity_error(capsys):
+    # The compared window joins the given one to the derived one, so a far
+    # window is refused before it costs a hundred thousand degrees.
+    path = os.path.join(CORPUS, "A1.json")
+    code, _, err = run(capsys, "verify", "main-theorem", path, "--seed", "7",
+                       "--window=100000..100001")
+    assert code == 3
+    assert "error[capacity]" in err
+
+
 def test_verify_corpus_empty_dir(capsys, tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -445,7 +484,8 @@ _WINDOWS = st.one_of(
     st.just("0..%d" % MAX_WINDOW_WIDTH),
     st.text(alphabet="0123456789-. a", max_size=8))
 _COMMANDS = st.sampled_from(
-    ["gin", "hilbert", "betti", "localcoh", "dual", "shift", "seqcm"])
+    ["gin", "hilbert", "betti", "localcoh", "dual", "shift", "seqcm",
+     "verify main-theorem", "verify thm41"])
 
 
 @given(command=_COMMANDS, document=_DOCUMENTS, data=st.data())
@@ -457,11 +497,12 @@ def test_cli_fuzz_exits_with_typed_errors(capsys, tmp_path, command, document,
     # failure is one error[code] line on stderr, never a traceback.
     path = tmp_path / "input.json"
     path.write_text(document)
-    argv = [command, str(path), "--format",
-            data.draw(st.sampled_from(["json", "tsv"]))]
-    if command in ("gin", "shift", "seqcm"):
+    verify = command.startswith("verify ")
+    argv = command.split() + [str(path), "--format",
+                              data.draw(st.sampled_from(["json", "tsv"]))]
+    if verify or command in ("gin", "shift", "seqcm"):
         argv += ["--seed", str(data.draw(st.integers(0, 9)))]
-    if command in ("hilbert", "localcoh") and data.draw(st.booleans()):
+    if (verify or command in ("hilbert", "localcoh")) and data.draw(st.booleans()):
         argv.append("--window=" + data.draw(_WINDOWS))
     if command == "localcoh":
         argv += ["--route",

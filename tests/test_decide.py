@@ -1,17 +1,18 @@
 """Deciders and dual-route comparisons."""
 
+from fractions import Fraction
+
 import pytest
 
 from seqcm.decide import (
     BettiComparison,
-    conclusive_table_comparison,
     is_componentwise_linear,
     is_sequentially_cm,
     main_theorem_check,
     theorem41_check,
     widen_window,
 )
-from seqcm.errors import UndefinedInputError, WindowInstabilityError
+from seqcm.errors import InconsistencyError, UndefinedInputError
 from seqcm.groebner import PolynomialIdeal
 from seqcm.monomial import MonomialIdeal
 from seqcm.simplicial import SimplicialComplex, alexander_dual, stanley_reisner_ideal
@@ -106,30 +107,54 @@ def test_theorem41_concordance():
     assert report.left_label == "cech face ring"
 
 
-def spot_table(window, degree):
+def spot_table(window, degree, tails=((), ())):
     lo, hi = window
     values = {degree: 1} if lo <= degree <= hi else {}
-    return CohomologyTable(window, {1: HilbertFunction(window, values)})
+    return CohomologyTable(window, {1: HilbertFunction(window, values, tails)})
 
 
-def test_window_instability_detected():
+def test_same_function_sees_below_the_base_window():
     base = (-2, 1)
-    probe = base[0] - 1  # only visible after widening
     wide = widen_window(base, 2)
-    left = CohomologyTable(wide, {})
-    right = spot_table(wide, probe)
+    left = CohomologyTable(wide, {})  # every index missing: the zero function
+    right = spot_table(wide, base[0] - 1)
+    assert left.equal_on(right, base)
+    assert not left.same_function(right)
+    assert not right.same_function(left)
 
-    with pytest.raises(WindowInstabilityError):
-        conclusive_table_comparison(left, right, base)
+
+def test_same_function_compares_left_tails():
+    window = (-2, 1)
+    # (d + 2)(d + 1) / 2 vanishes at -2 and -1 and is 1 at -3.
+    rising = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+    left = CohomologyTable(window, {1: HilbertFunction(window, {}, ((), ()))})
+    right = CohomologyTable(window, {1: HilbertFunction(window, {}, (rising, ()))})
+    assert left.equal_on(right, window)
+    assert right.value(1, -3) == 1
+    assert not left.same_function(right)
 
 
-def test_conclusive_comparison_equal():
+def test_same_function_equal_tables():
     wide = widen_window((-2, 1), 2)
     left, right = spot_table(wide, 0), spot_table(wide, 0)
+    assert wide == (-6, 3)
+    assert left.same_function(right) and left.equal_on(right, wide)
+    with pytest.raises(ValueError):
+        left.same_function(spot_table((-5, 3), 0))
+    # Tails are compared as polynomials, so trailing zero terms do not count.
+    ones = {0: 1, 1: 1}
+    flat = HilbertFunction((0, 1), ones, ((1,), (1,)))
+    padded = HilbertFunction((0, 1), ones, ((1, 0), (1,)))
+    assert CohomologyTable((0, 1), {2: flat}).same_function(
+        CohomologyTable((0, 1), {2: padded}))
 
-    equal = conclusive_table_comparison(left, right, (-2, 1))
-    assert equal and wide == (-6, 3)
-    assert left.equal_on(right, wide)
+
+def test_same_function_needs_tails():
+    wide = (-6, 3)
+    with pytest.raises(InconsistencyError):
+        spot_table(wide, 0, (None, ())).same_function(spot_table(wide, 0))
+    with pytest.raises(InconsistencyError):
+        CohomologyTable(wide, {}).same_function(spot_table(wide, 0, ((), None)))
 
 
 def test_betti_comparison_shape():
