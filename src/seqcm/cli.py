@@ -90,28 +90,20 @@ def _sniff(data, path):
     raise ParseError("%s: need \"generators\" or \"facets\"" % path)
 
 
-def _load_ideal(path):
+def _load(path, kind=None):
+    """The ideal or complex in the JSON at path ("-" is stdin), read once;
+    kind, "ideal" or "complex", is the only kind accepted when given."""
     data = _load_json(path)
-    if _sniff(data, path) != "ideal":
-        raise ParseError("%s: expected an ideal file" % path)
+    found = _sniff(data, path)
+    if kind is not None and found != kind:
+        raise ParseError("%s: expected %s file"
+                         % (path, "an ideal" if kind == "ideal" else "a complex"))
+    if found == "complex":
+        return SimplicialComplex.from_json(data)
     if not isinstance(data["generators"], list):
         raise ParseError("%s: \"generators\" must be a list" % path)
     return PolynomialIdeal.from_strings(data["n"],
                                         [str(g) for g in data["generators"]])
-
-
-def _load_complex(path):
-    data = _load_json(path)
-    if _sniff(data, path) != "complex":
-        raise ParseError("%s: expected a complex file" % path)
-    return SimplicialComplex.from_json(data)
-
-
-def _load_any(path):
-    data = _load_json(path)
-    if _sniff(data, path) == "ideal":
-        return _load_ideal(path)
-    return SimplicialComplex.from_json(data)
 
 
 def _parse_window(text):
@@ -136,22 +128,6 @@ def _resolve_seed(args):
     return seed
 
 
-def _gin_cache(args):
-    directory = args.cache_dir or os.environ.get("SEQCM_CACHE_DIR")
-    return GinCache(directory) if directory else None
-
-
-def _cached_gin(poly, seed, cache):
-    if cache is not None:
-        hit = cache.get(poly, seed)
-        if hit is not None:
-            return hit
-    result = gin(poly, seed)
-    if cache is not None:
-        cache.put(poly, seed, result)
-    return result
-
-
 def _monomial_of(poly):
     """Monomial ideal with the same Hilbert data: itself, or its initial ideal."""
     if isinstance(poly, MonomialIdeal):
@@ -162,9 +138,10 @@ def _monomial_of(poly):
 
 
 def _cmd_gin(args):
-    poly = _load_ideal(args.input)
+    poly = _load(args.input, "ideal")
     seed = _resolve_seed(args)
-    result = _cached_gin(poly, seed, _gin_cache(args))
+    result = gin(poly, seed, cache=GinCache(
+        args.cache_dir or os.environ.get("SEQCM_CACHE_DIR")))
     payload = {"command": "gin", "seed": seed,
                "input": poly.to_json(), "gin": result.to_json()}
     tsv = "".join(str(g) + "\n" for g in result.gens)
@@ -172,7 +149,7 @@ def _cmd_gin(args):
 
 
 def _cmd_hilbert(args):
-    poly = _load_ideal(args.input)
+    poly = _load(args.input, "ideal")
     window = _parse_window(args.window) if args.window else (0, 10)
     hf = hilbert_function(_monomial_of(poly), window)
     payload = {"command": "hilbert", "window": list(window),
@@ -183,7 +160,7 @@ def _cmd_hilbert(args):
 
 
 def _cmd_betti(args):
-    poly = _load_ideal(args.input)
+    poly = _load(args.input, "ideal")
     monomial = poly.as_monomial_ideal() if poly.is_monomial() else None
     if args.oracle or monomial is None or not monomial.is_squarefree():
         route = "koszul"
@@ -197,7 +174,7 @@ def _cmd_betti(args):
 
 
 def _cmd_localcoh(args):
-    obj = _load_any(args.input)
+    obj = _load(args.input)
     window = _parse_window(args.window) if args.window else None
     payload = {"command": "localcoh", "route": args.route}
     if args.route == "filtration":
@@ -222,7 +199,7 @@ def _cmd_localcoh(args):
 
 
 def _cmd_dual(args):
-    cx = _load_complex(args.input)
+    cx = _load(args.input, "complex")
     dual = alexander_dual(cx)
     payload = {"command": "dual", "complex": cx.to_json(),
                "dual": dual.to_json()}
@@ -231,7 +208,7 @@ def _cmd_dual(args):
 
 
 def _cmd_shift(args):
-    cx = _load_complex(args.input)
+    cx = _load(args.input, "complex")
     seed = _resolve_seed(args)
     shifted = shifted_complex(cx, seed)
     payload = {"command": "shift", "seed": seed, "complex": cx.to_json(),
@@ -241,7 +218,7 @@ def _cmd_shift(args):
 
 
 def _cmd_seqcm(args):
-    obj = _load_any(args.input)
+    obj = _load(args.input)
     if not isinstance(obj, SimplicialComplex):
         obj = complex_of(_monomial_of(obj))
     seed = _resolve_seed(args)
@@ -255,12 +232,12 @@ def _cmd_verify(args):
     seed = _resolve_seed(args)
     window = _parse_window(args.window) if args.window else None
     if args.what == "main-theorem":
-        poly = _load_ideal(args.target)
+        poly = _load(args.target, "ideal")
         report = main_theorem_check(poly, seed, window)
         payload = {"command": "verify", "what": "main-theorem", "seed": seed,
                    "report": report.to_json()}
     elif args.what == "thm41":
-        cx = _load_complex(args.target)
+        cx = _load(args.target, "complex")
         report, verdict = theorem41_check(cx, seed, window)
         payload = {"command": "verify", "what": "thm41", "seed": seed,
                    "report": report.to_json(), "seqcm": verdict.to_json()}
@@ -281,7 +258,7 @@ def _verify_corpus(directory, seed, window):
               "unequal": 0, "left-skipped": 0}
     for name in names:
         path = os.path.join(directory, name)
-        obj = _load_any(path)
+        obj = _load(path)
         if isinstance(obj, SimplicialComplex):
             report, verdict = theorem41_check(obj, seed, window)
             counts["complexes"] += 1

@@ -11,7 +11,7 @@ never narrows it and never changes a verdict.
 """
 
 from .errors import CapacityError, InconsistencyError, UndefinedInputError
-from .groebner import PolynomialIdeal, gin
+from .groebner import gin
 from .monomial import (
     MonomialIdeal,
     default_cohomology_window,
@@ -159,17 +159,15 @@ def main_theorem_check(ideal, seed, window=None):
     """
     if isinstance(ideal, MonomialIdeal):
         monomial = ideal
-        poly = None if ideal.is_zero() else PolynomialIdeal.from_monomial_ideal(ideal)
     else:
-        poly = ideal
         monomial = ideal.as_monomial_ideal() if ideal.is_monomial() else None
     n = ideal.n
     if monomial is not None and monomial.is_unit():
         raise UndefinedInputError("main theorem check on the zero ring")
-    if poly is None or (monomial is not None and monomial.is_zero()):
+    if ideal.is_zero():
         gin_ideal = MonomialIdeal.zero(n)  # gin of 0 is 0
     else:
-        gin_ideal = gin(poly, seed)
+        gin_ideal = gin(ideal, seed)
     derived = default_cohomology_window(gin_ideal)
     if monomial is not None:
         derived = _merge_windows(derived, default_cohomology_window(monomial))

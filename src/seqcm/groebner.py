@@ -29,6 +29,10 @@ gin(I) = in(u . I) (Galligo; Bayer-Stillman, Invent. Math. 87, 1987), and
 u needs no singular redraw and has an integral inverse.  Gin outputs
 additionally must pass the strong stability test; in characteristic zero a
 failure there is a bug, not data.
+
+`GinCache` is the one gin store, and `gin` its only reader and writer: an
+in-process map shared by every instance, plus one JSON file per entry when
+the instance has a directory.
 """
 
 from fractions import Fraction
@@ -214,7 +218,9 @@ def _cleared(p):
 
 
 def _generators(ideal):
-    """The generators of a PolynomialIdeal as integer dicts."""
+    """The generators of a PolynomialIdeal or MonomialIdeal as integer dicts."""
+    if isinstance(ideal, MonomialIdeal):
+        return [{g.exponents: 1} for g in ideal.gens]
     return [_cleared(_terms(g))[1] for g in ideal.generators]
 
 
@@ -495,33 +501,31 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
         "saturation results disagreed across %d seed pairs" % retries)
 
 
-_GIN_MEMO = {}
-
-
 def ideal_content_hash(ideal):
-    """Stable hash of the presented ideal (sorted canonical generators)."""
+    """Stable hash of the presented ideal (sorted canonical generators); a
+    MonomialIdeal and its PolynomialIdeal hash alike."""
     payload = {"n": ideal.n,
-               "generators": sorted(str(g) for g in ideal.generators)}
+               "generators": sorted(ideal.to_json()["generators"])}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def gin(ideal, seed, retries=GIN_RETRY_BUDGET):
+def gin(ideal, seed, retries=GIN_RETRY_BUDGET, cache=None):
     """Generic initial ideal for degrevlex, certified by two-seed agreement.
 
     The result of in(u . I) for a random unipotent integer matrix u is
     recomputed under a second derived seed; agreement certifies genericity,
     disagreement burns a retry.  The certified result must be strongly
     stable (characteristic zero), else a violation error is raised: that
-    outcome indicates a bug, never data.
+    outcome indicates a bug, never data.  `cache` (default `GinCache()`)
+    is read first and stores the result.
     """
-    if isinstance(ideal, MonomialIdeal):
-        ideal = PolynomialIdeal.from_monomial_ideal(ideal)
     if ideal.is_zero():
         raise UndefinedInputError("gin of the zero ideal is undefined here")
-    memo_key = (ideal_content_hash(ideal), int(seed))
-    if memo_key in _GIN_MEMO:
-        return _GIN_MEMO[memo_key]
+    cache = GinCache() if cache is None else cache
+    hit = cache.get(ideal, seed)
+    if hit is not None:
+        return hit
     gens = _generators(ideal)
     for t in range(retries):
         candidates = []
@@ -537,19 +541,27 @@ def gin(ideal, seed, retries=GIN_RETRY_BUDGET):
             if not ok:
                 raise StrongStabilityViolationError(
                     "gin candidate %s fails the exchange test" % result, witness)
-            if len(_GIN_MEMO) >= GIN_MEMO_CAP:
-                del _GIN_MEMO[next(iter(_GIN_MEMO))]
-            _GIN_MEMO[memo_key] = result
+            cache.put(ideal, seed, result)
             return result
     raise GenericityError(
         "gin candidates disagreed across %d seed pairs" % retries)
 
 
 class GinCache:
-    """Disk cache for gin results, keyed by (ideal hash, seed, version)."""
+    """The gin store, keyed by (ideal_content_hash(ideal), seed).
 
-    def __init__(self, directory):
-        self.directory = directory
+    Every instance shares one in-process map, bounded by GIN_MEMO_CAP (the
+    oldest entry goes first).  With a directory there is also one JSON file
+    per entry, named by the hash of (ideal hash, seed, version), and `get`
+    reads only that file: an absent, unreadable or mismatched file, or one
+    whose ideal is not strongly stable and so cannot be a gin in
+    characteristic zero, is a miss.  `put` writes the map and the file.
+    """
+
+    _memory = {}
+
+    def __init__(self, directory=None):
+        self.directory = directory or None
 
     def _path(self, ideal, seed):
         key = hashlib.sha256(json.dumps(
@@ -559,7 +571,9 @@ class GinCache:
         return os.path.join(self.directory, key + ".json")
 
     def get(self, ideal, seed):
-        """The cached gin, or None; an unreadable or mismatched entry is a miss."""
+        """The stored gin, or None."""
+        if self.directory is None:
+            return self._memory.get((ideal_content_hash(ideal), int(seed)))
         try:
             with open(self._path(ideal, seed)) as fh:
                 data = json.load(fh)
@@ -567,7 +581,7 @@ class GinCache:
             if (data["version"] != __version__ or data["seed"] != int(seed)
                     or gin_data["n"] != ideal.n):
                 return None
-            return MonomialIdeal(
+            result = MonomialIdeal(
                 ideal.n,
                 [parse_polynomial(g, ideal.n).leading_monomial()
                  for g in gin_data["generators"]],
@@ -575,8 +589,15 @@ class GinCache:
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
                 SeqcmError):
             return None
+        return result if is_strongly_stable(result)[0] else None
 
     def put(self, ideal, seed, result):
+        key = (ideal_content_hash(ideal), int(seed))
+        if key not in self._memory and len(self._memory) >= GIN_MEMO_CAP:
+            del self._memory[next(iter(self._memory))]
+        self._memory[key] = result
+        if self.directory is None:
+            return
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(ideal, seed)
         payload = {

@@ -344,8 +344,7 @@ def cech_local_cohomology(ideal, window=None):
         top = max(fixed - (0 if npos == 0 else npos)
                   for fixed, npos, _ in parts)
         right = () if hi - 1 > top else None
-        if values or left:
-            funcs[i] = HilbertFunction((lo, hi), values, (left, right))
+        funcs[i] = HilbertFunction((lo, hi), values, (left, right))
     return CohomologyTable((lo, hi), funcs)
 
 

@@ -403,7 +403,7 @@ def parse_polynomial(text, n):
     """
     _check_ambient(n)
     tok = _Tokenizer(text)
-    total = Polynomial.zero(n)
+    terms = []
     first = True
     while True:
         tok.skip_ws()
@@ -421,11 +421,12 @@ def parse_polynomial(text, n):
                 sign = -1
             else:
                 tok.error("expected '+' or '-' between terms")
-        total = total + _parse_term(tok, n, sign)
-    return total
+        terms.append(_parse_term(tok, n, sign))
+    return Polynomial(n, terms)
 
 
 def _parse_term(tok, n, sign):
+    """(Monomial, coefficient) of the next term."""
     coeff = Fraction(sign)
     exps = [0] * n
     saw_factor = False
@@ -442,7 +443,7 @@ def _parse_term(tok, n, sign):
             coeff *= num
         saw_factor = True
         if not tok.take("*"):
-            return Polynomial.constant(coeff, n)
+            return Monomial.one(n), coeff
     while True:
         ch = tok.peek()
         if ch != "x":
@@ -462,7 +463,7 @@ def _parse_term(tok, n, sign):
         saw_factor = True
         if not tok.take("*"):
             break
-    return Polynomial(n, [(Monomial(exps), coeff)])
+    return Monomial(exps), coeff
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ShiftedViolationError,
 )
-from .groebner import PolynomialIdeal, gin
+from .groebner import gin
 from .linalg import invert, rank
 from .monomial import (
     MonomialIdeal,
@@ -331,7 +331,7 @@ def shifted_complex(cx, seed):
     ideal = stanley_reisner_ideal(cx)
     if ideal.is_zero():
         return cx
-    g = gin(PolynomialIdeal.from_monomial_ideal(ideal), seed)
+    g = gin(ideal, seed)
     shifted_ideal = MonomialIdeal(cx.n, [sigma(u) for u in g.gens])
     out = complex_of(shifted_ideal)
     ok, witness = is_shifted(out)

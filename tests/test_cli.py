@@ -1,9 +1,11 @@
 """Command line behavior: payloads, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import re
+import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
@@ -92,6 +94,23 @@ def test_gin_cache_corrupt_entry_is_rewritten(capsys, edge_ideal, tmp_path):
                             "--cache-dir", str(cache))
     assert code == 0 and second == first and err == ""
     assert os.listdir(cache) == [entry]
+    assert json.loads((cache / entry).read_text())["gin"]["generators"] == ["x1^2"]
+
+
+def test_gin_cache_entry_that_is_not_strongly_stable_is_rewritten(
+        capsys, edge_ideal, tmp_path):
+    # In characteristic zero a gin is strongly stable; (x2^2) is not.
+    cache = tmp_path / "cache"
+    code, first, _ = run(capsys, "gin", edge_ideal, "--seed", "5",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    (entry,) = os.listdir(cache)
+    data = json.loads((cache / entry).read_text())
+    data["gin"]["generators"] = ["x2^2"]
+    (cache / entry).write_text(json.dumps(data))
+    code, second, err = run(capsys, "gin", edge_ideal, "--seed", "5",
+                            "--cache-dir", str(cache))
+    assert code == 0 and second == first and err == ""
     assert json.loads((cache / entry).read_text())["gin"]["generators"] == ["x1^2"]
 
 
@@ -405,6 +424,20 @@ def test_verify_corpus_empty_dir(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "corpus", str(empty), "--seed", "1")
     assert code == 2
     assert "error[parse-error]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("localcoh",), ("seqcm", "--seed", "7"), ("gin", "--seed", "7"),
+    ("verify", "main-theorem", "--seed", "7")])
+def test_stdin_input_prints_what_the_path_prints(capsys, monkeypatch, argv):
+    path = os.path.join(CORPUS, "A8.json")
+    code, expected, _ = run(capsys, *argv, path)
+    assert code == 0
+    with open(path) as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    code, out, err = run(capsys, *argv, "-")
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_parse_errors_exit_two(capsys, tmp_path):

@@ -1,13 +1,16 @@
 """Buchberger, normal forms, saturation, and generic initial ideals."""
 
 from fractions import Fraction
+import json
 from math import gcd
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcm import groebner, oracles
+from seqcm.cli import main as cli_main
 from seqcm.corpus import IDEALS, corpus_ideal
 from seqcm.errors import CertificationError, ParseError, UndefinedInputError
 from seqcm.linalg import det
@@ -257,12 +260,58 @@ def test_gin_cache_roundtrip(tmp_path):
 
 def test_gin_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(groebner, "GIN_MEMO_CAP", 2)
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    monkeypatch.setattr(GinCache, "_memory", {})
     base = ideal(2, "x1*x2")
     for seed in range(5):
         result = gin(base, seed=seed)
-        assert len(groebner._GIN_MEMO) <= 2
-        assert groebner._GIN_MEMO[(ideal_content_hash(base), seed)] == result
+        assert len(GinCache._memory) <= 2
+        assert GinCache._memory[(ideal_content_hash(base), seed)] == result
+
+
+def counted_engine_runs(monkeypatch):
+    runs = []
+    real = groebner._groebner
+
+    def counting(gens):
+        runs.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "_groebner", counting)
+    return runs
+
+
+def test_cli_gin_cache_dir_serves_a_later_plain_gin(monkeypatch, tmp_path,
+                                                   capsys):
+    monkeypatch.setattr(GinCache, "_memory", {})
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"n": 3, "generators": ["x1*x2 - x3^2", "x2^2"]}))
+    assert cli_main(["gin", str(path), "--seed", "5",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+    printed = json.loads(capsys.readouterr().out)["gin"]
+    runs = counted_engine_runs(monkeypatch)
+    assert gin(ideal(3, "x1*x2 - x3^2", "x2^2"), seed=5).to_json() == printed
+    assert runs == []
+
+
+def test_gin_cache_file_hit_runs_no_engine(monkeypatch, tmp_path):
+    base = ideal(3, "x1*x2 - x3^2", "x2^2")
+    cache = GinCache(str(tmp_path))
+    result = gin(base, seed=5, cache=cache)
+    monkeypatch.setattr(GinCache, "_memory", {})
+    runs = counted_engine_runs(monkeypatch)
+    assert gin(base, seed=5, cache=cache) == result
+    assert runs == []
+
+
+def test_gin_of_monomial_ideal_keys_like_its_polynomial_ideal(tmp_path):
+    m = MonomialIdeal(3, [(1, 1, 0), (0, 0, 2)])
+    poly = PolynomialIdeal.from_monomial_ideal(m)
+    assert gin(m, seed=5) == gin(poly, seed=5)
+    assert ideal_content_hash(m) == ideal_content_hash(poly)
+    # File names are those of earlier versions, so their cache dirs still hit.
+    name = "5dd437d2a49af7690cbb0f17971fe2b9f081fe7ac61f5c6d918278f255c6b564.json"
+    gin(m, seed=5, cache=GinCache(str(tmp_path)))
+    assert os.listdir(tmp_path) == [name]
 
 
 @pytest.mark.parametrize("n", [2.5, True, "a"])
@@ -282,7 +331,7 @@ SCALED_CASES = [
 def test_rational_scaling_of_generators_changes_nothing(base, monkeypatch):
     # Denominators are cleared once per generator; rational multiples of the
     # generators present the same ideal and must give the same answers.
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    monkeypatch.setattr(GinCache, "_memory", {})
     factors = [Fraction(2, 3), Fraction(-5, 7)]
     scaled = PolynomialIdeal(base.n, [
         g.scale(factors[k % 2]) for k, g in enumerate(base.generators)])
@@ -301,7 +350,7 @@ def test_engine_routes_skip_polynomial_entry_points(monkeypatch):
     for module in (groebner, oracles):
         for name in ("buchberger", "normal_form", "initial_ideal"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    monkeypatch.setattr(GinCache, "_memory", {})
     runs = []
     real = groebner._groebner
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
-from seqcm.groebner import PolynomialIdeal
+from seqcm.corpus import IDEALS, corpus_ideal
+from seqcm.groebner import PolynomialIdeal, gin
 from seqcm.monomial import (
     MonomialIdeal,
     hilbert_function,
@@ -127,6 +128,19 @@ def test_cech_matches_filtration_route():
         right = local_cohomology_strongly_stable(ideal, window)
         assert left.equal_on(right, window)
         assert left.diff(right, window) == []
+
+
+def test_cech_matches_filtration_route_on_every_window():
+    # Windows below, across and above each H^i's support: the two routes
+    # give the same table, including an H^i with no values on the window.
+    for name in sorted(IDEALS):
+        g = gin(corpus_ideal(name), 7)
+        for lo in range(-12, 10, 3):
+            for width in (0, 1, 2, 5):
+                window = (lo, lo + width)
+                assert (cech_local_cohomology(g, window).to_json()
+                        == local_cohomology_strongly_stable(g, window).to_json()), \
+                    (name, window)
 
 
 def test_brute_cech_matches_patterns():
