@@ -552,10 +552,11 @@ class GinCache:
 
     Every instance shares one in-process map, bounded by GIN_MEMO_CAP (the
     oldest entry goes first).  With a directory there is also one JSON file
-    per entry, named by the hash of (ideal hash, seed, version), and `get`
-    reads only that file: an absent, unreadable or mismatched file, or one
-    whose ideal is not strongly stable and so cannot be a gin in
-    characteristic zero, is a miss.  `put` writes the map and the file.
+    per entry, named by the hash of (ideal hash, seed, version).  `get`
+    reads that file; an absent, unreadable or mismatched file, or one whose
+    ideal is not strongly stable and so cannot be a gin in characteristic
+    zero, is a miss that the map serves, writing the file back, if it can.
+    `put` writes the map and the file.
     """
 
     _memory = {}
@@ -572,15 +573,16 @@ class GinCache:
 
     def get(self, ideal, seed):
         """The stored gin, or None."""
+        held = self._memory.get((ideal_content_hash(ideal), int(seed)))
         if self.directory is None:
-            return self._memory.get((ideal_content_hash(ideal), int(seed)))
+            return held
         try:
             with open(self._path(ideal, seed)) as fh:
                 data = json.load(fh)
             gin_data = data["gin"]
             if (data["version"] != __version__ or data["seed"] != int(seed)
                     or gin_data["n"] != ideal.n):
-                return None
+                raise ValueError("entry of another version, seed or n")
             result = MonomialIdeal(
                 ideal.n,
                 [parse_polynomial(g, ideal.n).leading_monomial()
@@ -588,8 +590,12 @@ class GinCache:
             )
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
                 SeqcmError):
-            return None
-        return result if is_strongly_stable(result)[0] else None
+            result = None
+        if result is not None and is_strongly_stable(result)[0]:
+            return result
+        if held is not None:
+            self.put(ideal, seed, held)
+        return held
 
     def put(self, ideal, seed, result):
         key = (ideal_content_hash(ideal), int(seed))

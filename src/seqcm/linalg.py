@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything here is deterministic and exact: ranks and determinants go through
-integer fraction-free elimination (rows are cleared of denominators first,
-which changes neither), inverses through Gauss-Jordan on Fractions.  No
-floating point anywhere; rank decisions are never numerical.
+Everything here is deterministic and exact.  Ranks come from fraction-free
+elimination on sparse rows: each row, cleared of denominators, is reduced
+against the stored pivot row of its lowest column.  Determinants go through
+Bareiss elimination on integer rows, inverses through Gauss-Jordan on
+Fractions.  No floating point anywhere; rank decisions are never numerical.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from math import gcd, lcm
 
 def _int_rows(matrix):
     """Int or Fraction rows, each scaled by the lcm of its denominators, and
-    the product of those multipliers (rank is unchanged, det divides by it)."""
+    the product of those multipliers (det divides by it)."""
     out, scale = [], 1
     for row in matrix:
         mult = lcm(*(x.denominator for x in row))
@@ -22,37 +23,40 @@ def _int_rows(matrix):
 
 
 def rank(matrix):
-    """Exact rank of a rectangular matrix with int or Fraction entries."""
-    m, _ = _int_rows(matrix)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                piv = i
+    """Exact rank of a matrix whose rows are sequences or {column: value}
+    dicts of int or Fraction entries.  A +-1 pivot takes a plain subtract-
+    multiple step, any other a cross-multiply step and a gcd division."""
+    pivots = {}
+    for row in matrix:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: x for c, x in items if x}
+        if any(type(x) is not int for x in row.values()):
+            mult = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (mult // x.denominator)
+                   for c, x in row.items()}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
                 break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        for i in range(r + 1, nrows):
-            a = m[i][col]
-            if not a:
-                continue
-            row = [m[i][j] * p - m[r][j] * a for j in range(ncols)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-            if g > 1:
-                row = [x // g for x in row]
-            m[i] = row
-        r += 1
-        if r == nrows:
-            break
-    return r
+            a, p = row[col], piv[col]
+            cross = p not in (1, -1)
+            if cross:
+                row = {c: x * p for c, x in row.items()}
+            else:
+                a *= p
+            for c, x in piv.items():
+                v = row.get(c, 0) - a * x
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            if cross and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+    return len(pivots)
 
 
 def det(matrix):

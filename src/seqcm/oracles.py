@@ -66,12 +66,26 @@ def _subsets_by_size(n):
     return by_size
 
 
+def _koszul_spots(gen_exps, a, subsets):
+    """spots[i] indexes the masks S of size i with e_S wedge x^(a-S) in the
+    Koszul complex of R/I: S lies in supp(a), and no generator u <= a has
+    tight_u = {k : u_k = a_k} disjoint from S."""
+    n = len(a)
+    supp = sum(1 << k for k in range(n) if a[k] > 0)
+    tights = [sum(1 << k for k in range(n) if u[k] == a[k])
+              for u in gen_exps if all(u[k] <= a[k] for k in range(n))]
+    spots = [{} for _ in range(n + 2)]
+    for i in range(n + 1):
+        for mask in subsets[i]:
+            if mask & supp == mask and all(mask & t for t in tights):
+                spots[i][mask] = len(spots[i])
+    return spots
+
+
 def _koszul_monomial(ideal, bound):
     n = ideal.n
-    lcm_exps = [0] * n
-    for g in ideal.gens:
-        for k in range(n):
-            lcm_exps[k] = max(lcm_exps[k], g.exponents[k])
+    gen_exps = [g.exponents for g in ideal.gens]
+    lcm_exps = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
     # Tor multidegrees divide the lcm of the generators (Taylor complex).
     boxes = [range(e + 1) for e in lcm_exps]
     entries = {}
@@ -82,24 +96,14 @@ def _koszul_monomial(ideal, bound):
     for a in multidegrees:
         if sum(a) > bound:
             continue
-        # spots[i] = e_S wedge (standard monomial), S of size i
-        spots = []
-        for i in range(n + 2):
-            level = {}
-            for mask in subsets[i] if i <= n else []:
-                rest = tuple(a[k] - (mask >> k & 1) for k in range(n))
-                if any(e < 0 for e in rest):
-                    continue
-                if not ideal.contains(Monomial(rest)):
-                    level[mask] = len(level)
-            spots.append(level)
+        spots = _koszul_spots(gen_exps, a, subsets)
         ranks = [0] * (n + 2)
         for i in range(1, n + 1):
             if not spots[i] or not spots[i - 1]:
                 continue
             rows = []
             for mask in spots[i]:
-                row = [0] * len(spots[i - 1])
+                row = {}
                 sign = 1
                 for k in range(n):
                     if mask >> k & 1:
@@ -156,13 +160,14 @@ def _koszul_general(n, elements, bound):
         target = {key: idx for idx, key in enumerate(basis(i - 1, j))}
         rows = []
         for mask, m in cols:
-            row = [0] * len(target)
+            row = {}
             sign = 1
             for k in range(n):
                 if mask >> k & 1:
                     sub = mask ^ (1 << k)
                     for mono, c in reduced_coeffs(k, m).items():
-                        row[target[(sub, mono)]] += sign * c
+                        idx = target[(sub, mono)]
+                        row[idx] = row.get(idx, 0) + sign * c
                     sign = -sign
             rows.append(row)
         r = rank(rows) if rows and target else 0
@@ -244,20 +249,22 @@ def depth_and_dim(ideal):
     return ideal.n - pd, krull_dimension(lead)
 
 
+def _cech_spots(n, gen_exps, a):
+    """spots[i] indexes the masks S of size i that hold every negative
+    entry of a and contain no need_u = {k : u_k > a_k} of a generator u."""
+    neg = sum(1 << k for k in range(n) if a[k] < 0)
+    needs = {sum(1 << k for k in range(n) if u[k] > a[k]) for u in gen_exps}
+    spots = [{} for _ in range(n + 1)]
+    for mask in range(1 << n):
+        if mask & neg == neg and all(mask & d != d for d in needs):
+            level = spots[mask.bit_count()]
+            level[mask] = len(level)
+    return spots
+
+
 def _cech_piece(n, gen_exps, a):
     """Cohomology dims (by spot size) of the degree-a piece of the Cech complex."""
-    neg = sum(1 << k for k in range(n) if a[k] < 0)
-    spots = []
-    for i in range(n + 1):
-        spots.append({})
-    for mask in range(1 << n):
-        if mask & neg != neg:
-            continue
-        blocked = any(all(mask >> k & 1 or u[k] <= a[k] for k in range(n))
-                      for u in gen_exps)
-        if not blocked:
-            level = spots[bin(mask).count("1")]
-            level[mask] = len(level)
+    spots = _cech_spots(n, gen_exps, a)
     ranks = [0] * (n + 2)
     for i in range(n):
         # d^i : spots of size i -> size i+1
@@ -265,7 +272,7 @@ def _cech_piece(n, gen_exps, a):
             continue
         rows = []
         for mask in spots[i]:
-            row = [0] * len(spots[i + 1])
+            row = {}
             for j in range(n):
                 if mask >> j & 1:
                     continue

@@ -12,6 +12,7 @@ ideal degree by degree.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from .errors import (
@@ -49,6 +50,10 @@ def _as_face(vertices, n):
             raise AmbientMismatchError(
                 "vertex %d outside 1..%d" % (v, n))
     return face
+
+
+def _mask(face):
+    return sum(1 << (v - 1) for v in face)
 
 
 class SimplicialComplex:
@@ -158,7 +163,7 @@ def stanley_reisner_ideal(cx):
     Void complex -> unit ideal, full simplex -> zero ideal.
     """
     n = cx.n
-    facet_masks = [sum(1 << (v - 1) for v in f) for f in cx.facets]
+    facet_masks = [_mask(f) for f in cx.facets]
     gens = []
     gen_masks = []
     for mask in range(1 << n):
@@ -174,20 +179,22 @@ def stanley_reisner_ideal(cx):
 def complex_of(ideal):
     """Simplicial complex whose Stanley-Reisner ideal is the given one.
 
-    Faces are the supports of squarefree monomials outside the ideal.
+    Faces (supports of squarefree monomials outside the ideal) are marked on
+    the vertex-mask array; facets are the faces with no face one vertex larger.
     """
     if not ideal.is_squarefree():
         bad = next(g for g in ideal.gens if not g.is_squarefree())
         raise NotSquarefreeError("generator %s is not squarefree" % bad)
     n = ideal.n
     _check_n(n)
-    gen_masks = [sum(1 << (i - 1) for i in g.support()) for g in ideal.gens]
-    faces = []
-    for mask in range(1 << n):
-        if any(mask & gm == gm for gm in gen_masks):
-            continue
-        faces.append([i + 1 for i in range(n) if mask >> i & 1])
-    return SimplicialComplex(n, faces)
+    gen_masks = [_mask(g.support()) for g in ideal.gens]
+    is_face = [all(mask & gm != gm for gm in gen_masks)
+               for mask in range(1 << n)]
+    facets = [[i + 1 for i in range(n) if mask >> i & 1]
+              for mask in range(1 << n) if is_face[mask]
+              and not any(is_face[mask | 1 << i] for i in range(n)
+                          if not mask >> i & 1)]
+    return SimplicialComplex(n, facets)
 
 
 def alexander_dual(cx):
@@ -202,38 +209,57 @@ def alexander_dual(cx):
     return SimplicialComplex(cx.n, facets)
 
 
-def reduced_homology(cx):
-    """Nonzero reduced rational homology, {degree: dimension}.
+def _maximal(masks):
+    """The maximal ones among vertex masks, as a frozenset."""
+    masks = set(masks)
+    return frozenset(m for m in masks
+                     if all(m & k != m or m == k for k in masks))
 
-    Uses the augmented chain complex, so the irrelevant complex has a
-    single class in degree -1 and the void complex has none at all.
-    """
-    if cx.is_void():
+
+def _mask_homology(maximal):
+    """Reduced homology of the complex with the given maximal face masks;
+    none if they share a vertex (a cone).  Faces are their submasks, and the
+    boundary rows are dicts over the indices of the faces one smaller."""
+    if not maximal or reduce(int.__and__, maximal):
         return {}
-    if cx.facets[0] and set.intersection(*(set(f) for f in cx.facets)):
-        return {}  # a cone is contractible
+    faces = {0}
+    for m in maximal:
+        sub = m
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m
     by_card = {}
-    for f in cx.faces():
-        by_card.setdefault(len(f), []).append(f)
+    for f in faces:
+        by_card.setdefault(f.bit_count(), []).append(f)
     top = max(by_card)
     ranks = {}
     for k in range(1, top + 1):
         lower = {f: i for i, f in enumerate(by_card.get(k - 1, ()))}
         rows = []
         for f in by_card.get(k, ()):
-            row = [0] * len(lower)
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                row[lower[sub]] = -1 if pos % 2 else 1
+            row, sign, rest = {}, 1, f
+            while rest:
+                bit = rest & -rest
+                row[lower[f ^ bit]] = sign
+                sign, rest = -sign, rest ^ bit
             rows.append(row)
-        ranks[k] = rank(rows) if rows and lower else 0
+        ranks[k] = rank(rows)
     out = {}
     for k in range(top + 1):
-        nk = len(by_card.get(k, ()))
-        h = nk - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        h = len(by_card.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         if h:
             out[k - 1] = h
     return out
+
+
+def reduced_homology(cx):
+    """Nonzero reduced rational homology, {degree: dimension}.
+
+    Uses the augmented chain complex, so the irrelevant complex has a
+    single class in degree -1 and the void complex has none at all.  Runs
+    the vertex-mask kernel of hochster_betti on the facets.
+    """
+    return _mask_homology(frozenset(_mask(f) for f in cx.facets))
 
 
 def hochster_betti(cx):
@@ -241,24 +267,20 @@ def hochster_betti(cx):
 
     beta_{i,j} for i >= 1 sums dim of reduced homology in degree j-i-1 of
     the restrictions to the j-element vertex sets; beta_{0,0} = 1 whenever
-    the face ring is nonzero.  Returns a quotient-convention table.
+    the face ring is nonzero.  Returns a quotient-convention table.  Vertex
+    sets whose restrictions have the same maximal faces share one homology.
     """
     n = cx.n
     _check_n(n)
-    entries = {}
-    if not cx.is_void():
-        entries[(0, 0)] = 1
-    facet_masks = [sum(1 << (v - 1) for v in f) for f in cx.facets]
+    entries = {} if cx.is_void() else {(0, 0): 1}
+    facet_masks = [_mask(f) for f in cx.facets]
     homology = {}
-    for mask in range(1, 1 << n):
-        rest = [fm & mask for fm in facet_masks]
-        key = tuple(sorted(set(rest)))
+    for w in range(1, 1 << n):
+        key = _maximal(fm & w for fm in facet_masks)
         if key not in homology:
-            verts = [i + 1 for i in range(n) if mask >> i & 1]
-            homology[key] = reduced_homology(cx.restriction(verts))
-        hom = homology[key]
-        j = bin(mask).count("1")
-        for deg, dim in hom.items():
+            homology[key] = _mask_homology(key)
+        j = w.bit_count()
+        for deg, dim in homology[key].items():
             i = j - deg - 1
             if i >= 1:
                 entries[(i, j)] = entries.get((i, j), 0) + dim

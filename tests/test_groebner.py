@@ -248,7 +248,9 @@ def test_last_variable_regular_iff_no_generator_uses_it():
         assert (depth > 0) == (not uses_last)
 
 
-def test_gin_cache_roundtrip(tmp_path):
+def test_gin_cache_roundtrip(monkeypatch, tmp_path):
+    # A file miss is served from the in-process map, so start it empty.
+    monkeypatch.setattr(GinCache, "_memory", {})
     cache = GinCache(str(tmp_path))
     base = ideal(2, "x1*x2")
     assert cache.get(base, 5) is None
@@ -301,6 +303,17 @@ def test_gin_cache_file_hit_runs_no_engine(monkeypatch, tmp_path):
     runs = counted_engine_runs(monkeypatch)
     assert gin(base, seed=5, cache=cache) == result
     assert runs == []
+
+
+def test_gin_cache_file_miss_is_served_from_the_map(monkeypatch, tmp_path):
+    base = ideal(3, "x1*x2 - x3^2", "x2^2")
+    result = gin(base, 5)
+    runs = counted_engine_runs(monkeypatch)
+    assert gin(base, 5, cache=GinCache(str(tmp_path))) == result
+    assert runs == []
+    assert len(os.listdir(tmp_path)) == 1
+    monkeypatch.setattr(GinCache, "_memory", {})
+    assert GinCache(str(tmp_path)).get(base, 5) == result
 
 
 def test_gin_of_monomial_ideal_keys_like_its_polynomial_ideal(tmp_path):

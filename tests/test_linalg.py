@@ -1,6 +1,7 @@
 """Exact rational rank, determinant, and inverse."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,54 @@ def test_rank_bounds(m):
     r = rank(m)
     assert 0 <= r <= 4
     assert (r == 4) == (det(m) != 0)
+
+
+def dense_rank(matrix):
+    # Reference: fraction-free elimination on dense rows, column by column.
+    m = []
+    for row in matrix:
+        mult = lcm(*(Fraction(x).denominator for x in row))
+        m.append([int(Fraction(x) * mult) for x in row])
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][col]
+        for i in range(r + 1, nrows):
+            a = m[i][col]
+            if a:
+                row = [m[i][j] * p - m[r][j] * a for j in range(ncols)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+@st.composite
+def rectangular(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    # Small values give zero rows, zero columns and non-unit pivots often.
+    value = st.one_of(st.integers(-3, 3), st.sampled_from([0, 0, 0, 2, 6]),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4))
+    return [[draw(value) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@given(rectangular())
+@settings(max_examples=200)
+def test_sparse_rank_matches_dense_reference(m):
+    expected = dense_rank(m)
+    assert rank(m) == expected
+    assert rank([{c: x for c, x in enumerate(row) if x} for row in m]) == expected
+    assert rank([dict(enumerate(row)) for row in m]) == expected
+    assert rank([list(col) for col in zip(*m)]) == (expected if m else 0)
 
 
 def test_rank_examples():

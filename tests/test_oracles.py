@@ -1,6 +1,7 @@
 """Independent oracles: enumerated Hilbert functions, Koszul Betti numbers,
 and Cech local cohomology."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,16 @@ from seqcm.monomial import (
     local_cohomology_strongly_stable,
 )
 from seqcm.oracles import (
+    _cech_spots,
+    _koszul_spots,
+    _subsets_by_size,
     brute_cech_window,
     brute_hilbert,
     cech_local_cohomology,
     depth_and_dim,
     koszul_betti,
 )
+from seqcm.rings import Monomial
 from seqcm.simplicial import SimplicialComplex, hochster_betti, stanley_reisner_ideal
 
 disjoint_edges_ideal = MonomialIdeal(
@@ -73,6 +78,17 @@ def test_koszul_agrees_with_hochster():
                SimplicialComplex(3, [(2, 3), (1,)])):
         ideal = stanley_reisner_ideal(cx)
         assert koszul_betti(ideal).entries == hochster_betti(cx).entries
+
+
+def test_koszul_agrees_with_hochster_on_seeded_complexes():
+    rng = random.Random(20)
+    for _ in range(20):
+        n = rng.randint(3, 6)
+        cx = SimplicialComplex(n, [
+            rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+            for _ in range(rng.randint(2, 6))])
+        ideal = stanley_reisner_ideal(cx)
+        assert koszul_betti(ideal).entries == hochster_betti(cx).entries, cx
 
 
 def test_koszul_bound_too_small():
@@ -185,3 +201,35 @@ def test_alternating_sum_recovers_hilbert_polynomial():
             alternating = sum((-1) ** i * table.value(i, e)
                               for i in range(ideal.n + 1))
             assert value - evaluate_tail(tail, e) == alternating, (ideal, e)
+
+
+def test_spot_masks_match_the_membership_predicates():
+    # The Cech and Koszul spots are mask tests; pin them to the plain
+    # predicates on non-squarefree ideals and on degrees with negative entries.
+    rng = random.Random(11)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 5))]
+        ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
+        gen_exps = [g.exponents for g in ideal.gens]
+        subsets = _subsets_by_size(n)
+        for _ in range(8):
+            a = tuple(rng.randint(-2, 3) for _ in range(n))
+            cech = [set() for _ in range(n + 1)]
+            for mask in range(1 << n):
+                held = all(mask >> k & 1 for k in range(n) if a[k] < 0)
+                blocked = any(all(mask >> k & 1 or u[k] <= a[k]
+                                  for k in range(n)) for u in gen_exps)
+                if held and not blocked:
+                    cech[bin(mask).count("1")].add(mask)
+            assert [set(level) for level in _cech_spots(n, gen_exps, a)] == cech
+
+            b = tuple(max(v, 0) for v in a)
+            koszul = [set() for _ in range(n + 2)]
+            for mask in range(1 << n):
+                rest = tuple(b[k] - (mask >> k & 1) for k in range(n))
+                if min(rest, default=0) >= 0 and not ideal.contains(Monomial(rest)):
+                    koszul[bin(mask).count("1")].add(mask)
+            got = _koszul_spots(gen_exps, b, subsets)
+            assert [set(level) for level in got] == koszul

@@ -1,6 +1,7 @@
 """Simplicial complexes, Stanley-Reisner transfer, Alexander duality,
 homology, Hochster tables, shifting, and the face-ring cohomology formula."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from seqcm.simplicial import (
     sigma,
     stanley_reisner_ideal,
 )
+from test_linalg import dense_rank
 
 hollow_triangle = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
 two_points = SimplicialComplex(2, [(1,), (2,)])
@@ -146,6 +148,78 @@ def test_homology_euler_characteristic(cx):
     hom = reduced_homology(cx)
     from_homology = sum((-1) ** i * r for i, r in hom.items())
     assert from_faces == from_homology
+
+
+def restriction_homology(cx):
+    # Reference: the augmented chain complex of the listed faces, dense rows.
+    if cx.is_void():
+        return {}
+    if cx.facets[0] and set.intersection(*(set(f) for f in cx.facets)):
+        return {}
+    by_card = {}
+    for f in cx.faces():
+        by_card.setdefault(len(f), []).append(f)
+    top = max(by_card)
+    ranks = {}
+    for k in range(1, top + 1):
+        lower = {f: i for i, f in enumerate(by_card.get(k - 1, ()))}
+        rows = []
+        for f in by_card.get(k, ()):
+            row = [0] * len(lower)
+            for pos in range(len(f)):
+                row[lower[f[:pos] + f[pos + 1:]]] = -1 if pos % 2 else 1
+            rows.append(row)
+        ranks[k] = dense_rank(rows)
+    out = {}
+    for k in range(top + 1):
+        h = len(by_card.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if h:
+            out[k - 1] = h
+    return out
+
+
+def restriction_hochster(cx):
+    # Reference: one restricted SimplicialComplex per vertex set.
+    entries = {} if cx.is_void() else {(0, 0): 1}
+    for j in range(1, cx.n + 1):
+        for verts in combinations(range(1, cx.n + 1), j):
+            for deg, dim in restriction_homology(cx.restriction(verts)).items():
+                if j - deg - 1 >= 1:
+                    key = (j - deg - 1, j)
+                    entries[key] = entries.get(key, 0) + dim
+    return entries
+
+
+def seeded_complexes():
+    rng = random.Random(8)
+    out = [SimplicialComplex.void(4), SimplicialComplex.irrelevant(4),
+           SimplicialComplex.full(5), SimplicialComplex.void(0),
+           SimplicialComplex.irrelevant(0),
+           # vertex 4 is in no face: restricting to {4} gives the irrelevant
+           # complex, and {1, 4} a cone
+           SimplicialComplex(4, [(1, 2), (2, 3), (1, 3)]),
+           SimplicialComplex(5, [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)]),
+           SimplicialComplex(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        facets = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 5)))
+                  for _ in range(rng.randint(1, 8))]
+        out.append(SimplicialComplex(n, facets))
+    for _ in range(20):
+        # many small facets, so restrictions have homology in several degrees
+        n = rng.randint(6, 9)
+        facets = [rng.sample(range(1, n + 1), rng.randint(2, 3))
+                  for _ in range(rng.randint(6, 14))]
+        out.append(SimplicialComplex(n, facets))
+    return out
+
+
+def test_mask_kernel_matches_restriction_reference():
+    for cx in seeded_complexes():
+        assert reduced_homology(cx) == restriction_homology(cx), cx
+        assert hochster_betti(cx).entries == restriction_hochster(cx), cx
+        if not cx.is_void():
+            assert complex_of(stanley_reisner_ideal(cx)) == cx
 
 
 def test_hochster_tables():
