@@ -8,6 +8,7 @@ certification limits (3), and internal cross-check failures (4).
 """
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -100,10 +101,7 @@ def _load(path, kind=None):
                          % (path, "an ideal" if kind == "ideal" else "a complex"))
     if found == "complex":
         return SimplicialComplex.from_json(data)
-    if not isinstance(data["generators"], list):
-        raise ParseError("%s: \"generators\" must be a list" % path)
-    return PolynomialIdeal.from_strings(data["n"],
-                                        [str(g) for g in data["generators"]])
+    return PolynomialIdeal.from_json(data)
 
 
 def _parse_window(text):
@@ -274,6 +272,7 @@ def _verify_corpus(directory, seed, window):
             "results": results, "summary": counts}
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="seqcm",
@@ -345,8 +344,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SeqcmError as exc:

@@ -19,10 +19,10 @@ from .monomial import (
 )
 from .oracles import cech_local_cohomology
 from .simplicial import (
-    alexander_dual,
     betti_numbers_of_ideal,
     complex_of,
-    shifted_complex,
+    dual_ideal,
+    shifted_ideal,
     stanley_reisner_ideal,
 )
 
@@ -124,11 +124,12 @@ def is_componentwise_linear(ideal, seed):
     """Whether a squarefree monomial ideal is componentwise linear.
 
     Decided by shifting: the ideal qualifies exactly when its graded Betti
-    numbers survive the passage to the shifted complex unchanged.  The
-    zero and unit ideals qualify trivially.
+    numbers survive the passage to its shifted ideal unchanged.  The ideal
+    is shifted directly, and each side's complex is built once, for
+    Hochster's formula.  The zero and unit ideals qualify trivially.
     """
     cx = complex_of(ideal)
-    shifted = shifted_complex(cx, seed)
+    shifted = complex_of(shifted_ideal(ideal, seed))
     comparison = BettiComparison(
         "ideal", "shifted ideal",
         betti_numbers_of_ideal(cx), betti_numbers_of_ideal(shifted))
@@ -139,10 +140,10 @@ def is_sequentially_cm(cx, seed):
     """Whether the face ring of the complex is sequentially Cohen-Macaulay.
 
     Decided through the Alexander dual: the complex qualifies exactly when
-    the Stanley-Reisner ideal of its dual is componentwise linear.
+    the Stanley-Reisner ideal of its dual, read off the facets by
+    `dual_ideal`, is componentwise linear.
     """
-    dual_ideal = stanley_reisner_ideal(alexander_dual(cx))
-    inner = is_componentwise_linear(dual_ideal, seed)
+    inner = is_componentwise_linear(dual_ideal(cx), seed)
     return SeqCMVerdict(inner.value, "dual-componentwise-linear",
                         seed, inner.details)
 
@@ -197,21 +198,21 @@ def main_theorem_check(ideal, seed, window=None):
 def theorem41_check(cx, seed, window=None):
     """Compare face-ring local cohomology before and after shifting.
 
-    Computes both tables with the Cech route and cross-checks the verdict
-    against the sequential Cohen-Macaulay decider; the two must agree, and
-    a mismatch raises InconsistencyError.
+    Computes both tables with the Cech route, the shifted side on
+    `shifted_ideal` of the face ideal, and cross-checks the verdict against
+    the sequential Cohen-Macaulay decider; the two must agree, and a
+    mismatch raises InconsistencyError.
     """
     ideal = stanley_reisner_ideal(cx)
-    shifted = shifted_complex(cx, seed)
-    shifted_ideal = stanley_reisner_ideal(shifted)
+    shifted = shifted_ideal(ideal, seed)
     n = cx.n
     derived = _merge_windows(default_cohomology_window(ideal),
-                             default_cohomology_window(shifted_ideal))
+                             default_cohomology_window(shifted))
     if window is None:
         window = derived
     wide = _compared_window(window, derived, n)
     left = cech_local_cohomology(ideal, wide)
-    right = cech_local_cohomology(shifted_ideal, wide)
+    right = cech_local_cohomology(shifted, wide)
     equal = left.same_function(right)
     verdict = is_sequentially_cm(cx, seed)
     if equal != verdict.value:

@@ -138,21 +138,23 @@ class PolynomialIdeal:
 
     @classmethod
     def from_json(cls, data):
+        """{"n": int, "generators": [...]}; a number generator is a constant."""
         if type(data["n"]) is not int:
             raise ParseError("n must be an integer, got %r" % (data["n"],))
-        return cls.from_strings(data["n"], list(data["generators"]))
+        if not isinstance(data["generators"], list):
+            raise ParseError("\"generators\" must be a list")
+        return cls.from_strings(data["n"], [str(g) for g in data["generators"]])
 
 
 class GroebnerBasis:
     """Reduced degrevlex Groebner basis; elements are monic, sorted by
     increasing leading monomial.  Unique for the ideal, hence comparable."""
 
-    __slots__ = ("n", "elements", "reduced")
+    __slots__ = ("n", "elements")
 
-    def __init__(self, n, elements, reduced=True):
+    def __init__(self, n, elements):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "reduced", reduced)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroebnerBasis is immutable")
@@ -475,7 +477,7 @@ def _integer_rows(matrix):
     return [[int(a * c) for a in row] for row in matrix.rows]
 
 
-def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
+def saturation(ideal, seed):
     """Full saturation with respect to the irrelevant maximal ideal.
 
     Route: generic coordinate change, saturate by the last variable, change
@@ -486,7 +488,7 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
     if ideal.is_zero():
         return ideal
     gens = _generators(ideal)
-    for t in range(retries):
+    for t in range(GIN_RETRY_BUDGET):
         pair = []
         for k in (0, 1):
             g = RationalMatrix.random_unipotent(
@@ -498,7 +500,7 @@ def saturation(ideal, seed, retries=GIN_RETRY_BUDGET):
         if pair[0] == pair[1]:
             return PolynomialIdeal(ideal.n, _polynomials(ideal.n, pair[0]))
     raise CertificationError(
-        "saturation results disagreed across %d seed pairs" % retries)
+        "saturation results disagreed across %d seed pairs" % GIN_RETRY_BUDGET)
 
 
 def ideal_content_hash(ideal):
@@ -510,7 +512,7 @@ def ideal_content_hash(ideal):
     return hashlib.sha256(blob).hexdigest()
 
 
-def gin(ideal, seed, retries=GIN_RETRY_BUDGET, cache=None):
+def gin(ideal, seed, cache=None):
     """Generic initial ideal for degrevlex, certified by two-seed agreement.
 
     The result of in(u . I) for a random unipotent integer matrix u is
@@ -527,7 +529,7 @@ def gin(ideal, seed, retries=GIN_RETRY_BUDGET, cache=None):
     if hit is not None:
         return hit
     gens = _generators(ideal)
-    for t in range(retries):
+    for t in range(GIN_RETRY_BUDGET):
         candidates = []
         for k in (0, 1):
             rows = _integer_rows(RationalMatrix.random_unipotent(
@@ -544,7 +546,7 @@ def gin(ideal, seed, retries=GIN_RETRY_BUDGET, cache=None):
             cache.put(ideal, seed, result)
             return result
     raise GenericityError(
-        "gin candidates disagreed across %d seed pairs" % retries)
+        "gin candidates disagreed across %d seed pairs" % GIN_RETRY_BUDGET)
 
 
 class GinCache:
@@ -554,8 +556,9 @@ class GinCache:
     oldest entry goes first).  With a directory there is also one JSON file
     per entry, named by the hash of (ideal hash, seed, version).  `get`
     reads that file; an absent, unreadable or mismatched file, or one whose
-    ideal is not strongly stable and so cannot be a gin in characteristic
-    zero, is a miss that the map serves, writing the file back, if it can.
+    ideal has a non-monomial generator or is not strongly stable, and so
+    cannot be a gin in characteristic zero, is a miss that the map serves,
+    writing the file back, if it can.
     `put` writes the map and the file.
     """
 
@@ -583,11 +586,10 @@ class GinCache:
             if (data["version"] != __version__ or data["seed"] != int(seed)
                     or gin_data["n"] != ideal.n):
                 raise ValueError("entry of another version, seed or n")
-            result = MonomialIdeal(
-                ideal.n,
-                [parse_polynomial(g, ideal.n).leading_monomial()
-                 for g in gin_data["generators"]],
-            )
+            gens = [parse_polynomial(g, ideal.n) for g in gin_data["generators"]]
+            if not all(g.is_monomial() for g in gens):
+                raise ValueError("entry with a non-monomial generator")
+            result = MonomialIdeal(ideal.n, [g.leading_monomial() for g in gens])
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
                 SeqcmError):
             result = None

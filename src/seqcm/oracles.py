@@ -22,7 +22,7 @@ from .errors import (
     CapacityError,
     UndefinedInputError,
 )
-from .groebner import GroebnerBasis, _divide, _divisors, _generators, _groebner
+from .groebner import _divide, _divisors, _generators, _groebner
 from .linalg import rank
 from .monomial import (
     MonomialIdeal,
@@ -42,13 +42,9 @@ CECH_MAX_N = 8
 
 
 def brute_hilbert(ideal, window):
-    """Hilbert function of R/I by counting standard monomials degreewise.
-
-    Accepts a MonomialIdeal or a GroebnerBasis (whose leading monomials
-    are counted).  No tails are attached; the window is all there is.
+    """Hilbert function of R/I, I a MonomialIdeal, by counting standard
+    monomials degreewise.  No tails are attached; the window is all there is.
     """
-    if isinstance(ideal, GroebnerBasis):
-        ideal = MonomialIdeal(ideal.n, ideal.leading_monomials())
     lo, hi = window
     values = {}
     for d in range(max(lo, 0), hi + 1):

@@ -193,10 +193,6 @@ class Polynomial:
         return cls(n)
 
     @classmethod
-    def constant(cls, c, n):
-        return cls(n, [(Monomial.one(n), Fraction(c))])
-
-    @classmethod
     def from_monomial(cls, mono, coeff=1):
         return cls(mono.n, [(mono, Fraction(coeff))])
 
@@ -205,9 +201,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self._coeffs)
-
-    def coefficient(self, mono):
-        return self._coeffs.get(mono, Fraction(0))
 
     def terms(self):
         """(monomial, coefficient) pairs in decreasing degrevlex order."""

@@ -6,6 +6,11 @@ all (its Stanley-Reisner ideal is the unit ideal, the face ring is the
 zero ring), while the irrelevant complex has the empty face as its only
 face (ideal (x1,...,xn), face ring K).
 
+The Stanley-Reisner transfer has one subset enumeration, `complex_of`:
+`dual_ideal` reads the ideal of the Alexander dual off the facets, and the
+dual and the Stanley-Reisner ideal are built from it.  Shifting acts on
+ideals, where gin works, and `shifted_complex` is the complex of the result.
+
 Betti numbers of face rings come from Hochster's formula; local cohomology
 of a face ring can be read off the Betti numbers of the Alexander dual
 ideal degree by degree.
@@ -157,23 +162,16 @@ class SimplicialComplex:
         return cls(data["n"], facets)
 
 
-def stanley_reisner_ideal(cx):
-    """Squarefree monomial ideal of minimal nonfaces.
+def dual_ideal(cx):
+    """Stanley-Reisner ideal of the Alexander dual, read off the facets.
 
-    Void complex -> unit ideal, full simplex -> zero ideal.
+    The minimal nonfaces of the dual are the complements of the facets, so
+    the generators are x_([n] - F) over the facets F and no subset is
+    enumerated.  Void complex -> zero ideal, full simplex -> unit ideal.
     """
     n = cx.n
-    facet_masks = [_mask(f) for f in cx.facets]
-    gens = []
-    gen_masks = []
-    for mask in range(1 << n):
-        if any(mask & ~fm == 0 for fm in facet_masks):
-            continue  # face
-        if any(mask & gm == gm for gm in gen_masks):
-            continue  # larger than a known nonface, not minimal
-        gen_masks.append(mask)
-        gens.append(Monomial(tuple(mask >> i & 1 for i in range(n))))
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(n, [tuple(0 if v in f else 1 for v in range(1, n + 1))
+                             for f in cx.facets])
 
 
 def complex_of(ideal):
@@ -200,13 +198,19 @@ def complex_of(ideal):
 def alexander_dual(cx):
     """Complex of complements of nonfaces; an involution on complexes.
 
-    The facets of the dual are the complements of the minimal nonfaces, so
-    the dual of the full simplex is void and the dual of void is full.
+    The complex of `dual_ideal`, so the dual of the full simplex is void and
+    the dual of void is full.
     """
-    ideal = stanley_reisner_ideal(cx)
-    allv = set(range(1, cx.n + 1))
-    facets = [tuple(sorted(allv - set(g.support()))) for g in ideal.gens]
-    return SimplicialComplex(cx.n, facets)
+    return complex_of(dual_ideal(cx))
+
+
+def stanley_reisner_ideal(cx):
+    """Squarefree monomial ideal of minimal nonfaces.
+
+    The dual ideal of the dual: its generators are the complements of the
+    dual's facets.  Void complex -> unit ideal, full simplex -> zero ideal.
+    """
+    return dual_ideal(alexander_dual(cx))
 
 
 def _maximal(masks):
@@ -321,6 +325,19 @@ def sigma(mono):
     return Monomial(tuple(exps))
 
 
+def _exchange_witness(ideal):
+    """(generator, i, j) when replacing the variable x_i of a generator by a
+    smaller missing x_j leaves the squarefree ideal, else None."""
+    var = [Monomial.variable(i, ideal.n) for i in range(1, ideal.n + 1)]
+    for u in ideal.gens:
+        for i in u.support():
+            for j in range(1, i):
+                if not u.exponent(j) and not ideal.contains(
+                        u / var[i - 1] * var[j - 1]):
+                    return u, i, j
+    return None
+
+
 def is_shifted(cx):
     """Whether exchanging any vertex of a face for a larger one stays a face.
 
@@ -328,40 +345,31 @@ def is_shifted(cx):
     one variable of a generator by a smaller missing one lands in the
     ideal.  Returns (flag, witness), witness = (generator, i, j) on failure.
     """
-    ideal = stanley_reisner_ideal(cx)
-    for u in ideal.gens:
-        for i in u.support():
-            for j in range(1, i):
-                if u.exponent(j):
-                    continue
-                moved = Monomial(tuple(
-                    e + (1 if k == j - 1 else 0) - (1 if k == i - 1 else 0)
-                    for k, e in enumerate(u.exponents)))
-                if not ideal.contains(moved):
-                    return False, (u, i, j)
-    return True, None
+    witness = _exchange_witness(stanley_reisner_ideal(cx))
+    return witness is None, witness
+
+
+def shifted_ideal(ideal, seed):
+    """Stanley-Reisner ideal of the algebraic shift: sigma of the gin.
+
+    The zero ideal (full simplex) has no gin and is its own shift.  The
+    output gets the exchange test of `is_shifted`; a failure would mean a
+    bug and raises ShiftedViolationError.
+    """
+    if ideal.is_zero():
+        return ideal
+    out = MonomialIdeal(ideal.n, [sigma(u) for u in gin(ideal, seed).gens])
+    witness = _exchange_witness(out)
+    if witness is not None:
+        raise ShiftedViolationError(
+            "shift produced a non-shifted ideal at %s, swap x%d <- x%d"
+            % witness, witness)
+    return out
 
 
 def shifted_complex(cx, seed):
-    """Algebraic shift: complex of the squarefree image of the gin.
-
-    The full simplex is returned as is (its ideal is zero, which has no
-    gin); every other complex goes through a generic initial ideal and the
-    index-raising squarefree operator.  The output is checked to be
-    shifted; a failure would mean a bug and raises ShiftedViolationError.
-    """
-    ideal = stanley_reisner_ideal(cx)
-    if ideal.is_zero():
-        return cx
-    g = gin(ideal, seed)
-    shifted_ideal = MonomialIdeal(cx.n, [sigma(u) for u in g.gens])
-    out = complex_of(shifted_ideal)
-    ok, witness = is_shifted(out)
-    if not ok:
-        raise ShiftedViolationError(
-            "shift produced a non-shifted complex at %s, swap x%d <- x%d"
-            % (witness[0], witness[1], witness[2]))
-    return out
+    """Algebraic shift: the complex of `shifted_ideal` of the face ideal."""
+    return complex_of(shifted_ideal(stanley_reisner_ideal(cx), seed))
 
 
 def _betti_lookup(table, i, j):
@@ -381,11 +389,11 @@ def local_cohomology_face_ring(cx, window=None):
     e <= -1 and attached whenever the window reaches -2.
     """
     n = cx.n
-    ideal = stanley_reisner_ideal(cx)
+    dual = alexander_dual(cx)
     if window is None:
-        window = default_cohomology_window(ideal)
+        window = default_cohomology_window(dual_ideal(dual))
     lo, hi = window
-    dual_betti = betti_numbers_of_ideal(alexander_dual(cx))
+    dual_betti = betti_numbers_of_ideal(dual)
     funcs = {}
     for i in range(n + 1):
         values = {}
@@ -427,11 +435,11 @@ def local_cohomology_face_ring_printed(cx, window=None):
     so nothing downstream consumes it.
     """
     n = cx.n
-    ideal = stanley_reisner_ideal(cx)
+    dual = alexander_dual(cx)
     if window is None:
-        window = default_cohomology_window(ideal)
+        window = default_cohomology_window(dual_ideal(dual))
     lo, hi = window
-    dual_quotient = hochster_betti(alexander_dual(cx))
+    dual_quotient = hochster_betti(dual)
     funcs = {}
     for i in range(n + 1):
         values = {}

@@ -10,8 +10,9 @@ import sys
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from seqcm.cli import MAX_WINDOW_WIDTH, main
+from seqcm.cli import MAX_WINDOW_WIDTH, _load, build_parser, main
 from seqcm.decide import widen_window
+from seqcm.groebner import GinCache, PolynomialIdeal
 from seqcm.oracles import KOSZUL_MAX_BOUND
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -97,6 +98,29 @@ def test_gin_cache_corrupt_entry_is_rewritten(capsys, edge_ideal, tmp_path):
     assert json.loads((cache / entry).read_text())["gin"]["generators"] == ["x1^2"]
 
 
+def test_gin_cache_entry_with_a_non_monomial_generator_is_rewritten(
+        capsys, monkeypatch, tmp_path):
+    # Read by its leading monomial, ["x1 + x2"] would pass as the strongly
+    # stable (x1); a gin has monomial generators, so the entry is corrupt.
+    monkeypatch.setattr(GinCache, "_memory", {})
+    path = write_json(tmp_path, "ideal.json",
+                      {"n": 3, "generators": ["x1*x2 - x3^2", "x2^2"]})
+    cache = tmp_path / "cache"
+    code, first, _ = run(capsys, "gin", path, "--seed", "5",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    (entry,) = os.listdir(cache)
+    data = json.loads((cache / entry).read_text())
+    data["gin"]["generators"] = ["x1 + x2"]
+    (cache / entry).write_text(json.dumps(data))
+    monkeypatch.setattr(GinCache, "_memory", {})
+    code, second, err = run(capsys, "gin", path, "--seed", "5",
+                            "--cache-dir", str(cache))
+    assert code == 0 and second == first and err == ""
+    assert json.loads((cache / entry).read_text())["gin"] == \
+        json.loads(first)["gin"]
+
+
 def test_gin_cache_entry_that_is_not_strongly_stable_is_rewritten(
         capsys, edge_ideal, tmp_path):
     # In characteristic zero a gin is strongly stable; (x2^2) is not.
@@ -112,6 +136,31 @@ def test_gin_cache_entry_that_is_not_strongly_stable_is_rewritten(
                             "--cache-dir", str(cache))
     assert code == 0 and second == first and err == ""
     assert json.loads((cache / entry).read_text())["gin"]["generators"] == ["x1^2"]
+
+
+def test_one_parser_and_no_state_between_calls(capsys, edge_ideal):
+    assert build_parser() is build_parser()
+    code, out, err = run(capsys, "gin", edge_ideal, "--seed", "5")
+    assert code == 0 and json.loads(out)["seed"] == 5 and err == ""
+    code, out, err = run(capsys, "gin", edge_ideal)
+    assert code == 0 and "chosen from entropy" in err
+    assert json.loads(out)["seed"] == int(err.split()[1])
+
+
+def test_ideal_files_load_as_from_json_reads_them(capsys, tmp_path):
+    for name in sorted(os.listdir(CORPUS)):
+        path = os.path.join(CORPUS, name)
+        with open(path) as fh:
+            data = json.load(fh)
+        if "generators" in data:
+            assert _load(path) == PolynomialIdeal.from_json(data), name
+    unit = write_json(tmp_path, "unit.json", {"n": 2, "generators": [1]})
+    assert _load(unit) == PolynomialIdeal.from_json({"n": 2, "generators": [1]})
+    code, out, _ = run(capsys, "hilbert", unit)
+    assert code == 0 and json.loads(out)["hilbert"]["values"] == []
+    text = write_json(tmp_path, "text.json", {"n": 2, "generators": "x1"})
+    code, out, err = run(capsys, "hilbert", text)
+    assert code == 2 and out == "" and "error[parse-error]" in err
 
 
 def test_gin_of_zero_is_usage_error(capsys, tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from seqcm import decide, simplicial
+from seqcm.corpus import COMPLEXES, corpus_complex
 from seqcm.decide import (
     BettiComparison,
     is_componentwise_linear,
@@ -12,10 +14,21 @@ from seqcm.decide import (
     theorem41_check,
     widen_window,
 )
-from seqcm.errors import InconsistencyError, UndefinedInputError
+from seqcm.errors import (
+    InconsistencyError,
+    ShiftedViolationError,
+    UndefinedInputError,
+)
 from seqcm.groebner import PolynomialIdeal
 from seqcm.monomial import MonomialIdeal
-from seqcm.simplicial import SimplicialComplex, alexander_dual, stanley_reisner_ideal
+from seqcm.rings import Monomial
+from seqcm.simplicial import (
+    SimplicialComplex,
+    alexander_dual,
+    local_cohomology_face_ring,
+    shifted_complex,
+    stanley_reisner_ideal,
+)
 from seqcm.tables import BettiTable, CohomologyTable, HilbertFunction
 
 hollow_triangle = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
@@ -166,3 +179,36 @@ def test_betti_comparison_shape():
     assert cmp.to_json()["first_difference"] == [1, 3]
     same = BettiComparison("left", "right", a, a)
     assert same.equal and same.first_difference is None
+
+
+def test_one_subset_enumeration_per_transfer(monkeypatch):
+    # complex_of holds the transfer's only loop over vertex subsets.
+    calls = []
+    real = simplicial.complex_of
+
+    def counted(ideal):
+        calls.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(simplicial, "complex_of", counted)
+    monkeypatch.setattr(decide, "complex_of", counted)
+    for name in COMPLEXES:
+        calls.clear()
+        theorem41_check(corpus_complex(name), seed=7)
+        # The face ideal, then the dual's and the shifted dual's complexes.
+        assert len(calls) == 3, name
+    calls.clear()
+    local_cohomology_face_ring(bowtie)
+    assert len(calls) == 1
+
+
+def test_non_shifted_sigma_image_is_refused(monkeypatch):
+    true_sigma = simplicial.sigma
+    monkeypatch.setattr(simplicial, "sigma",
+                        lambda u: Monomial(true_sigma(u).exponents[::-1]))
+    with pytest.raises(ShiftedViolationError):
+        shifted_complex(disjoint_edges, seed=21)
+    with pytest.raises(ShiftedViolationError):
+        is_componentwise_linear(stanley_reisner_ideal(disjoint_edges), seed=21)
+    with pytest.raises(ShiftedViolationError):
+        theorem41_check(disjoint_edges, seed=21)

@@ -12,9 +12,15 @@ from hypothesis import given, settings, strategies as st
 from seqcm import groebner, oracles
 from seqcm.cli import main as cli_main
 from seqcm.corpus import IDEALS, corpus_ideal
-from seqcm.errors import CertificationError, ParseError, UndefinedInputError
+from seqcm.errors import (
+    CertificationError,
+    GenericityError,
+    ParseError,
+    UndefinedInputError,
+)
 from seqcm.linalg import det
 from seqcm.groebner import (
+    GIN_RETRY_BUDGET,
     GinCache,
     PolynomialIdeal,
     buchberger,
@@ -49,7 +55,6 @@ def gens(poly_ideal):
 
 def test_reduced_basis_shape():
     gb = buchberger(ideal(2, "x1^2", "x1*x2 + x2^2"))
-    assert gb.reduced
     assert [str(g) for g in gb] == ["x1*x2 + x2^2", "x1^2", "x2^3"]
     for g in gb:
         assert g.leading_coefficient() == 1
@@ -295,6 +300,39 @@ def test_cli_gin_cache_dir_serves_a_later_plain_gin(monkeypatch, tmp_path,
     assert runs == []
 
 
+def alternate_identity(monkeypatch):
+    # Every other coordinate change is the identity, so the two derived
+    # seeds of each attempt disagree and the whole retry budget is spent.
+    real = RationalMatrix.random_unipotent
+    draws = []
+
+    def alternating(n, seed):
+        draws.append(seed)
+        return RationalMatrix.identity(n) if len(draws) % 2 else real(n, seed)
+
+    monkeypatch.setattr(RationalMatrix, "random_unipotent",
+                        staticmethod(alternating))
+
+
+def test_gin_spends_the_retry_budget_then_raises(monkeypatch):
+    monkeypatch.setattr(GinCache, "_memory", {})
+    alternate_identity(monkeypatch)
+    runs = counted_engine_runs(monkeypatch)
+    with pytest.raises(GenericityError):
+        gin(ideal(2, "x2^2"), seed=5)
+    assert len(runs) == 2 * GIN_RETRY_BUDGET == 6
+    assert GinCache._memory == {}
+
+
+def test_saturation_spends_the_retry_budget_then_raises(monkeypatch):
+    alternate_identity(monkeypatch)
+    runs = counted_engine_runs(monkeypatch)
+    with pytest.raises(CertificationError):
+        saturation(ideal(2, "x1*x2"), seed=5)
+    # Per derived seed: the basis, the saturated basis and the one changed back.
+    assert len(runs) == 6 * GIN_RETRY_BUDGET == 18
+
+
 def test_gin_cache_file_hit_runs_no_engine(monkeypatch, tmp_path):
     base = ideal(3, "x1*x2 - x3^2", "x2^2")
     cache = GinCache(str(tmp_path))
@@ -331,6 +369,15 @@ def test_gin_of_monomial_ideal_keys_like_its_polynomial_ideal(tmp_path):
 def test_from_json_rejects_non_integer_n(n):
     with pytest.raises(ParseError):
         PolynomialIdeal.from_json({"n": n, "generators": ["x1"]})
+
+
+def test_from_json_reads_generators_as_the_cli_does():
+    unit = PolynomialIdeal.from_json({"n": 2, "generators": [1]})
+    assert unit.as_monomial_ideal().is_unit()
+    got = PolynomialIdeal.from_json({"n": 3, "generators": ["x1*x2 - x3^2"]})
+    assert got == ideal(3, "x1*x2 - x3^2")
+    with pytest.raises(ParseError):
+        PolynomialIdeal.from_json({"n": 2, "generators": "x1"})
 
 
 SCALED_CASES = [

@@ -18,6 +18,7 @@ from seqcm.simplicial import (
     build_A_matrix,
     cohomology_matrix_printed,
     complex_of,
+    dual_ideal,
     hochster_betti,
     is_shifted,
     local_cohomology_face_ring,
@@ -220,6 +221,28 @@ def test_mask_kernel_matches_restriction_reference():
         assert hochster_betti(cx).entries == restriction_hochster(cx), cx
         if not cx.is_void():
             assert complex_of(stanley_reisner_ideal(cx)) == cx
+
+
+def reference_stanley_reisner_ideal(cx):
+    # The minimal nonfaces by enumerating vertex masks: a mask inside a facet
+    # is a face, one containing a known nonface is not minimal.
+    n = cx.n
+    facet_masks = [sum(1 << (v - 1) for v in f) for f in cx.facets]
+    gens, gen_masks = [], []
+    for mask in range(1 << n):
+        if any(mask & ~fm == 0 for fm in facet_masks):
+            continue
+        if any(mask & gm == gm for gm in gen_masks):
+            continue
+        gen_masks.append(mask)
+        gens.append(Monomial(tuple(mask >> i & 1 for i in range(n))))
+    return MonomialIdeal(n, gens)
+
+
+def test_transfer_matches_nonface_reference():
+    for cx in seeded_complexes():
+        assert stanley_reisner_ideal(cx) == reference_stanley_reisner_ideal(cx), cx
+        assert dual_ideal(cx) == reference_stanley_reisner_ideal(brute_dual(cx)), cx
 
 
 def test_hochster_tables():
