@@ -30,10 +30,11 @@ from .monomial import (
 from .oracles import cech_local_cohomology, koszul_betti
 from .simplicial import (
     SimplicialComplex,
+    _face_ring_cohomology,
     alexander_dual,
     complex_of,
+    dual_ideal,
     hochster_betti,
-    local_cohomology_face_ring,
     shifted_complex,
     stanley_reisner_ideal,
 )
@@ -187,8 +188,9 @@ def _cmd_localcoh(args):
     else:  # enrico-style closed formula, always cross-checked against Cech
         cx = obj if isinstance(obj, SimplicialComplex) else complex_of(
             _monomial_of(obj))
-        table = local_cohomology_face_ring(cx, window)
-        cech = cech_local_cohomology(stanley_reisner_ideal(cx), table.window)
+        dual = alexander_dual(cx)
+        table = _face_ring_cohomology(dual, window)
+        cech = cech_local_cohomology(dual_ideal(dual), table.window)
         payload["cech"] = cech.to_json()
         payload["cech_diff"] = [list(t) for t in table.diff(cech)]
     payload["window"] = list(table.window)

@@ -19,11 +19,11 @@ from .monomial import (
 )
 from .oracles import cech_local_cohomology
 from .simplicial import (
+    alexander_dual,
     betti_numbers_of_ideal,
     complex_of,
     dual_ideal,
     shifted_ideal,
-    stanley_reisner_ideal,
 )
 
 
@@ -128,7 +128,11 @@ def is_componentwise_linear(ideal, seed):
     is shifted directly, and each side's complex is built once, for
     Hochster's formula.  The zero and unit ideals qualify trivially.
     """
-    cx = complex_of(ideal)
+    return _componentwise_linear(ideal, complex_of(ideal), seed)
+
+
+def _componentwise_linear(ideal, cx, seed):
+    """`is_componentwise_linear` of an ideal whose complex cx is built."""
     shifted = complex_of(shifted_ideal(ideal, seed))
     comparison = BettiComparison(
         "ideal", "shifted ideal",
@@ -143,7 +147,12 @@ def is_sequentially_cm(cx, seed):
     the Stanley-Reisner ideal of its dual, read off the facets by
     `dual_ideal`, is componentwise linear.
     """
-    inner = is_componentwise_linear(dual_ideal(cx), seed)
+    return _sequentially_cm(cx, alexander_dual(cx), seed)
+
+
+def _sequentially_cm(cx, dual, seed):
+    """`is_sequentially_cm` of cx with its Alexander dual built."""
+    inner = _componentwise_linear(dual_ideal(cx), dual, seed)
     return SeqCMVerdict(inner.value, "dual-componentwise-linear",
                         seed, inner.details)
 
@@ -203,7 +212,8 @@ def theorem41_check(cx, seed, window=None):
     the sequential Cohen-Macaulay decider; the two must agree, and a
     mismatch raises InconsistencyError.
     """
-    ideal = stanley_reisner_ideal(cx)
+    dual = alexander_dual(cx)
+    ideal = dual_ideal(dual)
     shifted = shifted_ideal(ideal, seed)
     n = cx.n
     derived = _merge_windows(default_cohomology_window(ideal),
@@ -214,7 +224,7 @@ def theorem41_check(cx, seed, window=None):
     left = cech_local_cohomology(ideal, wide)
     right = cech_local_cohomology(shifted, wide)
     equal = left.same_function(right)
-    verdict = is_sequentially_cm(cx, seed)
+    verdict = _sequentially_cm(cx, dual, seed)
     if equal != verdict.value:
         raise InconsistencyError(
             "cohomology comparison says %s but the shifting decider says %s"

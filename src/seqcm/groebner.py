@@ -9,6 +9,24 @@ for degrevlex.  Its one element form is (lead, terms), an integer-primitive
 generators have their denominators cleared once, coordinate changes
 substitute integer rows into them, and leads are read off the elements.
 
+The engine is Hilbert-driven when given a `_HilbertTarget`, the Hilbert
+series of the ideal it works on (Traverso, J. Symbolic Comput. 22, 1996).
+Pairs pop in degree order and the input is homogeneous, so once the lead
+ideal has as many degree-d monomials as the target's ideal, every
+remaining degree-d S-polynomial reduces to zero and is dropped unreduced.
+The degree-d monomials of the lead ideal are kept as a running set, the
+degree d-1 set times the variables plus the leads of degree d.  A count
+above the target's raises CertificationError at once, and so does a run
+whose final lead ideal has another Hilbert series, compared as the
+K-polynomial of the lcm fold over its leads.  These checks refuse a target
+that the run's lead ideal contradicts; one that a skipping run happens to
+match would pass, so the engine is given only targets that are exact.
+gin's are: HF(R/u.I) = HF(R/I) for every change u, so a monomial I is its
+own target, and any other I takes the lead ideal of its first candidate,
+run with all pairs.  gin reads only leads, so its runs stop at a minimal
+basis (same leads, tails unreduced) instead of interreducing; `buchberger`,
+saturation and the Koszul oracle keep the reduced basis and run every pair.
+
 Reduction, `_remainder`, is ordered and fraction-free: the working
 polynomial's monomials sit in a heap, so each step pops the next term
 instead of searching for it, and each step scales by lc/gcd(c, lc) while a
@@ -40,7 +58,8 @@ import hashlib
 import heapq
 from itertools import chain
 import json
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import add
 import os
 import tempfile
 
@@ -55,7 +74,7 @@ from .errors import (
     StrongStabilityViolationError,
     UndefinedInputError,
 )
-from .monomial import MonomialIdeal, is_strongly_stable
+from .monomial import MonomialIdeal, _lcm_fold, is_strongly_stable
 from .rings import (
     Monomial,
     Polynomial,
@@ -184,6 +203,15 @@ def _key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _support(exps):
+    """The variables of an exponent tuple as a bitmask."""
+    mask = 0
+    for i, e in enumerate(exps):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -245,18 +273,22 @@ def _remainder(p, divisors, scale=1):
     (-degree, reversed exponents), so they pop in decreasing degrevlex order
     and r's first key is the remainder's lead.  A monomial that cancels
     keeps a zero entry in p, so it is never pushed twice, and is skipped
-    when it pops.
+    when it pops.  A lead whose support is not inside that of the popped
+    monomial cannot divide it; one integer test on the supports settles
+    most divisors before `_divides` runs.
     """
     heap = [(-sum(m), m[::-1], m) for m in p]
     heapq.heapify(heap)
     r = {}
+    indexed = [(_support(lb), lb, bp) for lb, bp in divisors]
     while heap:
         m = heapq.heappop(heap)[2]
         c = p.pop(m)
         if not c:
             continue
-        for lb, bp in divisors:
-            if _divides(lb, m):
+        outside = ~_support(m)
+        for s, lb, bp in indexed:
+            if not s & outside and _divides(lb, m):
                 break
         else:
             r[m] = c
@@ -272,7 +304,7 @@ def _remainder(p, divisors, scale=1):
         quot = tuple(a - b for a, b in zip(m, lb))
         for bm, bc in bp.items():
             if bm != lb:
-                t = tuple(a + b for a, b in zip(bm, quot))
+                t = tuple(map(add, bm, quot))
                 v = p.get(t)
                 if v is None:
                     p[t] = -c * bc
@@ -367,25 +399,115 @@ def _divide(p, divisors):
     return {m: Fraction(v, scale) for m, v in r.items()}
 
 
-def _groebner(gens):
-    """Reduced degrevlex Groebner basis of a list of nonzero dicts with int
-    or Fraction coefficients, as elements sorted by increasing lead.
+def _k_polynomial(n, leads):
+    """Numerator of the Hilbert series of R/(leads) over (1 - t)^n, as
+    {degree: coefficient} with no zero coefficient: the lcm fold of
+    `monomial._lcm_fold`, with no generator cap, summed by degree."""
+    out = {}
+    for m, c in _lcm_fold(n, leads).items():
+        d = sum(m)
+        out[d] = out.get(d, 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+class _HilbertTarget:
+    """The Hilbert series of R/J for a monomial ideal J given by its
+    generators: its K-polynomial and the dimensions dim_K J_d read off it.
+    Shared by every engine run it steers, so each dimension is found, and
+    each lead set folded, once."""
+
+    __slots__ = ("n", "numerator", "_dims", "_matched")
+
+    def __init__(self, n, leads):
+        self.n = n
+        self.numerator = _k_polynomial(n, leads)
+        self._dims = {}
+        self._matched = {frozenset(leads)}
+
+    def matches(self, leads):
+        """Whether R/(leads) has this Hilbert series."""
+        key = frozenset(leads)
+        if key not in self._matched:
+            if _k_polynomial(self.n, leads) != self.numerator:
+                return False
+            self._matched.add(key)
+        return True
+
+    def ideal_dim(self, d):
+        """dim_K J_d = C(n-1+d, n-1) - dim_K (R/J)_d."""
+        dim = self._dims.get(d)
+        if dim is None:
+            n = self.n
+            dim = comb(n - 1 + d, n - 1) - sum(
+                c * comb(n - 1 + d - a, n - 1)
+                for a, c in self.numerator.items() if a <= d)
+            self._dims[d] = dim
+        return dim
+
+
+def _next_degree(part, basis, d):
+    """Degree-d monomials of the lead ideal of basis, from its degree d-1
+    part: that part times the variables, and the leads of degree d."""
+    out = {lead for lead, _ in basis if sum(lead) == d}
+    for m in part:
+        for i in range(len(m)):
+            out.add(m[:i] + (m[i] + 1,) + m[i + 1:])
+    return out
+
+
+def _filled(part, target, d):
+    """Whether the degree-d part of the lead ideal is as large as the
+    target's; larger means the target is wrong."""
+    dim = target.ideal_dim(d)
+    if len(part) > dim:
+        raise CertificationError(
+            "lead ideal has %d monomials of degree %d, its Hilbert target %d"
+            % (len(part), d, dim))
+    return len(part) == dim
+
+
+def _minimal(basis):
+    """The elements whose leads no other lead divides, sorted by lead: a
+    minimal Groebner basis with the same lead ideal."""
+    leads = [lead for lead, _ in basis]
+    kept = [e for e in basis
+            if not any(o != e[0] and _divides(o, e[0]) for o in leads)]
+    return sorted(kept, key=lambda e: _key(e[0]))
+
+
+def _groebner(gens, target=None, minimal=False):
+    """Degrevlex Groebner basis of a list of nonzero dicts with int or
+    Fraction coefficients, as elements sorted by increasing lead: the
+    reduced basis, or with `minimal` a minimal one (same leads, tails not
+    reduced).
 
     Normal selection (smallest pair lcm in the order first, ties by pair
     index); a pair is dropped when its leading monomials are coprime or when
-    the chain criterion applies.  Every input is certified by rational
-    division to reduce to zero against the output.
+    the chain criterion applies.  With a `_HilbertTarget` of the ideal's
+    Hilbert series, the pairs of degree d are also dropped, unreduced, once
+    the lead ideal has as many degree-d monomials as the target's ideal;
+    more raises CertificationError, and so does a final lead ideal whose
+    Hilbert series differs from the target's.  Every input is certified by
+    rational division to reduce to zero against the output.
     """
     basis = _interreduce(_cleared(p) for p in gens)
     pairs = []
     for t in range(len(basis)):
         _push_pairs(pairs, basis, t)
     done = set()
+    degree, part, filled = -1, set(), False
     while pairs:
         if len(pairs) > PAIR_CAP:
             raise CapacityError("buchberger pair queue", PAIR_CAP, len(pairs))
-        _, i, j, l = heapq.heappop(pairs)
+        key, i, j, l = heapq.heappop(pairs)
         done.add((i, j))
+        if target is not None:
+            while degree < key[0]:
+                degree += 1
+                part = _next_degree(part, basis, degree)
+                filled = _filled(part, target, degree)
+            if filled:
+                continue  # every S-polynomial of this degree reduces to zero
         li, lj = basis[i][0], basis[j][0]
         if all(min(a, b) == 0 for a, b in zip(li, lj)):
             continue  # criterion 1: coprime leads
@@ -399,7 +521,13 @@ def _groebner(gens):
             if r:
                 basis.append(r)
                 _push_pairs(pairs, basis, len(basis) - 1)
-    basis = _interreduce(basis)
+                if target is not None:
+                    part.add(r[0])
+                    filled = _filled(part, target, degree)
+    basis = _minimal(basis) if minimal else _interreduce(basis)
+    if target is not None and not target.matches([lead for lead, _ in basis]):
+        raise CertificationError(
+            "lead ideal's Hilbert series differs from its target's")
     divisors = _divisors(p for _, p in basis)
     for p in gens:
         if _divide(p, divisors):
@@ -517,7 +645,9 @@ def gin(ideal, seed, cache=None):
 
     The result of in(u . I) for a random unipotent integer matrix u is
     recomputed under a second derived seed; agreement certifies genericity,
-    disagreement burns a retry.  The certified result must be strongly
+    disagreement burns a retry.  Every engine run is Hilbert-driven except,
+    for a non-monomial I, the first, whose lead ideal is the target of the
+    rest (see the module docstring).  The certified result must be strongly
     stable (characteristic zero), else a violation error is raised: that
     outcome indicates a bug, never data.  `cache` (default `GinCache()`)
     is read first and stores the result.
@@ -529,14 +659,21 @@ def gin(ideal, seed, cache=None):
     if hit is not None:
         return hit
     gens = _generators(ideal)
+    # HF(R/u.I) = HF(R/I): a monomial I is its own Hilbert target, and any
+    # other I takes the lead ideal of its first full-pair run.
+    target = (_HilbertTarget(ideal.n, [next(iter(p)) for p in gens])
+              if all(len(p) == 1 for p in gens) else None)
     for t in range(GIN_RETRY_BUDGET):
         candidates = []
         for k in (0, 1):
             rows = _integer_rows(RationalMatrix.random_unipotent(
                 ideal.n, _derive_seed(seed, 2 * t + k)))
-            basis = _groebner([substitute(p, rows) for p in gens])
-            candidates.append(
-                MonomialIdeal(ideal.n, [lead for lead, _ in basis]))
+            basis = _groebner([substitute(p, rows) for p in gens], target,
+                              minimal=True)
+            leads = [lead for lead, _ in basis]
+            if target is None:
+                target = _HilbertTarget(ideal.n, leads)
+            candidates.append(MonomialIdeal(ideal.n, leads))
         if candidates[0] == candidates[1]:
             result = candidates[0]
             ok, witness = is_strongly_stable(result)

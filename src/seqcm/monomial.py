@@ -162,19 +162,19 @@ def colon_saturate_variable(ideal, s):
     return MonomialIdeal(ideal.n, stripped)
 
 
-def _numerator_terms(ideal, cap):
-    """Inclusion-exclusion numerator of the Hilbert series as a map
-    {lcm exponent vector: signed multiplicity}, folded one generator at a
-    time so that coinciding lcms collapse early."""
-    if len(ideal.gens) > cap:
-        raise CapacityError("hilbert_function generators", cap, len(ideal.gens))
-    acc = {Monomial.one(ideal.n): 1}
-    for g in ideal.gens:
+def _lcm_fold(n, exponents):
+    """Inclusion-exclusion numerator of the Hilbert series of R/(monomials)
+    as a map {lcm exponent tuple: signed multiplicity}, folded one generator
+    at a time so that coinciding lcms collapse early."""
+    acc = {(0,) * n: 1}
+    for g in exponents:
         nxt = dict(acc)
         for m, c in acc.items():
-            lm = m.lcm(g)
-            nxt[lm] = nxt.get(lm, 0) - c
-            if nxt[lm] == 0:
+            lm = tuple(map(max, m, g))
+            v = nxt.get(lm, 0) - c
+            if v:
+                nxt[lm] = v
+            else:
                 del nxt[lm]
         acc = nxt
     return acc
@@ -203,7 +203,10 @@ def hilbert_function(ideal, window=(0, 10), cap=HILBERT_GENERATOR_CAP):
     lo, hi = int(window[0]), int(window[1])
     if ideal.is_unit():
         return HilbertFunction((lo, hi), {}, ((), ()))
-    terms = [(m.degree, c) for m, c in _numerator_terms(ideal, cap).items()]
+    if len(ideal.gens) > cap:
+        raise CapacityError("hilbert_function generators", cap, len(ideal.gens))
+    terms = [(sum(m), c) for m, c in
+             _lcm_fold(n, [g.exponents for g in ideal.gens]).items()]
     values = {}
     for d in range(lo, hi + 1):
         if d < 0:

@@ -388,8 +388,13 @@ def local_cohomology_face_ring(cx, window=None):
     variables.  Degrees e > 0 carry nothing.  Left tails are polynomial for
     e <= -1 and attached whenever the window reaches -2.
     """
-    n = cx.n
-    dual = alexander_dual(cx)
+    return _face_ring_cohomology(alexander_dual(cx), window)
+
+
+def _face_ring_cohomology(dual, window=None):
+    """`local_cohomology_face_ring` of the complex whose Alexander dual is
+    given, for callers that hold the dual already."""
+    n = dual.n
     if window is None:
         window = default_cohomology_window(dual_ideal(dual))
     lo, hi = window

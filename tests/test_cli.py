@@ -10,6 +10,7 @@ import sys
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
+from seqcm import cli, simplicial
 from seqcm.cli import MAX_WINDOW_WIDTH, _load, build_parser, main
 from seqcm.decide import widen_window
 from seqcm.groebner import GinCache, PolynomialIdeal
@@ -339,6 +340,26 @@ def test_localcoh_enrico_accepts_squarefree_ideal(capsys, edge_ideal):
     code, out, _ = run(capsys, "localcoh", edge_ideal, "--route", "enrico")
     assert code == 0
     assert json.loads(out)["cech_diff"] == []
+
+
+def test_localcoh_enrico_builds_the_dual_once(capsys, tmp_path, monkeypatch):
+    # The face-ring table and its Cech check share one Alexander dual, so
+    # the one subset enumeration is the dual's.
+    calls = []
+    real = simplicial.complex_of
+
+    def counted(ideal):
+        calls.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(simplicial, "complex_of", counted)
+    monkeypatch.setattr(cli, "complex_of", counted)
+    bowtie = write_json(tmp_path, "bowtie.json",
+                        {"n": 5, "facets": [[1, 2, 3], [1, 4, 5]]})
+    code, out, _ = run(capsys, "localcoh", bowtie, "--route", "enrico")
+    assert code == 0
+    assert json.loads(out)["cech_diff"] == []
+    assert len(calls) == 1
 
 
 def test_localcoh_on_complex_uses_face_ideal(capsys, edges_complex):

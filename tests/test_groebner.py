@@ -1,6 +1,7 @@
 """Buchberger, normal forms, saturation, and generic initial ideals."""
 
 from fractions import Fraction
+import itertools
 import json
 from math import gcd
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqcm import groebner, oracles
 from seqcm.cli import main as cli_main
-from seqcm.corpus import IDEALS, corpus_ideal
+from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.errors import (
     CertificationError,
     GenericityError,
@@ -41,8 +42,13 @@ from seqcm.rings import (
     apply_coordinate_change,
     degrevlex_key,
     parse_polynomial,
+    substitute,
 )
-from seqcm.simplicial import SimplicialComplex, stanley_reisner_ideal
+from seqcm.simplicial import (
+    SimplicialComplex,
+    shifted_complex,
+    stanley_reisner_ideal,
+)
 
 
 def ideal(n, *texts):
@@ -279,9 +285,9 @@ def counted_engine_runs(monkeypatch):
     runs = []
     real = groebner._groebner
 
-    def counting(gens):
+    def counting(gens, *args, **kwargs):
         runs.append(len(gens))
-        return real(gens)
+        return real(gens, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "_groebner", counting)
     return runs
@@ -480,9 +486,12 @@ def test_buchberger_matches_sympy(base):
         _basis_as_sets(_sympy_basis(sympy, base))
 
 
+def _cycle(n):
+    return SimplicialComplex(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
 def _cycle_ideal(n):
-    return PolynomialIdeal.from_monomial_ideal(stanley_reisner_ideal(
-        SimplicialComplex(n, [(i, i % n + 1) for i in range(1, n + 1)])))
+    return PolynomialIdeal.from_monomial_ideal(stanley_reisner_ideal(_cycle(n)))
 
 
 def _dense_matrix(n, seed):
@@ -493,17 +502,129 @@ def _dense_matrix(n, seed):
             return RationalMatrix(rows)
 
 
+# -- The Hilbert-driven engine against the full-pair engine ------------------
+
+def _cross_polytope(k):
+    return SimplicialComplex(2 * k, [
+        [2 * i + 1 + b for i, b in enumerate(bits)]
+        for bits in itertools.product((0, 1), repeat=k)])
+
+
+def _target_of(base):
+    # The Hilbert series of R/base, as gin takes it: from a lead ideal.
+    return groebner._HilbertTarget(
+        base.n, [g.exponents for g in initial_ideal(base).gens])
+
+
+def _leads(basis):
+    return sorted(lead for lead, _ in basis)
+
+
+def _engine_leads_agree(base, moved):
+    # The full-pair engine (target None) is the oracle for both outputs of a
+    # Hilbert-driven run: the reduced basis and the minimal one.
+    target = _target_of(base)
+    full = _leads(groebner._groebner(moved))
+    assert _leads(groebner._groebner(moved, target)) == full
+    assert _leads(groebner._groebner(moved, target, minimal=True)) == full
+
+
+def full_pair_gin(monkeypatch):
+    # gin with every Hilbert target dropped, so every pair is reduced.
+    real = groebner._groebner
+
+    def full_pair(gens, target=None, minimal=False):
+        return real(gens, None, minimal)
+
+    monkeypatch.setattr(groebner, "_groebner", full_pair)
+    monkeypatch.setattr(GinCache, "_memory", {})
+
+
 @pytest.mark.parametrize(
     "base", [corpus_ideal(name) for name in sorted(IDEALS)]
     + [_cycle_ideal(6), _cycle_ideal(7)],
     ids=sorted(IDEALS) + ["cycle-6", "cycle-7"])
 def test_gin_matches_dense_coordinate_change(base):
     # gin uses unipotent changes; a dense invertible change is generic too
-    # and must give the same initial ideal.
+    # and must give the same initial ideal, with or without a Hilbert target.
     g = _dense_matrix(base.n, 101)
     moved = PolynomialIdeal(
         base.n, [apply_coordinate_change(f, g) for f in base.generators])
     assert initial_ideal(moved) == gin(base, seed=7)
+    _engine_leads_agree(base, groebner._generators(moved))
+
+
+@pytest.mark.parametrize(
+    "base", [corpus_ideal(name) for name in sorted(IDEALS)]
+    + [_random_quadrics(seed) for seed in range(4)],
+    ids=sorted(IDEALS) + ["random-%d" % seed for seed in range(4)])
+def test_hilbert_driven_gin_matches_full_pair(base, monkeypatch):
+    rows = groebner._integer_rows(RationalMatrix.random_unipotent(base.n, 7))
+    _engine_leads_agree(
+        base, [substitute(p, rows) for p in groebner._generators(base)])
+    monkeypatch.setattr(GinCache, "_memory", {})
+    driven = gin(base, seed=7)
+    full_pair_gin(monkeypatch)
+    assert gin(base, seed=7) == driven
+
+
+def _shift_agrees(cx, monkeypatch):
+    monkeypatch.setattr(GinCache, "_memory", {})
+    driven = shifted_complex(cx, seed=7)
+    full_pair_gin(monkeypatch)
+    assert shifted_complex(cx, seed=7) == driven
+
+
+@pytest.mark.parametrize(
+    "cx", [_cycle(n) for n in range(6, 10)] + [_cross_polytope(3)]
+    + [corpus_complex(name) for name in sorted(COMPLEXES)],
+    ids=["cycle-%d" % n for n in range(6, 10)] + ["octahedron"]
+    + sorted(COMPLEXES))
+def test_hilbert_driven_shift_matches_full_pair(cx, monkeypatch):
+    _shift_agrees(cx, monkeypatch)
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("cx", [_cycle(10), _cycle(11), _cross_polytope(4)],
+                         ids=["cycle-10", "cycle-11", "cross4"])
+def test_hilbert_driven_shift_matches_full_pair_on_the_ladder(cx, monkeypatch):
+    _shift_agrees(cx, monkeypatch)
+
+
+WRONG_TARGETS = [
+    # The hexagon's face ideal less a quadric: too few degree-2 monomials.
+    [g.exponents for g in _cycle_ideal(6).as_monomial_ideal().gens[1:]],
+    # Plus an edge of the hexagon: the degree-2 count is never reached.
+    [g.exponents for g in _cycle_ideal(6).as_monomial_ideal().gens]
+    + [(1, 1, 0, 0, 0, 0)],
+    # The lex segment of nine quadrics: the same degree-2 count, but the
+    # least growth into degree 3, below that of the run's quadric leads.
+    [tuple(int(k == a) + int(k == b) for k in range(6))
+     for a, b in [(0, b) for b in range(6)] + [(1, 1), (1, 2), (1, 3)]],
+]
+
+
+@pytest.mark.parametrize("leads", WRONG_TARGETS,
+                         ids=["smaller", "larger", "lex-segment"])
+def test_wrong_hilbert_target_is_refused(leads):
+    base = _cycle_ideal(6)
+    rows = groebner._integer_rows(RationalMatrix.random_unipotent(6, 7))
+    moved = [substitute(p, rows) for p in groebner._generators(base)]
+    target = groebner._HilbertTarget(6, leads)
+    for minimal in (False, True):
+        with pytest.raises(CertificationError):
+            groebner._groebner(moved, target, minimal=minimal)
+
+
+def test_gin_with_a_wrong_target_raises_and_stores_nothing(monkeypatch):
+    # Every target gin builds is swapped for that of a different ideal.
+    real = groebner._HilbertTarget
+    monkeypatch.setattr(groebner, "_HilbertTarget",
+                        lambda n, leads: real(n, WRONG_TARGETS[2]))
+    monkeypatch.setattr(GinCache, "_memory", {})
+    with pytest.raises(CertificationError):
+        gin(_cycle_ideal(6), seed=7)
+    assert GinCache._memory == {}
 
 
 def _reference_remainder(p, divisors):
