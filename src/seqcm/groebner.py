@@ -18,7 +18,7 @@ The degree-d monomials of the lead ideal are kept as a running set, the
 degree d-1 set times the variables plus the leads of degree d.  A count
 above the target's raises CertificationError at once, and so does a run
 whose final lead ideal has another Hilbert series, compared as the
-K-polynomial of the lcm fold over its leads.  These checks refuse a target
+K-polynomial of its leads (`k_polynomial`).  These checks refuse a target
 that the run's lead ideal contradicts; one that a skipping run happens to
 match would pass, so the engine is given only targets that are exact.
 gin's are: HF(R/u.I) = HF(R/I) for every change u, so a monomial I is its
@@ -74,7 +74,12 @@ from .errors import (
     StrongStabilityViolationError,
     UndefinedInputError,
 )
-from .monomial import MonomialIdeal, _lcm_fold, is_strongly_stable
+from .monomial import (
+    MonomialIdeal,
+    _quotient_dim,
+    is_strongly_stable,
+    k_polynomial,
+)
 from .rings import (
     Monomial,
     Polynomial,
@@ -355,20 +360,21 @@ def _s_poly(f, g):
 
 
 def _interreduce(elements):
-    """Reduce each element by the others until nothing changes; the result
-    is sorted by increasing lead."""
+    """Reduce each element by the others until a pass moves no lead and
+    drops no element; the result is sorted by increasing lead.  Each element
+    of such a pass is reduced against the final leads, so another pass
+    would change nothing."""
     elements = list(elements)
     while True:
         elements.sort(key=lambda e: _key(e[0]))
-        changed = False
+        moved = False
         for idx, e in enumerate(elements):
             others = [o for k, o in enumerate(elements) if k != idx and o]
             r = _reduce_int(e[1], others)
-            if r != e:
-                elements[idx] = r
-                changed = True
+            moved = moved or r is None or r[0] != e[0]
+            elements[idx] = r
         elements = [e for e in elements if e]
-        if not changed:
+        if not moved:
             return elements
 
 
@@ -399,50 +405,24 @@ def _divide(p, divisors):
     return {m: Fraction(v, scale) for m, v in r.items()}
 
 
-def _k_polynomial(n, leads):
-    """Numerator of the Hilbert series of R/(leads) over (1 - t)^n, as
-    {degree: coefficient} with no zero coefficient: the lcm fold of
-    `monomial._lcm_fold`, with no generator cap, summed by degree."""
-    out = {}
-    for m, c in _lcm_fold(n, leads).items():
-        d = sum(m)
-        out[d] = out.get(d, 0) + c
-    return {d: c for d, c in out.items() if c}
-
-
 class _HilbertTarget:
     """The Hilbert series of R/J for a monomial ideal J given by its
-    generators: its K-polynomial and the dimensions dim_K J_d read off it.
-    Shared by every engine run it steers, so each dimension is found, and
-    each lead set folded, once."""
+    generators: its K-polynomial and the dimensions dim_K J_d read off it."""
 
-    __slots__ = ("n", "numerator", "_dims", "_matched")
+    __slots__ = ("n", "numerator")
 
     def __init__(self, n, leads):
         self.n = n
-        self.numerator = _k_polynomial(n, leads)
-        self._dims = {}
-        self._matched = {frozenset(leads)}
+        self.numerator = k_polynomial(n, leads)
 
     def matches(self, leads):
         """Whether R/(leads) has this Hilbert series."""
-        key = frozenset(leads)
-        if key not in self._matched:
-            if _k_polynomial(self.n, leads) != self.numerator:
-                return False
-            self._matched.add(key)
-        return True
+        return k_polynomial(self.n, leads) == self.numerator
 
     def ideal_dim(self, d):
         """dim_K J_d = C(n-1+d, n-1) - dim_K (R/J)_d."""
-        dim = self._dims.get(d)
-        if dim is None:
-            n = self.n
-            dim = comb(n - 1 + d, n - 1) - sum(
-                c * comb(n - 1 + d - a, n - 1)
-                for a, c in self.numerator.items() if a <= d)
-            self._dims[d] = dim
-        return dim
+        return (comb(self.n - 1 + d, self.n - 1)
+                - _quotient_dim(self.n, self.numerator, d))
 
 
 def _next_degree(part, basis, d):

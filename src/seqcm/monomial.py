@@ -12,10 +12,10 @@ with strictly increasing layer dimensions.
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from operator import le
 
 from .errors import (
     AmbientMismatchError,
-    CapacityError,
     InconsistencyError,
     NotStronglyStableError,
     UndefinedInputError,
@@ -23,21 +23,26 @@ from .errors import (
 from .rings import Monomial, degrevlex_key
 from .tables import CohomologyTable, HilbertFunction
 
-# Inclusion-exclusion over generator subsets; above this, refuse loudly.
-HILBERT_GENERATOR_CAP = 20
+
+def _minimal_exponents(exponents):
+    """The exponent tuples that no other one divides."""
+    kept = []
+    for g in sorted(set(exponents), key=sum):
+        if not any(all(map(le, k, g)) for k in kept):
+            kept.append(g)
+    return kept
 
 
 def minimalize(n, monomials):
     """Minimal generating set: drop every monomial divisible by another."""
-    uniq = sorted(set(monomials), key=degrevlex_key)
-    kept = []
-    for m in uniq:
+    monomials = set(monomials)
+    for m in monomials:
         if m.n != n:
             raise AmbientMismatchError(
                 "monomial in %d variables, ambient has %d" % (m.n, n))
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    return tuple(kept)
+    kept = set(_minimal_exponents(m.exponents for m in monomials))
+    return tuple(sorted((m for m in monomials if m.exponents in kept),
+                        key=degrevlex_key))
 
 
 class MonomialIdeal:
@@ -162,69 +167,70 @@ def colon_saturate_variable(ideal, s):
     return MonomialIdeal(ideal.n, stripped)
 
 
-def _lcm_fold(n, exponents):
-    """Inclusion-exclusion numerator of the Hilbert series of R/(monomials)
-    as a map {lcm exponent tuple: signed multiplicity}, folded one generator
-    at a time so that coinciding lcms collapse early."""
-    acc = {(0,) * n: 1}
-    for g in exponents:
-        nxt = dict(acc)
-        for m, c in acc.items():
-            lm = tuple(map(max, m, g))
-            v = nxt.get(lm, 0) - c
-            if v:
-                nxt[lm] = v
-            else:
-                del nxt[lm]
-        acc = nxt
-    return acc
+def k_polynomial(n, exponents):
+    """Numerator of the Hilbert series of R/I over (1 - t)^n, I generated by
+    the monomials with these exponent tuples, as {degree: coefficient} with
+    no zero coefficient: {} for the unit ideal, {0: 1} for the zero ideal.
+
+    Pivot recursion (Bigatti, J. Pure Appl. Algebra 119, 1997):
+    N(I) = N(I + (p)) + t^deg(p) N(I : p) for p = x_i^e, with x_i the
+    variable in most minimal generators and e its least positive exponent
+    there.  Pairwise coprime generators g give N = prod (1 - t^deg(g)).
+    Each stack entry (gens, shift) adds t^shift N(gens) to the result.
+    """
+    out = {}
+    stack = [(_minimal_exponents(exponents), 0)]
+    while stack:
+        gens, shift = stack.pop()
+        counts = [sum(1 for g in gens if g[i]) for i in range(n)]
+        if max(counts, default=0) > 1:
+            i = counts.index(max(counts))
+            e = min(g[i] for g in gens if g[i])
+            stack.append(([g for g in gens if not g[i]]
+                          + [(0,) * i + (e,) + (0,) * (n - i - 1)], shift))
+            stack.append((_minimal_exponents(
+                g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens),
+                shift + e))
+            continue
+        poly = {shift: 1}
+        for g in gens:
+            d = sum(g)
+            # Only key a writes key a + d, so each read sees the old value.
+            for a, c in list(poly.items()):
+                poly[a + d] = poly.get(a + d, 0) - c
+        for a, c in poly.items():
+            out[a] = out.get(a, 0) + c
+    return {a: c for a, c in out.items() if c}
 
 
-def _binomial_in_d(shift, k):
-    """Coefficients of the polynomial d -> C(d - shift + k, k)."""
-    coeffs = [Fraction(1)]
-    for t in range(1, k + 1):
-        # multiply by (d - shift + t)
-        shifted = [Fraction(0)] + coeffs
-        scaled = [Fraction(t - shift) * a for a in coeffs] + [Fraction(0)]
-        coeffs = [a + b for a, b in zip(shifted, scaled)]
-    f = Fraction(1, factorial(k))
-    return tuple(f * a for a in coeffs)
+def _quotient_dim(n, numerator, d):
+    """dim_K (R/J)_d from the K-polynomial of R/J: the sum of
+    c * C(n - 1 + d - a, n - 1) over its terms c t^a with a <= d."""
+    return sum(c * comb(n - 1 + d - a, n - 1)
+               for a, c in numerator.items() if a <= d)
 
 
-def hilbert_function(ideal, window=(0, 10), cap=HILBERT_GENERATOR_CAP):
+def hilbert_function(ideal, window=(0, 10)):
     """Hilbert function of R/I on the window, with a right polynomial tail
     when the window reaches the polynomial range.
 
-    dim_K (R/I)_d = sum over the inclusion-exclusion numerator terms
-    (signed, at degree a) of C(n - 1 + d - a, n - 1).
+    Both are read off the K-polynomial N (`k_polynomial`): the values by
+    `_quotient_dim`, and from degree deg N - n + 1 on, where every binomial
+    C(n - 1 + d - a, n - 1) is a polynomial in d, their sum is the tail.
     """
     n = ideal.n
     lo, hi = int(window[0]), int(window[1])
     if ideal.is_unit():
         return HilbertFunction((lo, hi), {}, ((), ()))
-    if len(ideal.gens) > cap:
-        raise CapacityError("hilbert_function generators", cap, len(ideal.gens))
-    terms = [(sum(m), c) for m, c in
-             _lcm_fold(n, [g.exponents for g in ideal.gens]).items()]
-    values = {}
-    for d in range(lo, hi + 1):
-        if d < 0:
-            continue
-        total = 0
-        for a, c in terms:
-            top = n - 1 + d - a
-            if top >= n - 1:
-                total += c * comb(top, n - 1)
-        values[d] = total
-    max_a = max(a for a, _ in terms)
-    tail_from = max_a - n + 1
+    numerator = k_polynomial(n, [g.exponents for g in ideal.gens])
+    values = {d: _quotient_dim(n, numerator, d) for d in range(lo, hi + 1)}
     right = None
-    if hi - 1 >= tail_from:
+    if hi - 1 >= max(numerator) - n + 1:
         poly = [Fraction(0)] * n
-        for a, c in terms:
-            for k, coef in enumerate(_binomial_in_d(a, n - 1)):
-                poly[k] += c * coef
+        for a, c in numerator.items():
+            # C(n - 1 + d - a, n - 1) is C((n - a) - e - 1, n - 1) at e = -d.
+            for k, coef in enumerate(_binomial_in_minus_d(n - a, n - 1)):
+                poly[k] += (-1) ** k * c * coef
         right = tuple(poly)
     left = () if lo + 1 < 0 else None
     return HilbertFunction((lo, hi), values, (left, right))

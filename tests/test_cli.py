@@ -1,8 +1,10 @@
 """Command line behavior: payloads, determinism, exit codes."""
 
+from fractions import Fraction
 import hashlib
 import io
 import json
+from math import comb
 import os
 import re
 import sys
@@ -185,6 +187,39 @@ def test_hilbert_tsv_and_window(capsys, edge_ideal):
                        "--format", "tsv")
     assert code == 0
     assert out == "0\t1\n1\t2\n2\t2\n3\t2\n"
+
+
+def cycle_face_ideal(tmp_path, n):
+    cx = simplicial.SimplicialComplex(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    face = simplicial.stanley_reisner_ideal(cx)
+    return write_json(tmp_path, "cycle%d.json" % n, face.to_json()), cx
+
+
+def test_hilbert_of_the_9_cycle_face_ideal(capsys, tmp_path):
+    # 27 generators; the face ring's Hilbert function is
+    # sum_i f_{i-1} C(d-1, i-1) in degree d >= 1.
+    path, cx = cycle_face_ideal(tmp_path, 9)
+    code, out, err = run(capsys, "hilbert", path, "--window=0..12")
+    assert code == 0, err
+    f = cx.f_vector()
+
+    def series(d):
+        return sum(f[i] * comb(d - 1, i - 1) for i in range(1, len(f))) if d else 1
+
+    hilbert = json.loads(out)["hilbert"]
+    assert dict(hilbert["values"]) == {d: series(d) for d in range(13)}
+    right = [Fraction(c) for c in hilbert["tails"]["right"]]
+    assert all(sum(c * d ** k for k, c in enumerate(right)) == series(d)
+               for d in range(1, 40))
+
+
+def test_verify_main_theorem_on_the_8_cycle_face_ideal(capsys, tmp_path):
+    # 21 generators: the Hilbert target and the filtration layers all need
+    # the Hilbert series of ideals of this size.
+    path, _ = cycle_face_ideal(tmp_path, 8)
+    code, out, err = run(capsys, "verify", "main-theorem", path, "--seed", "7")
+    assert code == 0, err
+    assert json.loads(out)["report"]["verdict"] == "equal"
 
 
 def test_window_equals_form_accepts_negatives(capsys, edge_ideal):

@@ -93,6 +93,35 @@ def test_certification_catches_a_dropped_element(monkeypatch):
     assert len(calls) == 2
 
 
+def interreduce_until_unchanged(elements):
+    # Passes until one changes nothing: the loop before its early stop.
+    elements = list(elements)
+    while True:
+        elements.sort(key=lambda e: groebner._key(e[0]))
+        changed = False
+        for idx, e in enumerate(elements):
+            others = [o for k, o in enumerate(elements) if k != idx and o]
+            r = groebner._reduce_int(e[1], others)
+            if r != e:
+                elements[idx] = r
+                changed = True
+        elements = [e for e in elements if e]
+        if not changed:
+            return elements
+
+
+int_dicts = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool),
+    min_size=1, max_size=4)
+
+
+@given(st.lists(int_dicts, min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_interreduce_stops_where_the_fixpoint_loop_does(dicts):
+    elements = [groebner._cleared(p) for p in dicts]
+    assert groebner._interreduce(elements) == interreduce_until_unchanged(elements)
+
+
 def test_initial_ideal():
     lead = initial_ideal(ideal(2, "x1^2", "x1*x2 + x2^2"))
     assert lead == MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
@@ -589,6 +618,12 @@ def test_hilbert_driven_shift_matches_full_pair(cx, monkeypatch):
                          ids=["cycle-10", "cycle-11", "cross4"])
 def test_hilbert_driven_shift_matches_full_pair_on_the_ladder(cx, monkeypatch):
     _shift_agrees(cx, monkeypatch)
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("n", [12, 14], ids=["cycle-12", "cycle-14"])
+def test_shifting_the_larger_cycles_keeps_the_f_vector(n):
+    assert shifted_complex(_cycle(n), seed=7).f_vector() == _cycle(n).f_vector()
 
 
 WRONG_TARGETS = [

@@ -4,7 +4,9 @@ cohomology of strongly stable quotients."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm.errors import CapacityError, NotStronglyStableError, UndefinedInputError
+from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
+from seqcm.errors import NotStronglyStableError, UndefinedInputError
+from seqcm.groebner import gin, initial_ideal
 from seqcm.monomial import (
     MonomialIdeal,
     colon_saturate_variable,
@@ -13,12 +15,14 @@ from seqcm.monomial import (
     dimension_filtration,
     hilbert_function,
     is_strongly_stable,
+    k_polynomial,
     krull_dimension,
     local_cohomology_strongly_stable,
     m_of,
     monomials_of_degree,
 )
 from seqcm.rings import Monomial
+from seqcm.simplicial import stanley_reisner_ideal
 
 
 def count_outside(ideal, d):
@@ -95,11 +99,101 @@ def test_hilbert_matches_direct_count(ideal, d):
     assert h.value(d) == count_outside(ideal, d)
 
 
-def test_hilbert_generator_cap():
-    big = MonomialIdeal(3, [(a, b, c) for a in range(3) for b in range(3)
-                            for c in range(3) if a + b + c == 4])
-    with pytest.raises(CapacityError):
-        hilbert_function(big, (0, 5), cap=3)
+def _lcm_fold(n, exponents):
+    # Inclusion-exclusion: {lcm exponent tuple: signed multiplicity} over the
+    # generator subsets, folded one generator at a time so that coinciding
+    # lcms collapse early.  Exponential in the generator count.
+    acc = {(0,) * n: 1}
+    for g in exponents:
+        nxt = dict(acc)
+        for m, c in acc.items():
+            lm = tuple(map(max, m, g))
+            v = nxt.get(lm, 0) - c
+            if v:
+                nxt[lm] = v
+            else:
+                del nxt[lm]
+        acc = nxt
+    return acc
+
+
+def fold_numerator(n, exponents):
+    out = {}
+    for m, c in _lcm_fold(n, exponents).items():
+        out[sum(m)] = out.get(sum(m), 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def exponents(ideal):
+    return [g.exponents for g in ideal.gens]
+
+
+def test_k_polynomial_frozen():
+    assert k_polynomial(3, []) == {0: 1}
+    assert k_polynomial(2, [(0, 0), (1, 0)]) == {}
+    assert k_polynomial(2, [(2, 0), (1, 1)]) == {0: 1, 2: -2, 3: 1}
+    # Non-minimal and repeated generators change nothing.
+    assert k_polynomial(2, [(2, 0), (1, 1), (2, 1), (1, 1)]) == {0: 1, 2: -2, 3: 1}
+    assert k_polynomial(3, [(1, 0, 0), (0, 2, 0)]) == {0: 1, 1: -1, 2: -1, 3: 1}
+
+
+@pytest.mark.parametrize("name", sorted(IDEALS) + sorted(COMPLEXES))
+def test_k_polynomial_matches_lcm_fold_on_the_corpus(name):
+    # Each corpus ideal's lead ideal (itself when monomial), each corpus
+    # complex's face ideal, and their seed-7 gins.
+    if name in IDEALS:
+        base = corpus_ideal(name)
+        ideals = [initial_ideal(base), gin(base, seed=7)]
+    else:
+        base = stanley_reisner_ideal(corpus_complex(name))
+        ideals = [base] + ([] if base.is_zero() else [gin(base, seed=7)])
+    for ideal in ideals:
+        assert (k_polynomial(ideal.n, exponents(ideal))
+                == fold_numerator(ideal.n, exponents(ideal))), ideal
+
+
+monomial_ideals = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=8)))
+
+
+@given(monomial_ideals)
+@settings(max_examples=200)
+def test_k_polynomial_matches_lcm_fold(case):
+    n, exps = case
+    assert k_polynomial(n, exps) == fold_numerator(n, exps)
+
+
+def check_right_tail(ideal, h):
+    # A right tail is emitted exactly when hi - 1 >= deg N - n + 1, and from
+    # that degree on it gives the value, inside the window and past it.
+    lo, hi = h.window
+    start = max(k_polynomial(ideal.n, exponents(ideal)), default=0) - ideal.n + 1
+    right = h.tails[1]
+    assert (right is not None) == (ideal.is_unit() or hi - 1 >= start)
+    if right is not None:
+        for d in range(max(lo, start), hi + 3):
+            assert sum(c * d ** k for k, c in enumerate(right)) == count_outside(ideal, d)
+
+
+@given(monomial_ideals, st.integers(0, 8))
+@settings(max_examples=100)
+def test_right_tail_holds_from_the_numerator_degree(case, hi):
+    ideal = MonomialIdeal(*case)
+    check_right_tail(ideal, hilbert_function(ideal, (0, hi)))
+
+
+def test_right_tail_after_the_top_degree_cancels():
+    # The largest lcm has degree 8 but the numerator degree 7, so the tail
+    # holds from degree 7 - 5 + 1 = 3, one degree below the fold's bound.
+    exps = [(1, 0, 2, 2, 0), (2, 1, 1, 0, 1), (1, 0, 1, 0, 0), (0, 2, 0, 0, 0),
+            (1, 1, 0, 2, 2), (0, 1, 2, 0, 2), (0, 1, 2, 1, 0)]
+    ideal = MonomialIdeal(5, exps)
+    assert max(sum(m) for m in _lcm_fold(5, exponents(ideal))) == 8
+    assert max(k_polynomial(5, exps)) == 7
+    h = hilbert_function(ideal, (0, 4))
+    assert h.tails[1] is not None
+    check_right_tail(ideal, h)
+    assert all(h.value(d) == count_outside(ideal, d) for d in range(12))
 
 
 def test_krull_dimension():
