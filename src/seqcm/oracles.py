@@ -11,10 +11,21 @@ and on their values clamped at the generator exponents, and pieces vanish
 unless a is bounded above by those exponents minus one.  Each pattern then
 accounts for an explicit binomial number of multidegrees per total degree,
 which makes the output exact on any window, with polynomial tails.
+
+The spots of a pattern a (the basis of its piece) are sets S of variables
+that hold its negative set neg, so only the supersets neg | sub are visited.
+With block_k the generators u with u_k > a_k, S is a spot when the blocks of
+the variables outside S cover every generator.  One pass fills these covers
+over the submasks of the free variables, one OR each, and a pattern whose
+neg alone is not covered has no spots.  Over all patterns the pass takes
+prod_k (1 + 2 rho_k) steps (3^n for a squarefree ideal), known before any
+work and bounded by CECH_MAX_WORK.
 """
 
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from itertools import product
+from math import comb, prod
 
 from .errors import (
     BoundTooSmallError,
@@ -38,7 +49,10 @@ KOSZUL_MAX_N = 10
 # Largest supplied Koszul degree bound (corpus and benchmark defaults reach
 # 10); the general route enumerates every degree up to the bound.
 KOSZUL_MAX_BOUND = 32
-CECH_MAX_N = 8
+# Steps of the Cech spot pass, prod(1 + 2 rho_k).  On a 2-CPU host one took
+# 10-17 us when every pattern feeds rank (one generator of full support) and
+# 0.1 us on the 12-cycle's face ideal (3^12 steps, 0.05 s), where most exit.
+CECH_MAX_WORK = 10 ** 6
 
 
 def brute_hilbert(ideal, window):
@@ -83,13 +97,9 @@ def _koszul_monomial(ideal, bound):
     gen_exps = [g.exponents for g in ideal.gens]
     lcm_exps = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
     # Tor multidegrees divide the lcm of the generators (Taylor complex).
-    boxes = [range(e + 1) for e in lcm_exps]
     entries = {}
-    multidegrees = [()]
-    for axis in boxes:
-        multidegrees = [md + (v,) for md in multidegrees for v in axis]
     subsets = _subsets_by_size(n)
-    for a in multidegrees:
+    for a in product(*(range(e + 1) for e in lcm_exps)):
         if sum(a) > bound:
             continue
         spots = _koszul_spots(gen_exps, a, subsets)
@@ -181,6 +191,13 @@ def _koszul_general(n, elements, bound):
     return entries
 
 
+def _check_koszul_n(n):
+    if n > KOSZUL_MAX_N:
+        raise CapacityError("Koszul oracle variables (for squarefree input, "
+                            "betti without --oracle takes the Hochster route)",
+                            KOSZUL_MAX_N, n)
+
+
 def koszul_betti(ideal, bound=None):
     """Graded Betti numbers of R/I from the Koszul complex on the variables.
 
@@ -193,8 +210,7 @@ def koszul_betti(ideal, bound=None):
     KOSZUL_MAX_BOUND is refused with CapacityError before any work.
     """
     n = ideal.n
-    if n > KOSZUL_MAX_N:
-        raise CapacityError("Koszul oracle variables", KOSZUL_MAX_N, n)
+    _check_koszul_n(n)
     if bound is not None and bound < 2:
         raise BoundTooSmallError(
             "degree bound %d leaves no room for degree 0 and two empty "
@@ -232,8 +248,7 @@ def depth_and_dim(ideal):
     off the Koszul Betti table; the dimension comes from vertex covers of
     the initial ideal.  Undefined for the unit ideal (the zero ring).
     """
-    if ideal.n > KOSZUL_MAX_N:
-        raise CapacityError("Koszul oracle variables", KOSZUL_MAX_N, ideal.n)
+    _check_koszul_n(ideal.n)
     if isinstance(ideal, MonomialIdeal):
         elements, lead = None, ideal
     else:
@@ -245,22 +260,43 @@ def depth_and_dim(ideal):
     return ideal.n - pd, krull_dimension(lead)
 
 
-def _cech_spots(n, gen_exps, a):
+def _cech_blocks(n, gen_exps):
+    """blocks[k][v] for v = 0..rho_k: the bitmask of the generators u with
+    u_k > v; a value above rho_k reads as rho_k."""
+    rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+    return [[sum(1 << g for g, u in enumerate(gen_exps) if u[k] > v)
+             for v in range(rho[k] + 1)] for k in range(n)]
+
+
+def _cech_spots(n, gen_exps, a, blocks=None):
     """spots[i] indexes the masks S of size i that hold every negative
-    entry of a and contain no need_u = {k : u_k > a_k} of a generator u."""
+    entry of a and contain no need_u = {k : u_k > a_k} of a generator u,
+    that is, whose outside variables' blocks cover every generator."""
+    blocks = blocks or _cech_blocks(n, gen_exps)
     neg = sum(1 << k for k in range(n) if a[k] < 0)
-    needs = {sum(1 << k for k in range(n) if u[k] > a[k]) for u in gen_exps}
+    free = ((1 << n) - 1) ^ neg
+    free_blocks = [b[min(v, len(b) - 1)] for b, v in zip(blocks, a) if v >= 0]
+    every = (1 << len(gen_exps)) - 1
     spots = [{} for _ in range(n + 1)]
-    for mask in range(1 << n):
-        if mask & neg == neg and all(mask & d != d for d in needs):
-            level = spots[mask.bit_count()]
-            level[mask] = len(level)
+    if reduce(int.__or__, free_blocks, 0) != every:
+        return spots
+    # cover[t]: the generators blocked by the free variables in the t-th
+    # submask of free; reversed, it runs over the complements of neg | sub.
+    cover = [0]
+    for b in free_blocks:
+        cover += [c | b for c in cover]
+    sub = 0
+    for c in reversed(cover):
+        if c == every:
+            level = spots[(neg | sub).bit_count()]
+            level[neg | sub] = len(level)
+        sub = (sub - free) & free
     return spots
 
 
-def _cech_piece(n, gen_exps, a):
+def _cech_piece(n, gen_exps, a, blocks):
     """Cohomology dims (by spot size) of the degree-a piece of the Cech complex."""
-    spots = _cech_spots(n, gen_exps, a)
+    spots = _cech_spots(n, gen_exps, a, blocks)
     ranks = [0] * (n + 2)
     for i in range(n):
         # d^i : spots of size i -> size i+1
@@ -292,26 +328,27 @@ def cech_local_cohomology(ideal, window=None):
     Exact on any window: the finitely many clamped sign patterns are
     enumerated, each contributes binomially many multidegrees per total
     degree, and degrees below every pattern become polynomial (left tails).
+    Work over CECH_MAX_WORK is refused with CapacityError before any pattern.
     """
     if not isinstance(ideal, MonomialIdeal):
         raise UndefinedInputError("Cech route needs a monomial ideal")
     n = ideal.n
-    if n > CECH_MAX_N:
-        raise CapacityError("Cech oracle variables", CECH_MAX_N, n)
+    gen_exps = [g.exponents for g in ideal.gens]
+    rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+    work = prod(1 + 2 * r for r in rho)
+    if work > CECH_MAX_WORK:
+        raise CapacityError("Cech oracle work prod(1 + 2 rho_k)",
+                            CECH_MAX_WORK, work)
+    blocks = _cech_blocks(n, gen_exps)
     if window is None:
         window = default_cohomology_window(ideal)
     lo, hi = window
-    gen_exps = [g.exponents for g in ideal.gens]
-    rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
     # Pieces vanish unless a_k <= rho_k - 1, so clamped patterns with
-    # entries in [-1, rho_k - 1] cover everything.
-    patterns = [()]
-    for k in range(n):
-        patterns = [p + (v,) for p in patterns for v in range(-1, rho[k])]
-    # per cohomological index: list of (fixed degree, negative count, dim)
+    # entries in [-1, rho_k - 1] cover everything.  Per cohomological index:
+    # a list of (fixed degree, negative count, dim).
     contributions = {}
-    for c in patterns:
-        dims = _cech_piece(n, gen_exps, c)
+    for c in product(*(range(-1, r) for r in rho)):
+        dims = _cech_piece(n, gen_exps, c, blocks)
         if not dims:
             continue
         fixed = sum(v for v in c if v > 0)
@@ -358,29 +395,32 @@ def brute_cech_window(ideal, window, slack=0):
     multidegree in a provably sufficient box is evaluated on the nose.
     The box is then widened by one on every side and the totals must not
     move, else BoxInstabilityError; ``slack`` widens the starting box.
+    The widened box's size times 2^n is held to CECH_MAX_WORK.
     """
     if not isinstance(ideal, MonomialIdeal):
         raise UndefinedInputError("Cech route needs a monomial ideal")
     n = ideal.n
-    if n > CECH_MAX_N:
-        raise CapacityError("Cech oracle variables", CECH_MAX_N, n)
     lo, hi = window
     gen_exps = [g.exponents for g in ideal.gens]
     rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+    # Every axis of the widened box spans sum(rho) + n*slack - lo + slack + 2
+    # values, and each multidegree visits at most 2^n spots.
+    work = max(0, sum(rho) + (n + 1) * slack - lo + 2) ** n << n
+    if work > CECH_MAX_WORK:
+        raise CapacityError("Cech oracle work (box size x 2^n)",
+                            CECH_MAX_WORK, work)
+    blocks = _cech_blocks(n, gen_exps)
 
     def totals(extra):
         upper = [rho[k] - 1 + extra for k in range(n)]
         lower = [lo - sum(upper[t] for t in range(n) if t != k) - extra
                  for k in range(n)]
-        box = [()]
-        for k in range(n):
-            box = [b + (v,) for b in box for v in range(lower[k], upper[k] + 1)]
         out = {}
-        for a in box:
+        for a in product(*(range(lower[k], upper[k] + 1) for k in range(n))):
             j = sum(a)
             if not lo <= j <= hi:
                 continue
-            for i, h in _cech_piece(n, gen_exps, a).items():
+            for i, h in _cech_piece(n, gen_exps, a, blocks).items():
                 out[(i, j)] = out.get((i, j), 0) + h
         return out
 

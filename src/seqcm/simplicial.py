@@ -222,25 +222,32 @@ def _maximal(masks):
 
 def _mask_homology(maximal):
     """Reduced homology of the complex with the given maximal face masks;
-    none if they share a vertex (a cone).  Faces are their submasks, and the
-    boundary rows are dicts over the indices of the faces one smaller."""
+    none if they share a vertex (a cone).  The ranks into the empty face and
+    into the vertices come from the 1-skeleton: 1 if there is a vertex, and
+    the vertex count minus the components, merged from maximal masks that
+    meet.  Higher faces are submasks, with boundary rows as dicts over the
+    indices of the faces one smaller."""
     if not maximal or reduce(int.__and__, maximal):
         return {}
-    faces = {0}
+    faces, components = {0}, []
     for m in maximal:
         sub = m
         while sub:
             faces.add(sub)
             sub = (sub - 1) & m
+        met = [c for c in components if c & m]
+        components = [c for c in components if not c & m]
+        components.append(reduce(int.__or__, met, m))
     by_card = {}
     for f in faces:
         by_card.setdefault(f.bit_count(), []).append(f)
     top = max(by_card)
-    ranks = {}
-    for k in range(1, top + 1):
-        lower = {f: i for i, f in enumerate(by_card.get(k - 1, ()))}
+    vertices = len(by_card.get(1, ()))
+    ranks = {1: min(vertices, 1), 2: vertices - len(components)}
+    for k in range(3, top + 1):
+        lower = {f: i for i, f in enumerate(by_card[k - 1])}
         rows = []
-        for f in by_card.get(k, ()):
+        for f in by_card[k]:
             row, sign, rest = {}, 1, f
             while rest:
                 bit = rest & -rest
@@ -250,7 +257,7 @@ def _mask_homology(maximal):
         ranks[k] = rank(rows)
     out = {}
     for k in range(top + 1):
-        h = len(by_card.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        h = len(by_card[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         if h:
             out[k - 1] = h
     return out
@@ -272,7 +279,9 @@ def hochster_betti(cx):
     beta_{i,j} for i >= 1 sums dim of reduced homology in degree j-i-1 of
     the restrictions to the j-element vertex sets; beta_{0,0} = 1 whenever
     the face ring is nonzero.  Returns a quotient-convention table.  Vertex
-    sets whose restrictions have the same maximal faces share one homology.
+    sets that are faces are skipped, since their restrictions are simplices,
+    and the others whose restrictions have the same maximal faces share one
+    homology.
     """
     n = cx.n
     _check_n(n)
@@ -280,7 +289,10 @@ def hochster_betti(cx):
     facet_masks = [_mask(f) for f in cx.facets]
     homology = {}
     for w in range(1, 1 << n):
-        key = _maximal(fm & w for fm in facet_masks)
+        cut = [fm & w for fm in facet_masks]
+        if w in cut:
+            continue
+        key = _maximal(cut)
         if key not in homology:
             homology[key] = _mask_homology(key)
         j = w.bit_count()

@@ -222,6 +222,19 @@ def test_verify_main_theorem_on_the_8_cycle_face_ideal(capsys, tmp_path):
     assert json.loads(out)["report"]["verdict"] == "equal"
 
 
+@pytest.mark.parametrize("command", [
+    "main-theorem", pytest.param("thm41", marks=pytest.mark.ladder)])
+def test_verify_on_the_9_cycle(capsys, tmp_path, command):
+    # 3^9 steps of the Cech spot pass; the 9-cycle is sequentially CM.
+    # thm41 shifts the dual, about 5 s.
+    path, cx = cycle_face_ideal(tmp_path, 9)
+    if command == "thm41":
+        path = write_json(tmp_path, "cycle9-complex.json", cx.to_json())
+    code, out, err = run(capsys, "verify", command, path, "--seed", "7")
+    assert code == 0, err
+    assert json.loads(out)["report"]["verdict"] == "equal"
+
+
 def test_window_equals_form_accepts_negatives(capsys, edge_ideal):
     code, out, _ = run(capsys, "localcoh", edge_ideal, "--window=-4..1")
     assert code == 0
@@ -336,6 +349,16 @@ def test_capacity_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "betti", path, "--oracle")
     assert code == 3
     assert "error[capacity]" in err
+
+
+def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
+    # 3^13 steps of the Cech spot pass, refused before any pattern.
+    path = write_json(tmp_path, "wide.json",
+                      {"n": 13, "generators": ["*".join(
+                          "x%d" % i for i in range(1, 14))]})
+    code, out, err = run(capsys, "localcoh", path)
+    assert (code, out) == (3, "")
+    assert "error[capacity]: Cech oracle work" in err
 
 
 def test_localcoh_routes_match(capsys, tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqcm import oracles
 from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
 from seqcm.corpus import IDEALS, corpus_ideal
 from seqcm.groebner import PolynomialIdeal, gin
@@ -16,6 +17,7 @@ from seqcm.monomial import (
     local_cohomology_strongly_stable,
 )
 from seqcm.oracles import (
+    CECH_MAX_WORK,
     _cech_spots,
     _koszul_spots,
     _subsets_by_size,
@@ -26,7 +28,12 @@ from seqcm.oracles import (
     koszul_betti,
 )
 from seqcm.rings import Monomial
-from seqcm.simplicial import SimplicialComplex, hochster_betti, stanley_reisner_ideal
+from seqcm.simplicial import (
+    SimplicialComplex,
+    hochster_betti,
+    local_cohomology_face_ring,
+    stanley_reisner_ideal,
+)
 
 disjoint_edges_ideal = MonomialIdeal(
     4, [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)])
@@ -100,6 +107,10 @@ def test_koszul_capacity():
     wide = MonomialIdeal(11, [tuple(1 if i < 2 else 0 for i in range(11))])
     with pytest.raises(CapacityError):
         koszul_betti(wide)
+    # Both caps name the route that takes squarefree input past them.
+    for oracle in (koszul_betti, depth_and_dim):
+        with pytest.raises(CapacityError, match="betti without --oracle"):
+            oracle(wide)
 
 
 def test_depth_and_dim():
@@ -169,10 +180,52 @@ def test_brute_cech_matches_patterns():
         assert fast.equal_on(brute, window)
 
 
-def test_cech_capacity():
+def test_cech_capacity(monkeypatch):
+    # The cap bounds the spot pass's step count prod(1 + 2 rho_k), not the
+    # variables, and is checked before any pattern is enumerated.
+    def no_pattern(*args):
+        raise AssertionError("a pattern was enumerated")
+
+    monkeypatch.setattr(oracles, "_cech_piece", no_pattern)
+    for ideal in (MonomialIdeal(13, [(1,) * 13]),          # 3^13 steps
+                  MonomialIdeal(1, [(CECH_MAX_WORK // 2 + 1,)])):
+        with pytest.raises(CapacityError, match="Cech oracle work"):
+            cech_local_cohomology(ideal)
+    with pytest.raises(CapacityError, match="Cech oracle work"):
+        brute_cech_window(MonomialIdeal(9, [(1,) * 9]), (-2, 0))
+    # Variables alone are not work: x1*x2 in nine variables is 9 steps.
+    monkeypatch.undo()
     wide = MonomialIdeal(9, [tuple(1 if i < 2 else 0 for i in range(9))])
-    with pytest.raises(CapacityError):
-        cech_local_cohomology(wide)
+    assert cech_local_cohomology(wide).indices() == [8]
+
+
+def _cycle(n):
+    return SimplicialComplex(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def _cech_agrees_with_the_face_ring(cx):
+    face_ring = local_cohomology_face_ring(cx)
+    cech = cech_local_cohomology(stanley_reisner_ideal(cx), face_ring.window)
+    assert cech.same_function(face_ring), cx
+
+
+def test_cech_matches_the_face_ring_on_the_9_cycle():
+    # Nine variables, 3^9 steps of the spot pass.
+    _cech_agrees_with_the_face_ring(_cycle(9))
+
+
+def _random_complex(seed, n):
+    rng = random.Random(seed)
+    return SimplicialComplex(n, [rng.sample(range(1, n + 1), rng.randint(1, 4))
+                                 for _ in range(2 * n)])
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("cx", [_cycle(10), _cycle(11), _cycle(12),
+                                _random_complex(1, 10)],
+                         ids=["cycle-10", "cycle-11", "cycle-12", "random-10"])
+def test_cech_matches_the_face_ring_on_the_ladder(cx):
+    _cech_agrees_with_the_face_ring(cx)
 
 
 def evaluate_tail(tail, e):
@@ -203,6 +256,17 @@ def test_alternating_sum_recovers_hilbert_polynomial():
             assert value - evaluate_tail(tail, e) == alternating, (ideal, e)
 
 
+def cech_spot_reference(n, gen_exps, a):
+    cech = [set() for _ in range(n + 1)]
+    for mask in range(1 << n):
+        held = all(mask >> k & 1 for k in range(n) if a[k] < 0)
+        blocked = any(all(mask >> k & 1 or u[k] <= a[k]
+                          for k in range(n)) for u in gen_exps)
+        if held and not blocked:
+            cech[bin(mask).count("1")].add(mask)
+    return cech
+
+
 def test_spot_masks_match_the_membership_predicates():
     # The Cech and Koszul spots are mask tests; pin them to the plain
     # predicates on non-squarefree ideals and on degrees with negative entries.
@@ -216,13 +280,7 @@ def test_spot_masks_match_the_membership_predicates():
         subsets = _subsets_by_size(n)
         for _ in range(8):
             a = tuple(rng.randint(-2, 3) for _ in range(n))
-            cech = [set() for _ in range(n + 1)]
-            for mask in range(1 << n):
-                held = all(mask >> k & 1 for k in range(n) if a[k] < 0)
-                blocked = any(all(mask >> k & 1 or u[k] <= a[k]
-                                  for k in range(n)) for u in gen_exps)
-                if held and not blocked:
-                    cech[bin(mask).count("1")].add(mask)
+            cech = cech_spot_reference(n, gen_exps, a)
             assert [set(level) for level in _cech_spots(n, gen_exps, a)] == cech
 
             b = tuple(max(v, 0) for v in a)
@@ -233,3 +291,22 @@ def test_spot_masks_match_the_membership_predicates():
                     koszul[bin(mask).count("1")].add(mask)
             got = _koszul_spots(gen_exps, b, subsets)
             assert [set(level) for level in got] == koszul
+
+    # Squarefree patterns: a is 0/-1, and a pattern whose negative set is a
+    # nonface (holds a generator's support) has no spots, the early exit.
+    exits = 0
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        gens = [tuple(int(rng.random() < 0.4) for _ in range(n))
+                for _ in range(rng.randint(0, 5))]
+        ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
+        gen_exps = [g.exponents for g in ideal.gens]
+        for _ in range(8):
+            a = tuple(-rng.randint(0, 1) for _ in range(n))
+            neg = tuple(int(v < 0) for v in a)
+            spots = [set(level) for level in _cech_spots(n, gen_exps, a)]
+            assert spots == cech_spot_reference(n, gen_exps, a)
+            if ideal.contains(Monomial(neg)):
+                exits += 1
+                assert not any(spots)
+    assert exits > 50

@@ -2,13 +2,16 @@
 homology, Hochster tables, shifting, and the face-ring cohomology formula."""
 
 import random
+from functools import reduce
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqcm import simplicial
 from seqcm.errors import AmbientGrowthError, NotSquarefreeError
+from seqcm.linalg import rank
 from seqcm.monomial import MonomialIdeal, k_polynomial
 from seqcm.rings import Monomial
 from seqcm.simplicial import (
@@ -222,6 +225,106 @@ def test_mask_kernel_matches_restriction_reference():
         assert hochster_betti(cx).entries == restriction_hochster(cx), cx
         if not cx.is_void():
             assert complex_of(stanley_reisner_ideal(cx)) == cx
+
+
+def all_rank_mask_homology(maximal):
+    # The vertex-mask kernel with every boundary map through rank, the ones
+    # into the empty face and into the vertices included.
+    if not maximal or reduce(int.__and__, maximal):
+        return {}
+    faces = {0}
+    for m in maximal:
+        sub = m
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m
+    by_card = {}
+    for f in faces:
+        by_card.setdefault(f.bit_count(), []).append(f)
+    top = max(by_card)
+    ranks = {}
+    for k in range(1, top + 1):
+        lower = {f: i for i, f in enumerate(by_card.get(k - 1, ()))}
+        rows = []
+        for f in by_card.get(k, ()):
+            row, sign, rest = {}, 1, f
+            while rest:
+                bit = rest & -rest
+                row[lower[f ^ bit]] = sign
+                sign, rest = -sign, rest ^ bit
+            rows.append(row)
+        ranks[k] = rank(rows)
+    out = {}
+    for k in range(top + 1):
+        h = len(by_card.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if h:
+            out[k - 1] = h
+    return out
+
+
+def all_rank_hochster(cx):
+    # Every vertex set, faces included, through the all-rank kernel.
+    entries = {} if cx.is_void() else {(0, 0): 1}
+    masks = [sum(1 << (v - 1) for v in f) for f in cx.facets]
+    for w in range(1, 1 << cx.n):
+        cut = {fm & w for fm in masks}
+        maximal = frozenset(m for m in cut
+                            if not any(m != k and m & k == m for k in cut))
+        j = w.bit_count()
+        for deg, dim in all_rank_mask_homology(maximal).items():
+            if j - deg - 1 >= 1:
+                entries[(j - deg - 1, j)] = entries.get((j - deg - 1, j), 0) + dim
+    return entries
+
+
+def kernel_complexes():
+    graphs = [SimplicialComplex(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6),
+                                    (4, 6)]),
+              SimplicialComplex(8, [(1, 2), (2, 3), (5, 6), (7,)]),
+              SimplicialComplex(6, [(1, 2), (3, 4), (5, 6)])]
+    return ([SimplicialComplex.irrelevant(n) for n in range(5)]
+            + [SimplicialComplex.void(n) for n in range(5)]
+            + [SimplicialComplex(5, [(1,), (3,), (4,)]),      # isolated vertices
+               SimplicialComplex(6, [(1,), (2, 3), (4, 5, 6)]),
+               # cones: over a hollow triangle, and over two points
+               SimplicialComplex(4, [(1, 2, 4), (1, 3, 4), (2, 3, 4)]),
+               SimplicialComplex(3, [(1, 3), (2, 3)]),
+               SimplicialComplex(10, combinations(range(1, 11), 9))]
+            + graphs + seeded_complexes())
+
+
+def test_kernel_matches_the_all_rank_reference():
+    for cx in kernel_complexes():
+        masks = frozenset(sum(1 << (v - 1) for v in f) for f in cx.facets)
+        assert reduced_homology(cx) == all_rank_mask_homology(masks), cx
+        assert hochster_betti(cx).entries == all_rank_hochster(cx), cx
+    assert (reduced_homology(SimplicialComplex(10, combinations(range(1, 11), 9)))
+            == {8: 1})
+
+
+def test_graphs_need_no_rank(monkeypatch):
+    # Ranks into the empty face and into the vertices come from components.
+    def no_rank(rows):
+        raise AssertionError("rank called on a graph")
+
+    monkeypatch.setattr(simplicial, "rank", no_rank)
+    for cx in kernel_complexes():
+        if cx.dim() <= 1:
+            reduced_homology(cx)
+            hochster_betti(cx)
+
+
+def test_hochster_restricts_only_to_nonfaces(monkeypatch):
+    # A vertex set that is a face restricts to a simplex, with no homology.
+    calls = []
+    maximal = simplicial._maximal
+    monkeypatch.setattr(simplicial, "_maximal",
+                        lambda masks: calls.append(1) or maximal(masks))
+    for cx in kernel_complexes():
+        calls.clear()
+        hochster_betti(cx)
+        nonempty_faces = len(cx.faces()) - (not cx.is_void())
+        assert len(calls) == (1 << cx.n) - 1 - nonempty_faces, cx
 
 
 def f_vector_numerator(cx):
