@@ -3,10 +3,16 @@
 The engine, `_groebner`, is a Buchberger loop with the normal selection
 strategy and the two classical pair-dropping criteria, followed by
 interreduction, so the output is the reduced (hence unique) Groebner basis
-for degrevlex.  Its one element form is (lead, terms), an integer-primitive
-{exponent tuple: int} dictionary and its lead, recorded once by
-`_primitive`.  gin, saturation and the Koszul oracle all run on this form:
-generators have their denominators cleared once, coordinate changes
+for degrevlex.  It runs on packed monomials (Monagan and Pearce, CASC
+2007): one int per monomial, exponent i in the 16-bit field i, whose top
+bit is a guard kept clear, and minus the degree above the fields.  So a
+product is a sum, a divides b when b - a has no guard bit set, and a
+smaller int is a larger monomial.  DEGREE_CAP (CapacityError) bounds the
+input terms and the S-pair lcms, hence every term.  An element is (lead,
+terms), an integer-primitive {packed monomial: int} dict and its lead, set
+by `_primitive`.  `_groebner` returns elements on exponent tuples, and
+`_divide` such remainders, so gin, saturation and the Koszul oracle see
+tuples: generators have denominators cleared once, coordinate changes
 substitute integer rows into them, and leads are read off the elements.
 
 The engine is Hilbert-driven when given a `_HilbertTarget`, the Hilbert
@@ -28,14 +34,15 @@ basis (same leads, tails unreduced) instead of interreducing; `buchberger`,
 saturation and the Koszul oracle keep the reduced basis and run every pair.
 
 Reduction, `_remainder`, is ordered and fraction-free: the working
-polynomial's monomials sit in a heap, so each step pops the next term
-instead of searching for it, and each step scales by lc/gcd(c, lc) while a
-running integer scale is kept.  `_divide`, the rational division behind the
-public `normal_form`, certifies every engine run: it finds the divisors'
-leads itself (`_divisors`), so it checks the Buchberger bookkeeping
-independently, and it divides by the scale once at the end, so a zero
-remainder never builds a Fraction.  Fraction-coefficient Polynomials appear
-only at the public entry points.
+polynomial's monomials sit in a min-heap of ints, so each step pops the
+next term instead of searching for it, and scales by lc/gcd(c, lc) while a
+running integer scale is kept.  Every engine run is certified: each input
+must reduce to zero against the output, its leads found anew, independent
+of the Buchberger bookkeeping.  `_divide`, the rational division behind
+`normal_form` and the Koszul oracle, also finds its divisors' leads
+(`_divisors`), and divides by the scale once at the end, so a zero
+remainder never builds a Fraction.  Fraction-coefficient Polynomials
+appear only at the public entry points.
 
 Randomized operations (saturation by a generic coordinate change, gin) are
 certified: the computation runs under two seeds derived deterministically from
@@ -59,8 +66,8 @@ import heapq
 from itertools import chain
 import json
 from math import comb, gcd, lcm
-from operator import add
 import os
+import struct
 import tempfile
 
 from .errors import (
@@ -81,6 +88,7 @@ from .monomial import (
     k_polynomial,
 )
 from .rings import (
+    MAX_VARIABLES,
     Monomial,
     Polynomial,
     RationalMatrix,
@@ -201,24 +209,46 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# Integer-primitive engine.  An element is (lead, terms): terms is
-# {exponent tuple: int} with content 1 and a positive coefficient at lead.
+# Integer-primitive engine on packed monomials: field i is bits _W*i up.
 
-def _key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def _support(exps):
-    """The variables of an exponent tuple as a bitmask."""
-    mask = 0
-    for i, e in enumerate(exps):
-        if e:
-            mask |= 1 << i
-    return mask
+_W = 16
+_FIELD = (1 << _W) - 1
+DEGREE_CAP = (1 << _W - 1) - 1
+_ONES = tuple(sum(1 << _W * i for i in range(n))
+              for n in range(MAX_VARIABLES + 1))
+_GUARD = tuple(ones << _W - 1 for ones in _ONES)
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _pack(exps):
+    """The packed monomial of an exponent tuple."""
+    d = sum(exps)
+    if d > DEGREE_CAP:
+        raise CapacityError("engine monomial degree", DEGREE_CAP, d)
+    m = -d
+    for e in reversed(exps):
+        m = m << _W | e
+    return m
+
+
+def _unpack(n, m):
+    """The exponent tuple of a packed monomial: n fields of 2 bytes each."""
+    low = m & (1 << _W * n) - 1
+    return struct.unpack("<%dH" % n, low.to_bytes(2 * n, "little"))
+
+
+def _lcm(n, a, b):
+    """The lcm of two packed monomials of degree at most DEGREE_CAP."""
+    low = (1 << _W * n) - 1
+    a, b = a & low, b & low
+    # Field i of (a | guard) - b is 2^(W-1) + a_i - b_i, so no field borrows
+    # and its guard bit is set exactly when a_i >= b_i.
+    pick = (((a | _GUARD[n]) - b & _GUARD[n]) >> _W - 1) * _FIELD
+    top = a & pick | b & ~pick
+    # Field n-1 of top * ones is the degree, at most twice the cap: no carry.
+    d = top * _ONES[n] >> _W * (n - 1) & _FIELD
+    if d > DEGREE_CAP:
+        raise CapacityError("engine monomial degree", DEGREE_CAP, d)
+    return top - (d << _W * n)
 
 
 def _primitive(p, lead):
@@ -245,18 +275,22 @@ def _scaled(p):
     return mult, {e: c.numerator * (mult // c.denominator) for e, c in p.items()}
 
 
+def _packed(p):
+    return {_pack(e): c for e, c in p.items()}
+
+
 def _cleared(p):
-    """The element of a nonzero dict with int or Fraction coefficients,
-    denominators cleared."""
+    """The element of a nonzero packed dict with int or Fraction
+    coefficients, denominators cleared."""
     q = _scaled(p)[1]
-    return _primitive(q, max(q, key=_key))
+    return _primitive(q, min(q))
 
 
 def _generators(ideal):
     """The generators of a PolynomialIdeal or MonomialIdeal as integer dicts."""
     if isinstance(ideal, MonomialIdeal):
         return [{g.exponents: 1} for g in ideal.gens]
-    return [_cleared(_terms(g))[1] for g in ideal.generators]
+    return [_scaled(_terms(g))[1] for g in ideal.generators]
 
 
 def _to_polynomial(n, p, lc=1):
@@ -268,32 +302,28 @@ def _polynomials(n, basis):
     return [_to_polynomial(n, p, p[lead]) for lead, p in basis]
 
 
-def _remainder(p, divisors, scale=1):
-    """(scale', r): the remainder of p / scale on division by the integer
-    (lead, terms) pairs in divisors is r / scale'.  Consumes p.
+def _remainder(n, p, divisors, scale=1):
+    """(scale', r): the remainder of the packed p / scale on division by the
+    packed elements in divisors is r / scale'.  Consumes p.
 
     Fraction-free: with g = gcd(c, lc), a step is
     p <- (lc/g) p - (c/g) (m/lm) b, and the running integer scale takes the
-    factor lc/g.  The monomials of p sit in a min-heap under
-    (-degree, reversed exponents), so they pop in decreasing degrevlex order
-    and r's first key is the remainder's lead.  A monomial that cancels
-    keeps a zero entry in p, so it is never pushed twice, and is skipped
-    when it pops.  A lead whose support is not inside that of the popped
-    monomial cannot divide it; one integer test on the supports settles
-    most divisors before `_divides` runs.
+    factor lc/g.  The monomials of p sit in a min-heap of ints, so they pop
+    in decreasing degrevlex order and r's first key is the remainder's lead.
+    A monomial that cancels keeps a zero entry in p, so it is never pushed
+    twice, and is skipped when it pops.  Divisibility is the guard test.
     """
-    heap = [(-sum(m), m[::-1], m) for m in p]
+    guard = _GUARD[n]
+    heap = list(p)
     heapq.heapify(heap)
     r = {}
-    indexed = [(_support(lb), lb, bp) for lb, bp in divisors]
     while heap:
-        m = heapq.heappop(heap)[2]
+        m = heapq.heappop(heap)
         c = p.pop(m)
         if not c:
             continue
-        outside = ~_support(m)
-        for s, lb, bp in indexed:
-            if not s & outside and _divides(lb, m):
+        for lb, bp in divisors:
+            if not (m - lb) & guard:
                 break
         else:
             r[m] = c
@@ -306,14 +336,14 @@ def _remainder(p, divisors, scale=1):
                 p[k] *= lc
             for k in r:
                 r[k] *= lc
-        quot = tuple(a - b for a, b in zip(m, lb))
+        quot = m - lb
         for bm, bc in bp.items():
             if bm != lb:
-                t = tuple(map(add, bm, quot))
+                t = bm + quot
                 v = p.get(t)
                 if v is None:
                     p[t] = -c * bc
-                    heapq.heappush(heap, (-sum(t), t[::-1], t))
+                    heapq.heappush(heap, t)
                 else:
                     p[t] = v - c * bc
         # Divide out what the coefficients share with the scale.
@@ -331,26 +361,25 @@ def _remainder(p, divisors, scale=1):
     return scale, r
 
 
-def _reduce_int(p, basis):
-    """Full remainder of the int dict p modulo engine elements, as an
+def _reduce_int(n, p, basis):
+    """Full remainder of the packed int dict p modulo engine elements, as an
     element (its lead is the remainder's first key), or None when zero.
     The result times a nonzero rational lies in (p) + (basis)."""
-    r = _remainder(dict(p), basis)[1]
+    r = _remainder(n, dict(p), basis)[1]
     return _primitive(r, next(iter(r))) if r else None
 
 
-def _s_poly(f, g):
+def _s_poly(f, g, l):
+    """The S-polynomial of two elements whose leads have the lcm l."""
     (lf, pf), (lg, pg) = f, g
     cf, cg = pf[lf], pg[lg]
-    l = tuple(max(a, b) for a, b in zip(lf, lg))
-    qf = tuple(a - b for a, b in zip(l, lf))
-    qg = tuple(a - b for a, b in zip(l, lg))
+    qf, qg = l - lf, l - lg
     out = {}
     for m, c in pf.items():
-        t = tuple(a + b for a, b in zip(m, qf))
+        t = m + qf
         out[t] = out.get(t, 0) + cg * c
     for m, c in pg.items():
-        t = tuple(a + b for a, b in zip(m, qg))
+        t = m + qg
         v = out.get(t, 0) - cf * c
         if v:
             out[t] = v
@@ -359,18 +388,18 @@ def _s_poly(f, g):
     return out
 
 
-def _interreduce(elements):
+def _interreduce(n, elements):
     """Reduce each element by the others until a pass moves no lead and
     drops no element; the result is sorted by increasing lead.  Each element
     of such a pass is reduced against the final leads, so another pass
     would change nothing."""
     elements = list(elements)
     while True:
-        elements.sort(key=lambda e: _key(e[0]))
+        elements.sort(key=lambda e: -e[0])
         moved = False
         for idx, e in enumerate(elements):
             others = [o for k, o in enumerate(elements) if k != idx and o]
-            r = _reduce_int(e[1], others)
+            r = _reduce_int(n, e[1], others)
             moved = moved or r is None or r[0] != e[0]
             elements[idx] = r
         elements = [e for e in elements if e]
@@ -378,31 +407,26 @@ def _interreduce(elements):
             return elements
 
 
-def _push_pairs(pairs, basis, t):
-    """Queue the pairs (k, t), k < t, keyed by the order of their lcm."""
+def _push_pairs(n, pairs, basis, t):
+    """Queue the pairs (k, t), k < t, keyed by minus their packed lcm."""
     lt = basis[t][0]
     for k in range(t):
-        l = tuple(max(a, b) for a, b in zip(basis[k][0], lt))
-        heapq.heappush(pairs, (_key(l), k, t, l))
+        heapq.heappush(pairs, (-_lcm(n, basis[k][0], lt), k, t))
 
 
 def _divisors(basis):
-    """The dicts of basis in integer form with their leads, for `_divide`.
-
-    Leads are found here, not read from the engine's elements, so that
-    certification is independent of the Buchberger bookkeeping.  Scaling a
-    divisor leaves every remainder unchanged.
-    """
-    return [_cleared(bp) for bp in basis]
+    """The exponent-tuple dicts of basis as packed elements, for `_divide`,
+    leads found anew; scaling a divisor leaves every remainder unchanged."""
+    return [_cleared(_packed(bp)) for bp in basis]
 
 
-def _divide(p, divisors):
-    """Remainder of the dict p on rational division by `_divisors(basis)`;
-    denominators are cleared first and the remainder divided by the running
+def _divide(n, p, divisors):
+    """Remainder of the exponent-tuple dict p on rational division by
+    `_divisors(basis)`, denominators cleared first, divided by the running
     scale once at the end, so a zero remainder builds no Fraction."""
     mult, q = _scaled(p)
-    scale, r = _remainder(q, divisors, mult)
-    return {m: Fraction(v, scale) for m, v in r.items()}
+    scale, r = _remainder(n, _packed(q), divisors, mult)
+    return {_unpack(n, m): Fraction(v, scale) for m, v in r.items()}
 
 
 class _HilbertTarget:
@@ -425,13 +449,12 @@ class _HilbertTarget:
                 - _quotient_dim(self.n, self.numerator, d))
 
 
-def _next_degree(part, basis, d):
+def _next_degree(n, part, basis, d):
     """Degree-d monomials of the lead ideal of basis, from its degree d-1
     part: that part times the variables, and the leads of degree d."""
-    out = {lead for lead, _ in basis if sum(lead) == d}
-    for m in part:
-        for i in range(len(m)):
-            out.add(m[:i] + (m[i] + 1,) + m[i + 1:])
+    out = {lead for lead, _ in basis if lead >> _W * n == -d}
+    steps = [(1 << _W * i) - (1 << _W * n) for i in range(n)]
+    out.update(m + s for m in part for s in steps)
     return out
 
 
@@ -446,20 +469,21 @@ def _filled(part, target, d):
     return len(part) == dim
 
 
-def _minimal(basis):
+def _minimal(n, basis):
     """The elements whose leads no other lead divides, sorted by lead: a
     minimal Groebner basis with the same lead ideal."""
+    guard = _GUARD[n]
     leads = [lead for lead, _ in basis]
     kept = [e for e in basis
-            if not any(o != e[0] and _divides(o, e[0]) for o in leads)]
-    return sorted(kept, key=lambda e: _key(e[0]))
+            if not any(o != e[0] and not (e[0] - o) & guard for o in leads)]
+    return sorted(kept, key=lambda e: -e[0])
 
 
-def _groebner(gens, target=None, minimal=False):
-    """Degrevlex Groebner basis of a list of nonzero dicts with int or
-    Fraction coefficients, as elements sorted by increasing lead: the
-    reduced basis, or with `minimal` a minimal one (same leads, tails not
-    reduced).
+def _groebner(n, gens, target=None, minimal=False):
+    """Degrevlex Groebner basis of a list of nonzero exponent-tuple dicts in
+    n variables with int or Fraction coefficients, as elements sorted by
+    increasing lead: the reduced basis, or with `minimal` a minimal one
+    (same leads, tails not reduced), on exponent tuples.
 
     Normal selection (smallest pair lcm in the order first, ties by pair
     index); a pair is dropped when its leading monomials are coprime or when
@@ -470,56 +494,60 @@ def _groebner(gens, target=None, minimal=False):
     Hilbert series differs from the target's.  Every input is certified by
     rational division to reduce to zero against the output.
     """
-    basis = _interreduce(_cleared(p) for p in gens)
+    guard, shift = _GUARD[n], _W * n
+    gens = [_packed(p) for p in gens]  # for the run and its certification
+    basis = _interreduce(n, [_cleared(p) for p in gens])
     pairs = []
     for t in range(len(basis)):
-        _push_pairs(pairs, basis, t)
+        _push_pairs(n, pairs, basis, t)
     done = set()
     degree, part, filled = -1, set(), False
     while pairs:
         if len(pairs) > PAIR_CAP:
             raise CapacityError("buchberger pair queue", PAIR_CAP, len(pairs))
-        key, i, j, l = heapq.heappop(pairs)
+        key, i, j = heapq.heappop(pairs)
+        l = -key
         done.add((i, j))
         if target is not None:
-            while degree < key[0]:
+            while degree < -(l >> shift):
                 degree += 1
-                part = _next_degree(part, basis, degree)
+                part = _next_degree(n, part, basis, degree)
                 filled = _filled(part, target, degree)
             if filled:
                 continue  # every S-polynomial of this degree reduces to zero
-        li, lj = basis[i][0], basis[j][0]
-        if all(min(a, b) == 0 for a, b in zip(li, lj)):
+        if l == basis[i][0] + basis[j][0]:
             continue  # criterion 1: coprime leads
         for k, (lk, _) in enumerate(basis):
-            if (k not in (i, j) and _divides(lk, l)
+            if (k not in (i, j) and not (l - lk) & guard
                     and (min(i, k), max(i, k)) in done
                     and (min(j, k), max(j, k)) in done):
                 break  # criterion 2: chain
         else:
-            r = _reduce_int(_s_poly(basis[i], basis[j]), basis)
+            r = _reduce_int(n, _s_poly(basis[i], basis[j], l), basis)
             if r:
                 basis.append(r)
-                _push_pairs(pairs, basis, len(basis) - 1)
+                _push_pairs(n, pairs, basis, len(basis) - 1)
                 if target is not None:
                     part.add(r[0])
                     filled = _filled(part, target, degree)
-    basis = _minimal(basis) if minimal else _interreduce(basis)
-    if target is not None and not target.matches([lead for lead, _ in basis]):
+    basis = _minimal(n, basis) if minimal else _interreduce(n, basis)
+    out = [(_unpack(n, lead), {_unpack(n, m): c for m, c in p.items()})
+           for lead, p in basis]
+    if target is not None and not target.matches([lead for lead, _ in out]):
         raise CertificationError(
             "lead ideal's Hilbert series differs from its target's")
-    divisors = _divisors(p for _, p in basis)
+    divisors = [(min(p), p) for _, p in basis]  # leads found anew
     for p in gens:
-        if _divide(p, divisors):
+        if _remainder(n, _scaled(p)[1], divisors)[1]:
             raise CertificationError(
                 "generator with leading monomial %s does not reduce to zero "
-                "against its basis" % Monomial(max(p, key=_key)))
-    return basis
+                "against its basis" % Monomial(_unpack(n, min(p))))
+    return out
 
 
 def buchberger(ideal):
     """Reduced degrevlex Groebner basis of a PolynomialIdeal (`_groebner`)."""
-    basis = _groebner(_generators(ideal))
+    basis = _groebner(ideal.n, _generators(ideal))
     return GroebnerBasis(ideal.n, _polynomials(ideal.n, basis))
 
 
@@ -533,13 +561,14 @@ def normal_form(f, basis):
     for b in elements:
         if b.n != f.n:
             raise AmbientMismatchError("polynomial and basis ambient differ")
-    remainder = _divide(_terms(f), _divisors(_terms(b) for b in elements if b))
+    remainder = _divide(
+        f.n, _terms(f), _divisors(_terms(b) for b in elements if b))
     return _to_polynomial(f.n, remainder)
 
 
 def initial_ideal(ideal):
     """Monomial ideal of leading terms, from the reduced Groebner basis."""
-    basis = _groebner(_generators(ideal))
+    basis = _groebner(ideal.n, _generators(ideal))
     return MonomialIdeal(ideal.n, [lead for lead, _ in basis])
 
 
@@ -552,23 +581,23 @@ def equal_ideals(a, b):
             and all(not normal_form(g, gb_b) for g in a.generators))
 
 
-def _saturate_last(gens):
+def _saturate_last(n, gens):
     """(I : x_n^infinity) of integer dicts via the reverse-lex device: in a
     reduced degrevlex basis of a homogeneous ideal, dividing each element by
     its full power of x_n generates the saturation.  The result is the
     reduced basis of that, as engine elements."""
     divided = []
-    for _, p in _groebner(gens):
+    for _, p in _groebner(n, gens):
         k = min(e[-1] for e in p)
         divided.append({e[:-1] + (e[-1] - k,): c for e, c in p.items()}
                        if k else p)
-    return _groebner(divided)
+    return _groebner(n, divided)
 
 
 def saturate_by_last_variable(ideal):
     """(I : x_n^infinity), generated by its reduced Groebner basis."""
-    return PolynomialIdeal(
-        ideal.n, _polynomials(ideal.n, _saturate_last(_generators(ideal))))
+    basis = _saturate_last(ideal.n, _generators(ideal))
+    return PolynomialIdeal(ideal.n, _polynomials(ideal.n, basis))
 
 
 def _derive_seed(seed, k):
@@ -602,9 +631,10 @@ def saturation(ideal, seed):
             g = RationalMatrix.random_unipotent(
                 ideal.n, _derive_seed(seed, 2 * t + k))
             rows = _integer_rows(g)
-            sat = _saturate_last([substitute(p, rows) for p in gens])
+            sat = _saturate_last(ideal.n, [substitute(p, rows) for p in gens])
             back = _integer_rows(g.inverse())
-            pair.append(_groebner([substitute(p, back) for _, p in sat]))
+            pair.append(_groebner(
+                ideal.n, [substitute(p, back) for _, p in sat]))
         if pair[0] == pair[1]:
             return PolynomialIdeal(ideal.n, _polynomials(ideal.n, pair[0]))
     raise CertificationError(
@@ -648,8 +678,8 @@ def gin(ideal, seed, cache=None):
         for k in (0, 1):
             rows = _integer_rows(RationalMatrix.random_unipotent(
                 ideal.n, _derive_seed(seed, 2 * t + k)))
-            basis = _groebner([substitute(p, rows) for p in gens], target,
-                              minimal=True)
+            basis = _groebner(ideal.n, [substitute(p, rows) for p in gens],
+                              target, minimal=True)
             leads = [lead for lead, _ in basis]
             if target is None:
                 target = _HilbertTarget(ideal.n, leads)

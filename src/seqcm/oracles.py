@@ -143,7 +143,7 @@ def _koszul_general(n, elements, bound):
         if key not in nf_cache:
             shifted = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
             if lead_ideal.contains(Monomial(shifted)):
-                nf_cache[key] = _divide({shifted: 1}, divisors)
+                nf_cache[key] = _divide(n, {shifted: 1}, divisors)
             else:
                 nf_cache[key] = {shifted: 1}
         return nf_cache[key]
@@ -219,7 +219,7 @@ def koszul_betti(ideal, bound=None):
         raise CapacityError("Koszul degree bound", KOSZUL_MAX_BOUND, bound)
     if isinstance(ideal, MonomialIdeal):
         return _koszul(ideal, None, bound)
-    return _koszul(ideal, _groebner(_generators(ideal)), bound)
+    return _koszul(ideal, _groebner(ideal.n, _generators(ideal)), bound)
 
 
 def _koszul(ideal, elements, bound):
@@ -252,7 +252,7 @@ def depth_and_dim(ideal):
     if isinstance(ideal, MonomialIdeal):
         elements, lead = None, ideal
     else:
-        elements = _groebner(_generators(ideal))
+        elements = _groebner(ideal.n, _generators(ideal))
         lead = MonomialIdeal(ideal.n, [lead for lead, _ in elements])
     if lead.is_unit():
         raise UndefinedInputError("depth of the zero ring")

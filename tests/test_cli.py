@@ -351,6 +351,18 @@ def test_capacity_exit_three(capsys, tmp_path):
     assert "error[capacity]" in err
 
 
+def test_engine_degree_cap_exits_three(capsys, tmp_path):
+    # Engine monomials hold degrees up to 2^15 - 1.
+    over = write_json(tmp_path, "over.json", {"n": 1, "generators": ["x1^32768"]})
+    code, out, err = run(capsys, "gin", over, "--seed", "5")
+    assert (code, out) == (3, "")
+    assert "error[capacity]: engine monomial degree" in err
+    at = write_json(tmp_path, "at.json", {"n": 1, "generators": ["x1^32767"]})
+    code, out, _ = run(capsys, "gin", at, "--seed", "5")
+    assert code == 0
+    assert json.loads(out)["gin"] == {"n": 1, "generators": ["x1^32767"]}
+
+
 def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
     # 3^13 steps of the Cech spot pass, refused before any pattern.
     path = write_json(tmp_path, "wide.json",

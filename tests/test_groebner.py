@@ -3,7 +3,7 @@
 from fractions import Fraction
 import itertools
 import json
-from math import gcd
+from math import gcd, lcm
 import os
 import random
 
@@ -14,6 +14,7 @@ from seqcm import groebner, oracles
 from seqcm.cli import main as cli_main
 from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.errors import (
+    CapacityError,
     CertificationError,
     GenericityError,
     ParseError,
@@ -33,9 +34,10 @@ from seqcm.groebner import (
     saturate_by_last_variable,
     saturation,
 )
-from seqcm.monomial import MonomialIdeal, is_strongly_stable
+from seqcm.monomial import MonomialIdeal, hilbert_function, is_strongly_stable
 from seqcm.oracles import depth_and_dim, koszul_betti
 from seqcm.rings import (
+    MAX_VARIABLES,
     Monomial,
     Polynomial,
     RationalMatrix,
@@ -82,8 +84,8 @@ def test_certification_catches_a_dropped_element(monkeypatch):
     real = groebner._interreduce
     calls = []
 
-    def dropping(elements):
-        out = real(elements)
+    def dropping(n, elements):
+        out = real(n, elements)
         calls.append(out)
         return out[:-1] if len(calls) == 2 else out
 
@@ -93,15 +95,80 @@ def test_certification_catches_a_dropped_element(monkeypatch):
     assert len(calls) == 2
 
 
+# The documented engine degree cap; a narrower field cannot hold it.
+_CAP = 2**15 - 1
+
+
+@st.composite
+def _packable(draw, n, total=_CAP):
+    # An exponent tuple in n variables of degree at most total (the total
+    # itself among the draws): a degree cut into n parts.
+    d = draw(st.one_of(st.just(total), st.integers(0, total)))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1,
+                                max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_packing_is_linear_and_orders_and_divides_like_tuples(data):
+    n = data.draw(st.integers(1, MAX_VARIABLES))
+    a, b = data.draw(_packable(n)), data.draw(_packable(n))
+    c = data.draw(_packable(n, _CAP - sum(a)))
+    ac = tuple(x + y for x, y in zip(a, c))
+    pa, pb, pc, pac = map(groebner._pack, (a, b, c, ac))
+    assert groebner._unpack(n, pa) == a
+    assert (pa < pb) == (degrevlex_key(Monomial(a)) > degrevlex_key(Monomial(b)))
+    assert pa + pc == pac
+    guard = groebner._GUARD[n]
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa), (a, ac, pa, pac),
+                         (ac, a, pac, pa)):
+        assert (not (py - px) & guard) == all(u <= v for u, v in zip(x, y))
+    top = tuple(map(max, a, b))
+    if sum(top) <= _CAP:
+        assert groebner._lcm(n, pa, pb) == groebner._pack(top)
+    else:
+        with pytest.raises(CapacityError):
+            groebner._lcm(n, pa, pb)
+    with pytest.raises(CapacityError):
+        groebner._pack((0,) * (n - 1) + (_CAP + 1,))
+
+
+def _key(exps):
+    # Degrevlex on exponent tuples, the order the packed ints encode.
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _reference_element(p):
+    # The tuple-form element of a dict with rational coefficients: integer
+    # primitive with a positive coefficient at its lead, or None when empty.
+    if not p:
+        return None
+    lead = max(p, key=_key)
+    mult = lcm(*(Fraction(c).denominator for c in p.values()))
+    ints = {m: int(c * mult) for m, c in p.items()}
+    g = gcd(*ints.values()) * (1 if ints[lead] > 0 else -1)
+    return lead, {m: c // g for m, c in ints.items()}
+
+
+def _unpacked(n, element):
+    if element is None:
+        return None
+    lead, terms = element
+    return (groebner._unpack(n, lead),
+            {groebner._unpack(n, m): c for m, c in terms.items()})
+
+
 def interreduce_until_unchanged(elements):
-    # Passes until one changes nothing: the loop before its early stop.
+    # Passes until one changes nothing: the loop before its early stop, on
+    # exponent tuples, each element reduced by the reference division.
     elements = list(elements)
     while True:
-        elements.sort(key=lambda e: groebner._key(e[0]))
+        elements.sort(key=lambda e: _key(e[0]))
         changed = False
         for idx, e in enumerate(elements):
-            others = [o for k, o in enumerate(elements) if k != idx and o]
-            r = groebner._reduce_int(e[1], others)
+            others = [o[1] for k, o in enumerate(elements) if k != idx and o]
+            r = _reference_element(_reference_remainder(e[1], others))
             if r != e:
                 elements[idx] = r
                 changed = True
@@ -110,16 +177,24 @@ def interreduce_until_unchanged(elements):
             return elements
 
 
-int_dicts = st.dictionaries(
-    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool),
-    min_size=1, max_size=4)
+def _dicts(n, coefficients, max_size):
+    # Dicts on exponent tuples in n variables, exponents 0..2.
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), coefficients,
+                           min_size=1, max_size=max_size)
 
 
-@given(st.lists(int_dicts, min_size=1, max_size=5))
+# Numbers of variables of the engine's property tests.
+_NS = st.sampled_from([1, 3, 5])
+
+
+@given(_NS.flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    _dicts(n, st.integers(-3, 3).filter(bool), 4), min_size=1, max_size=5))))
 @settings(max_examples=100, deadline=None)
-def test_interreduce_stops_where_the_fixpoint_loop_does(dicts):
-    elements = [groebner._cleared(p) for p in dicts]
-    assert groebner._interreduce(elements) == interreduce_until_unchanged(elements)
+def test_interreduce_stops_where_the_fixpoint_loop_does(case):
+    n, dicts = case
+    got = groebner._interreduce(n, groebner._divisors(dicts))
+    assert [_unpacked(n, e) for e in got] == \
+        interreduce_until_unchanged([_reference_element(p) for p in dicts])
 
 
 def test_initial_ideal():
@@ -132,6 +207,7 @@ def test_normal_form_values():
     assert str(normal_form(parse_polynomial("x2^2", 2), gb)) == "x2^2"
     assert normal_form(parse_polynomial("x1^2*x2 + x2^3", 2), gb).is_zero()
     assert normal_form(parse_polynomial("x1*x2", 2), gb) == parse_polynomial("-x2^2", 2)
+    assert normal_form(Polynomial(2), gb).is_zero()
 
 
 def test_normal_form_is_linear():
@@ -153,6 +229,8 @@ def test_equal_ideals():
     assert equal_ideals(ideal(2, "x1", "x2"), ideal(2, "x1 + x2", "x2"))
     assert not equal_ideals(ideal(2, "x1"), ideal(2, "x1", "x2"))
     assert equal_ideals(ideal(2), ideal(2))
+    assert len(buchberger(ideal(2))) == 0
+    assert initial_ideal(ideal(2)) == MonomialIdeal.zero(2)
 
 
 def test_saturate_by_last_variable():
@@ -228,11 +306,19 @@ def test_gin_frozen_values():
 
 
 def test_gin_seed_independent():
-    base = ideal(3, "x1*x2 + x3^2", "x1*x3", "x2^3")
-    results = {gin(base, seed=s) for s in (1, 2, 97)}
-    assert len(results) == 1
-    ok, witness = is_strongly_stable(results.pop())
-    assert ok and witness is None
+    # The second ideal is in 16 variables, the engine's widest packing.
+    for base in (ideal(3, "x1*x2 + x3^2", "x1*x3", "x2^3"),
+                 ideal(16, "x1*x16 - x2*x15", "x3^2 + x8*x9 - x16^2")):
+        results = {gin(base, seed=s) for s in (1, 2, 97)}
+        assert len(results) == 1
+        result = results.pop()
+        ok, witness = is_strongly_stable(result)
+        assert ok and witness is None
+        # gin and the lead ideal of the reduced basis have R/I's Hilbert
+        # function.
+        lead = MonomialIdeal(base.n, buchberger(base).leading_monomials())
+        assert hilbert_function(result, (0, 6)) == \
+            hilbert_function(lead, (0, 6))
 
 
 def test_gin_accepts_monomial_ideal():
@@ -314,9 +400,9 @@ def counted_engine_runs(monkeypatch):
     runs = []
     real = groebner._groebner
 
-    def counting(gens, *args, **kwargs):
+    def counting(n, gens, *args, **kwargs):
         runs.append(len(gens))
-        return real(gens, *args, **kwargs)
+        return real(n, gens, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "_groebner", counting)
     return runs
@@ -449,9 +535,9 @@ def test_engine_routes_skip_polynomial_entry_points(monkeypatch):
     runs = []
     real = groebner._groebner
 
-    def counting(gens):
+    def counting(n, gens):
         runs.append(len(gens))
-        return real(gens)
+        return real(n, gens)
 
     monkeypatch.setattr(oracles, "_groebner", counting)
     base = ideal(3, "x1*x2 - x3^2", "x2^2")
@@ -553,17 +639,18 @@ def _engine_leads_agree(base, moved):
     # The full-pair engine (target None) is the oracle for both outputs of a
     # Hilbert-driven run: the reduced basis and the minimal one.
     target = _target_of(base)
-    full = _leads(groebner._groebner(moved))
-    assert _leads(groebner._groebner(moved, target)) == full
-    assert _leads(groebner._groebner(moved, target, minimal=True)) == full
+    full = _leads(groebner._groebner(base.n, moved))
+    assert _leads(groebner._groebner(base.n, moved, target)) == full
+    assert _leads(groebner._groebner(base.n, moved, target, minimal=True)) \
+        == full
 
 
 def full_pair_gin(monkeypatch):
     # gin with every Hilbert target dropped, so every pair is reduced.
     real = groebner._groebner
 
-    def full_pair(gens, target=None, minimal=False):
-        return real(gens, None, minimal)
+    def full_pair(n, gens, target=None, minimal=False):
+        return real(n, gens, None, minimal)
 
     monkeypatch.setattr(groebner, "_groebner", full_pair)
     monkeypatch.setattr(GinCache, "_memory", {})
@@ -648,7 +735,7 @@ def test_wrong_hilbert_target_is_refused(leads):
     target = groebner._HilbertTarget(6, leads)
     for minimal in (False, True):
         with pytest.raises(CertificationError):
-            groebner._groebner(moved, target, minimal=minimal)
+            groebner._groebner(6, moved, target, minimal=minimal)
 
 
 def test_gin_with_a_wrong_target_raises_and_stores_nothing(monkeypatch):
@@ -690,28 +777,34 @@ def _reference_remainder(p, divisors):
     return r
 
 
-_EXPONENTS = st.tuples(*[st.integers(0, 2)] * 3)
 _NONZERO = st.integers(-6, 6).filter(bool)
-_INT_DICTS = st.dictionaries(_EXPONENTS, _NONZERO, min_size=1, max_size=6)
-_RATIONAL_DICTS = st.dictionaries(
-    _EXPONENTS, st.fractions(-6, 6, max_denominator=4).filter(bool),
-    min_size=1, max_size=6)
+_RATIONAL = st.fractions(-6, 6, max_denominator=4).filter(bool)
 
 
-@given(_RATIONAL_DICTS, st.lists(_RATIONAL_DICTS, min_size=1, max_size=3))
+def _division_cases(coefficients):
+    # (n, p, divisors) with n = 1, 3 or 5.
+    return _NS.flatmap(lambda n: st.tuples(
+        st.just(n), _dicts(n, coefficients, 6),
+        st.lists(_dicts(n, coefficients, 6), min_size=1, max_size=3)))
+
+
+@given(_division_cases(_RATIONAL))
 @settings(max_examples=150, deadline=None)
-def test_divide_matches_max_reference(p, divisors):
-    assert groebner._divide(p, groebner._divisors(divisors)) == \
+def test_divide_matches_max_reference(case):
+    n, p, divisors = case
+    assert groebner._divide(n, p, groebner._divisors(divisors)) == \
         _reference_remainder(p, divisors)
 
 
-@given(_INT_DICTS, st.lists(_INT_DICTS, min_size=1, max_size=3))
+@given(_division_cases(_NONZERO))
 @settings(max_examples=150, deadline=None)
-def test_reduce_int_matches_max_reference(p, divisors):
+def test_reduce_int_matches_max_reference(case):
     # The engine's remainder is the reference remainder made integer
     # primitive with a positive lead.
+    n, p, divisors = case
     expected = _reference_remainder(p, divisors)
-    got = groebner._reduce_int(p, [groebner._cleared(b) for b in divisors])
+    got = _unpacked(n, groebner._reduce_int(
+        n, groebner._packed(p), groebner._divisors(divisors)))
     if not expected:
         assert got is None
         return
@@ -727,9 +820,9 @@ def test_depth_and_dim_runs_the_engine_once(monkeypatch):
     runs = []
     real = groebner._groebner
 
-    def counting(gens):
+    def counting(n, gens):
         runs.append(len(gens))
-        return real(gens)
+        return real(n, gens)
 
     monkeypatch.setattr(oracles, "_groebner", counting)
     assert depth_and_dim(ideal(3, "x1*x2 - x3^2", "x2^2")) == (1, 1)
