@@ -22,11 +22,7 @@ from .decide import (
 )
 from .errors import CapacityError, ParseError, SeqcmError
 from .groebner import GinCache, PolynomialIdeal, gin, initial_ideal
-from .monomial import (
-    MonomialIdeal,
-    hilbert_function,
-    local_cohomology_strongly_stable,
-)
+from .monomial import hilbert_function, local_cohomology_strongly_stable
 from .oracles import cech_local_cohomology, koszul_betti
 from .simplicial import (
     SimplicialComplex,
@@ -127,15 +123,6 @@ def _resolve_seed(args):
     return seed
 
 
-def _monomial_of(poly):
-    """Monomial ideal with the same Hilbert data: itself, or its initial ideal."""
-    if isinstance(poly, MonomialIdeal):
-        return poly
-    if poly.is_monomial():
-        return poly.as_monomial_ideal()
-    return initial_ideal(poly)
-
-
 def _cmd_gin(args):
     poly = _load(args.input, "ideal")
     seed = _resolve_seed(args)
@@ -150,7 +137,9 @@ def _cmd_gin(args):
 def _cmd_hilbert(args):
     poly = _load(args.input, "ideal")
     window = _parse_window(args.window) if args.window else (0, 10)
-    hf = hilbert_function(_monomial_of(poly), window)
+    # R/I and R/in(I) have the same Hilbert function.
+    hf = hilbert_function(poly.as_monomial_ideal() if poly.is_monomial()
+                          else initial_ideal(poly), window)
     payload = {"command": "hilbert", "window": list(window),
                "hilbert": hf.to_json()}
     tsv = "".join("%d\t%d\n" % (d, hf.values.get(d, 0))
@@ -179,15 +168,16 @@ def _cmd_localcoh(args):
     if args.route == "filtration":
         if isinstance(obj, SimplicialComplex):
             raise ParseError("filtration route expects an ideal file")
-        monomial = _monomial_of(obj)
-        table = local_cohomology_strongly_stable(monomial, window)
+        table = local_cohomology_strongly_stable(obj.as_monomial_ideal(),
+                                                 window)
     elif args.route == "cech":
         monomial = (stanley_reisner_ideal(obj)
-                    if isinstance(obj, SimplicialComplex) else _monomial_of(obj))
+                    if isinstance(obj, SimplicialComplex)
+                    else obj.as_monomial_ideal())
         table = cech_local_cohomology(monomial, window)
     else:  # enrico-style closed formula, always cross-checked against Cech
         cx = obj if isinstance(obj, SimplicialComplex) else complex_of(
-            _monomial_of(obj))
+            obj.as_monomial_ideal())
         dual = alexander_dual(cx)
         table = _face_ring_cohomology(dual, window)
         cech = cech_local_cohomology(dual_ideal(dual), table.window)
@@ -220,7 +210,7 @@ def _cmd_shift(args):
 def _cmd_seqcm(args):
     obj = _load(args.input)
     if not isinstance(obj, SimplicialComplex):
-        obj = complex_of(_monomial_of(obj))
+        obj = complex_of(obj.as_monomial_ideal())
     seed = _resolve_seed(args)
     verdict = is_sequentially_cm(obj, seed)
     payload = {"command": "seqcm", "seed": seed, "complex": obj.to_json(),

@@ -30,10 +30,6 @@ class NotHomogeneousError(SeqcmError):
     code = "not-homogeneous"
 
 
-class SingularMatrixError(SeqcmError):
-    code = "singular-matrix"
-
-
 class ParseError(SeqcmError):
     """Text input rejected; cites 1-based line and column."""
 

@@ -10,10 +10,14 @@ product is a sum, a divides b when b - a has no guard bit set, and a
 smaller int is a larger monomial.  DEGREE_CAP (CapacityError) bounds the
 input terms and the S-pair lcms, hence every term.  An element is (lead,
 terms), an integer-primitive {packed monomial: int} dict and its lead, set
-by `_primitive`.  `_groebner` returns elements on exponent tuples, and
-`_divide` such remainders, so gin, saturation and the Koszul oracle see
-tuples: generators have denominators cleared once, coordinate changes
-substitute integer rows into them, and leads are read off the elements.
+by `_primitive`.  The packed dict is the one form from the input to the
+leads: `_generators` packs each generator once, denominators cleared;
+`_substitute` applies the integer rows of a coordinate change to packed
+dicts, multiplying by x_j as adding a packed step; `_groebner` takes such
+dicts and returns elements; saturation lowers the x_n field; and `_divide`
+returns packed remainders.  Exponent tuples come back only for leads
+(`_leads`, read by gin, `initial_ideal`, the Hilbert target and the Koszul
+oracle) and for the Polynomials of the public entry points.
 
 The engine is Hilbert-driven when given a `_HilbertTarget`, the Hilbert
 series of the ideal it works on (Traverso, J. Symbolic Comput. 22, 1996).
@@ -39,9 +43,9 @@ next term instead of searching for it, and scales by lc/gcd(c, lc) while a
 running integer scale is kept.  Every engine run is certified: each input
 must reduce to zero against the output, its leads found anew, independent
 of the Buchberger bookkeeping.  `_divide`, the rational division behind
-`normal_form` and the Koszul oracle, also finds its divisors' leads
-(`_divisors`), and divides by the scale once at the end, so a zero
-remainder never builds a Fraction.  Fraction-coefficient Polynomials
+`normal_form` and the Koszul oracle, divides by the scale once at the end,
+so a zero remainder never builds a Fraction; `normal_form` finds its
+divisors' leads anew (`_divisors`).  Fraction-coefficient Polynomials
 appear only at the public entry points.
 
 Randomized operations (saturation by a generic coordinate change, gin) are
@@ -91,10 +95,10 @@ from .rings import (
     MAX_VARIABLES,
     Monomial,
     Polynomial,
-    RationalMatrix,
     _check_ambient,
     parse_polynomial,
-    substitute,
+    random_unipotent,
+    unipotent_inverse,
 )
 from .version import __version__
 
@@ -217,6 +221,10 @@ DEGREE_CAP = (1 << _W - 1) - 1
 _ONES = tuple(sum(1 << _W * i for i in range(n))
               for n in range(MAX_VARIABLES + 1))
 _GUARD = tuple(ones << _W - 1 for ones in _ONES)
+# _STEPS[n][j], added to a packed monomial in n variables, multiplies it by
+# x_j (0-based): field j up by one, and the degree with it.
+_STEPS = tuple(tuple((1 << _W * j) - (1 << _W * n) for j in range(n))
+               for n in range(MAX_VARIABLES + 1))
 
 
 def _pack(exps):
@@ -265,7 +273,8 @@ def _primitive(p, lead):
 
 
 def _terms(poly):
-    return {m.exponents: c for m, c in poly.terms()}
+    """The packed {monomial: coefficient} dict of a Polynomial."""
+    return {_pack(m.exponents): c for m, c in poly.terms()}
 
 
 def _scaled(p):
@@ -275,26 +284,48 @@ def _scaled(p):
     return mult, {e: c.numerator * (mult // c.denominator) for e, c in p.items()}
 
 
-def _packed(p):
-    return {_pack(e): c for e, c in p.items()}
-
-
-def _cleared(p):
-    """The element of a nonzero packed dict with int or Fraction
-    coefficients, denominators cleared."""
-    q = _scaled(p)[1]
-    return _primitive(q, min(q))
-
-
 def _generators(ideal):
-    """The generators of a PolynomialIdeal or MonomialIdeal as integer dicts."""
+    """The generators of a PolynomialIdeal or MonomialIdeal as packed
+    integer dicts, denominators cleared."""
     if isinstance(ideal, MonomialIdeal):
-        return [{g.exponents: 1} for g in ideal.gens]
+        return [{_pack(g.exponents): 1} for g in ideal.gens]
     return [_scaled(_terms(g))[1] for g in ideal.generators]
 
 
+def _substitute(n, p, rows):
+    """Image of the packed dict p under x_i -> sum_j rows[i][j] x_j, one
+    packed step per factor x_j; zero terms are dropped.
+
+    >>> x1, x2 = _pack((1, 0)), _pack((0, 1))
+    >>> image = _substitute(2, {x1 + x2: 1}, [[1, 1], [0, 1]])
+    >>> image == {x1 + x2: 1, x2 + x2: 1}   # x1*x2 -> x1*x2 + x2^2
+    True
+    """
+    forms = [[(step, a) for step, a in zip(_STEPS[n], row) if a]
+             for row in rows]
+    total = {}
+    for m, c in p.items():
+        piece = {0: c}  # the unit monomial packs to 0
+        for i, form in enumerate(forms):
+            for _ in range(m >> _W * i & _FIELD):
+                grown = {}
+                for t, v in piece.items():
+                    for step, a in form:
+                        grown[t + step] = grown.get(t + step, 0) + v * a
+                piece = grown
+        for t, v in piece.items():
+            total[t] = total.get(t, 0) + v
+    return {t: v for t, v in total.items() if v}
+
+
+def _leads(n, basis):
+    """The exponent tuples of the leads of engine elements."""
+    return [_unpack(n, lead) for lead, _ in basis]
+
+
 def _to_polynomial(n, p, lc=1):
-    return Polynomial(n, [(Monomial(e), Fraction(c, lc)) for e, c in p.items()])
+    return Polynomial(n, [(Monomial(_unpack(n, m)), Fraction(c, lc))
+                          for m, c in p.items()])
 
 
 def _polynomials(n, basis):
@@ -415,18 +446,20 @@ def _push_pairs(n, pairs, basis, t):
 
 
 def _divisors(basis):
-    """The exponent-tuple dicts of basis as packed elements, for `_divide`,
-    leads found anew; scaling a divisor leaves every remainder unchanged."""
-    return [_cleared(_packed(bp)) for bp in basis]
+    """Packed dicts with int or Fraction coefficients as elements, for
+    `_divide`: denominators cleared and leads found anew; scaling a divisor
+    leaves every remainder unchanged."""
+    return [_primitive(q, min(q)) for q in (_scaled(p)[1] for p in basis)]
 
 
 def _divide(n, p, divisors):
-    """Remainder of the exponent-tuple dict p on rational division by
-    `_divisors(basis)`, denominators cleared first, divided by the running
-    scale once at the end, so a zero remainder builds no Fraction."""
+    """Remainder of the packed dict p on rational division by engine
+    elements, as a packed dict with Fraction coefficients: denominators
+    cleared first, divided by the running scale once at the end, so a zero
+    remainder builds no Fraction."""
     mult, q = _scaled(p)
-    scale, r = _remainder(n, _packed(q), divisors, mult)
-    return {_unpack(n, m): Fraction(v, scale) for m, v in r.items()}
+    scale, r = _remainder(n, q, divisors, mult)
+    return {m: Fraction(v, scale) for m, v in r.items()}
 
 
 class _HilbertTarget:
@@ -453,8 +486,7 @@ def _next_degree(n, part, basis, d):
     """Degree-d monomials of the lead ideal of basis, from its degree d-1
     part: that part times the variables, and the leads of degree d."""
     out = {lead for lead, _ in basis if lead >> _W * n == -d}
-    steps = [(1 << _W * i) - (1 << _W * n) for i in range(n)]
-    out.update(m + s for m in part for s in steps)
+    out.update(m + s for m in part for s in _STEPS[n])
     return out
 
 
@@ -480,10 +512,9 @@ def _minimal(n, basis):
 
 
 def _groebner(n, gens, target=None, minimal=False):
-    """Degrevlex Groebner basis of a list of nonzero exponent-tuple dicts in
-    n variables with int or Fraction coefficients, as elements sorted by
-    increasing lead: the reduced basis, or with `minimal` a minimal one
-    (same leads, tails not reduced), on exponent tuples.
+    """Degrevlex Groebner basis of a list of nonzero packed integer dicts
+    in n variables, as elements sorted by increasing lead: the reduced
+    basis, or with `minimal` a minimal one (same leads, tails not reduced).
 
     Normal selection (smallest pair lcm in the order first, ties by pair
     index); a pair is dropped when its leading monomials are coprime or when
@@ -492,11 +523,10 @@ def _groebner(n, gens, target=None, minimal=False):
     the lead ideal has as many degree-d monomials as the target's ideal;
     more raises CertificationError, and so does a final lead ideal whose
     Hilbert series differs from the target's.  Every input is certified by
-    rational division to reduce to zero against the output.
+    division to reduce to zero against the output.
     """
     guard, shift = _GUARD[n], _W * n
-    gens = [_packed(p) for p in gens]  # for the run and its certification
-    basis = _interreduce(n, [_cleared(p) for p in gens])
+    basis = _interreduce(n, [_primitive(dict(p), min(p)) for p in gens])
     pairs = []
     for t in range(len(basis)):
         _push_pairs(n, pairs, basis, t)
@@ -531,18 +561,16 @@ def _groebner(n, gens, target=None, minimal=False):
                     part.add(r[0])
                     filled = _filled(part, target, degree)
     basis = _minimal(n, basis) if minimal else _interreduce(n, basis)
-    out = [(_unpack(n, lead), {_unpack(n, m): c for m, c in p.items()})
-           for lead, p in basis]
-    if target is not None and not target.matches([lead for lead, _ in out]):
+    if target is not None and not target.matches(_leads(n, basis)):
         raise CertificationError(
             "lead ideal's Hilbert series differs from its target's")
     divisors = [(min(p), p) for _, p in basis]  # leads found anew
     for p in gens:
-        if _remainder(n, _scaled(p)[1], divisors)[1]:
+        if _remainder(n, dict(p), divisors)[1]:
             raise CertificationError(
                 "generator with leading monomial %s does not reduce to zero "
                 "against its basis" % Monomial(_unpack(n, min(p))))
-    return out
+    return basis
 
 
 def buchberger(ideal):
@@ -569,7 +597,7 @@ def normal_form(f, basis):
 def initial_ideal(ideal):
     """Monomial ideal of leading terms, from the reduced Groebner basis."""
     basis = _groebner(ideal.n, _generators(ideal))
-    return MonomialIdeal(ideal.n, [lead for lead, _ in basis])
+    return MonomialIdeal(ideal.n, _leads(ideal.n, basis))
 
 
 def equal_ideals(a, b):
@@ -582,15 +610,16 @@ def equal_ideals(a, b):
 
 
 def _saturate_last(n, gens):
-    """(I : x_n^infinity) of integer dicts via the reverse-lex device: in a
-    reduced degrevlex basis of a homogeneous ideal, dividing each element by
-    its full power of x_n generates the saturation.  The result is the
-    reduced basis of that, as engine elements."""
+    """(I : x_n^infinity) of packed integer dicts via the reverse-lex
+    device: in a reduced degrevlex basis of a homogeneous ideal, dividing
+    each element by its full power of x_n, the least x_n field (field n-1)
+    of its terms, generates the saturation.  The result is the reduced
+    basis of that, as engine elements."""
+    shift, step = _W * (n - 1), _STEPS[n][n - 1]
     divided = []
     for _, p in _groebner(n, gens):
-        k = min(e[-1] for e in p)
-        divided.append({e[:-1] + (e[-1] - k,): c for e, c in p.items()}
-                       if k else p)
+        k = min(m >> shift & _FIELD for m in p)
+        divided.append({m - k * step: c for m, c in p.items()} if k else p)
     return _groebner(n, divided)
 
 
@@ -604,16 +633,6 @@ def _derive_seed(seed, k):
     return (int(seed) * 1000003 + 10007 * k + 17) % (1 << 64)
 
 
-def _integer_rows(matrix):
-    """Rows of c * matrix as ints, c the lcm of the entry denominators.
-
-    Substituting them scales a form of degree d by c^d, so the image of an
-    ideal of forms is the same as under the matrix itself.
-    """
-    c = lcm(*(a.denominator for row in matrix.rows for a in row))
-    return [[int(a * c) for a in row] for row in matrix.rows]
-
-
 def saturation(ideal, seed):
     """Full saturation with respect to the irrelevant maximal ideal.
 
@@ -624,17 +643,14 @@ def saturation(ideal, seed):
     """
     if ideal.is_zero():
         return ideal
-    gens = _generators(ideal)
+    n, gens = ideal.n, _generators(ideal)
     for t in range(GIN_RETRY_BUDGET):
         pair = []
         for k in (0, 1):
-            g = RationalMatrix.random_unipotent(
-                ideal.n, _derive_seed(seed, 2 * t + k))
-            rows = _integer_rows(g)
-            sat = _saturate_last(ideal.n, [substitute(p, rows) for p in gens])
-            back = _integer_rows(g.inverse())
-            pair.append(_groebner(
-                ideal.n, [substitute(p, back) for _, p in sat]))
+            rows = random_unipotent(n, _derive_seed(seed, 2 * t + k))
+            sat = _saturate_last(n, [_substitute(n, p, rows) for p in gens])
+            back = unipotent_inverse(rows)
+            pair.append(_groebner(n, [_substitute(n, p, back) for _, p in sat]))
         if pair[0] == pair[1]:
             return PolynomialIdeal(ideal.n, _polynomials(ideal.n, pair[0]))
     raise CertificationError(
@@ -668,22 +684,21 @@ def gin(ideal, seed, cache=None):
     hit = cache.get(ideal, seed)
     if hit is not None:
         return hit
-    gens = _generators(ideal)
+    n, gens = ideal.n, _generators(ideal)
     # HF(R/u.I) = HF(R/I): a monomial I is its own Hilbert target, and any
     # other I takes the lead ideal of its first full-pair run.
-    target = (_HilbertTarget(ideal.n, [next(iter(p)) for p in gens])
+    target = (_HilbertTarget(n, _leads(n, [(min(p), p) for p in gens]))
               if all(len(p) == 1 for p in gens) else None)
     for t in range(GIN_RETRY_BUDGET):
         candidates = []
         for k in (0, 1):
-            rows = _integer_rows(RationalMatrix.random_unipotent(
-                ideal.n, _derive_seed(seed, 2 * t + k)))
-            basis = _groebner(ideal.n, [substitute(p, rows) for p in gens],
+            rows = random_unipotent(n, _derive_seed(seed, 2 * t + k))
+            basis = _groebner(n, [_substitute(n, p, rows) for p in gens],
                               target, minimal=True)
-            leads = [lead for lead, _ in basis]
+            leads = _leads(n, basis)
             if target is None:
-                target = _HilbertTarget(ideal.n, leads)
-            candidates.append(MonomialIdeal(ideal.n, leads))
+                target = _HilbertTarget(n, leads)
+            candidates.append(MonomialIdeal(n, leads))
         if candidates[0] == candidates[1]:
             result = candidates[0]
             ok, witness = is_strongly_stable(result)

@@ -33,7 +33,7 @@ from .errors import (
     CapacityError,
     UndefinedInputError,
 )
-from .groebner import _divide, _divisors, _generators, _groebner
+from .groebner import _STEPS, _divide, _generators, _groebner, _leads, _pack
 from .linalg import rank
 from .monomial import (
     MonomialIdeal,
@@ -42,7 +42,6 @@ from .monomial import (
     krull_dimension,
     monomials_of_degree,
 )
-from .rings import Monomial
 from .tables import BettiTable, CohomologyTable, HilbertFunction
 
 KOSZUL_MAX_N = 10
@@ -127,25 +126,25 @@ def _koszul_monomial(ideal, bound):
     return entries
 
 
-def _koszul_general(n, elements, bound):
-    """Koszul homology of R/I from the engine elements of I's reduced basis."""
-    lead_ideal = MonomialIdeal(n, [lead for lead, _ in elements])
+def _koszul_general(n, elements, lead_ideal, bound):
+    """Koszul homology of R/I from the engine elements of I's reduced basis
+    and their lead ideal; monomials are packed, as in the engine."""
     if lead_ideal.is_unit():
         return {}
-    std = {d: [m.exponents for m in monomials_of_degree(n, d)
+    std = {d: [_pack(m.exponents) for m in monomials_of_degree(n, d)
                if not lead_ideal.contains(m)] for d in range(bound + 1)}
-    divisors = _divisors(p for _, p in elements)
+    standard = {m for monos in std.values() for m in monos}
     nf_cache = {}
 
     def reduced_coeffs(k, mono):
-        # normal form of x_(k+1) * mono, keyed by exponent tuple
+        # normal form of x_(k+1) * mono, of degree at most bound
         key = (k, mono)
         if key not in nf_cache:
-            shifted = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
-            if lead_ideal.contains(Monomial(shifted)):
-                nf_cache[key] = _divide(n, {shifted: 1}, divisors)
-            else:
+            shifted = mono + _STEPS[n][k]
+            if shifted in standard:
                 nf_cache[key] = {shifted: 1}
+            else:
+                nf_cache[key] = _divide(n, {shifted: 1}, elements)
         return nf_cache[key]
 
     subsets = _subsets_by_size(n)
@@ -225,13 +224,14 @@ def koszul_betti(ideal, bound=None):
 def _koszul(ideal, elements, bound):
     """The Koszul Betti table of R/I; elements is the engine's reduced basis
     of I, or None when I is a MonomialIdeal."""
-    leads = ([g.exponents for g in ideal.gens] if elements is None
-             else [lead for lead, _ in elements])
+    lead_ideal = (ideal if elements is None
+                  else MonomialIdeal(ideal.n, _leads(ideal.n, elements)))
     requested = bound
     if bound is None:
-        bound = sum(max(col) for col in zip(*leads)) + 2
+        bound = sum(max(col) for col in zip(*(
+            g.exponents for g in lead_ideal.gens))) + 2
     entries = (_koszul_monomial(ideal, bound) if elements is None
-               else _koszul_general(ideal.n, elements, bound))
+               else _koszul_general(ideal.n, elements, lead_ideal, bound))
     top = [j for (_, j) in entries]
     if top and max(top) > bound - 2:
         raise BoundTooSmallError(
@@ -253,7 +253,7 @@ def depth_and_dim(ideal):
         elements, lead = None, ideal
     else:
         elements = _groebner(ideal.n, _generators(ideal))
-        lead = MonomialIdeal(ideal.n, [lead for lead, _ in elements])
+        lead = MonomialIdeal(ideal.n, _leads(ideal.n, elements))
     if lead.is_unit():
         raise UndefinedInputError("depth of the zero ring")
     pd = _koszul(ideal, elements, None).projective_dimension()

@@ -1,4 +1,4 @@
-"""Monomials, polynomials, and linear coordinate changes over Q.
+"""Monomials, polynomials, and unipotent coordinate changes over Q.
 
 The ambient ring is always Q[x1, ..., xn] with the degree reverse
 lexicographic order induced by x1 > x2 > ... > xn; no other order and no
@@ -9,8 +9,11 @@ Canonical text form: terms in decreasing order, coefficients as integers or
 ``p/q``, e.g. ``3/2*x1^2*x3 - x2``.  The parser accepts exactly the same
 grammar (plus surrounding whitespace) and reports line/column on rejection.
 
-``substitute``, on plain ``{exponent tuple: coefficient}`` dictionaries, is
-the one substitution routine; ``apply_coordinate_change`` wraps it.
+The coordinate changes of gin and saturation are lower unitriangular
+integer matrices, kept as lists of int rows: ``random_unipotent`` draws one
+from a seed and ``unipotent_inverse`` inverts it over the integers.  They
+are substituted into the Groebner engine's packed dicts by
+``groebner._substitute``.
 
 >>> f = parse_polynomial("3/2*x1^2*x3 - x2", 3)
 >>> str(f)
@@ -22,8 +25,7 @@ the one substitution routine; ``apply_coordinate_change`` wraps it.
 from fractions import Fraction
 import random
 
-from . import linalg
-from .errors import AmbientMismatchError, ParseError, SingularMatrixError
+from .errors import AmbientMismatchError, ParseError
 
 MAX_VARIABLES = 16
 
@@ -460,107 +462,37 @@ def _parse_term(tok, n, sign):
 
 
 # ---------------------------------------------------------------------------
-# Coordinate changes.
+# Coordinate changes: lists of int rows, row i the image of x_i as
+# x_i -> sum_j rows[i][j] x_j.
 
-class RationalMatrix:
-    """Square matrix over Q acting on variables as x_i -> sum_j a_ij x_j."""
+def random_unipotent(n, seed):
+    """Rows of a lower unitriangular integer matrix,
+    x_i -> x_i + sum_{j<i} a_ij x_j with a_ij uniform in [-10^4, 10^4]:
+    determinant 1, integral inverse.
 
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix is not square")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def random_unipotent(cls, n, seed):
-        """Lower unitriangular integer matrix, x_i -> x_i + sum_{j<i} a_ij x_j
-        with a_ij uniform in [-10^4, 10^4]: determinant 1, integral inverse."""
-        rng = random.Random(seed)
-        return cls([
-            [rng.randint(-RANDOM_ENTRY_BOUND, RANDOM_ENTRY_BOUND) if j < i
+    >>> random_unipotent(2, 0)[0]
+    [1, 0]
+    """
+    rng = random.Random(seed)
+    return [[rng.randint(-RANDOM_ENTRY_BOUND, RANDOM_ENTRY_BOUND) if j < i
              else int(i == j) for j in range(n)]
-            for i in range(n)
-        ])
-
-    def det(self):
-        return linalg.det([list(r) for r in self.rows])
-
-    def is_invertible(self):
-        return self.det() != 0
-
-    def inverse(self):
-        try:
-            rows = linalg.invert([list(r) for r in self.rows])
-        except ValueError:
-            raise SingularMatrixError("matrix is singular") from None
-        return RationalMatrix(rows)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
-            return RationalMatrix(linalg.matmul(
-                [list(r) for r in self.rows], [list(r) for r in other.rows]))
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return "RationalMatrix(%r)" % ([list(map(str, r)) for r in self.rows],)
+            for i in range(n)]
 
 
-def apply_coordinate_change(f, matrix):
-    """Substitute x_i -> sum_j a_ij x_j in f.
+def unipotent_inverse(rows):
+    """The inverse of lower unitriangular integer rows, by forward
+    substitution: row i is e_i - sum_{k<i} rows[i][k] * inverse row k.
 
-    The matrix must be invertible, so the map is a ring automorphism and in
-    particular sends nonzero homogeneous forms to nonzero forms of the same
-    degree.
-
-    >>> f = parse_polynomial("x1*x2", 2)
-    >>> g = RationalMatrix([[1, 1], [0, 1]])
-    >>> str(apply_coordinate_change(f, g))
-    'x1*x2 + x2^2'
+    >>> unipotent_inverse([[1, 0, 0], [2, 1, 0], [3, 4, 1]])
+    [[1, 0, 0], [-2, 1, 0], [5, -4, 1]]
     """
-    if matrix.n != f.n:
-        raise AmbientMismatchError(
-            "matrix size %d does not match ambient %d" % (matrix.n, f.n)
-        )
-    if not matrix.is_invertible():
-        raise SingularMatrixError("coordinate change must be invertible")
-    image = substitute({m.exponents: c for m, c in f._coeffs.items()}, matrix.rows)
-    return Polynomial(f.n, [(Monomial(e), c) for e, c in image.items()])
-
-
-def substitute(p, rows):
-    """Image of p = {exponent tuple: coefficient} under x_i -> sum_j rows[i][j] x_j.
-
-    Coefficients and entries may be ints or Fractions; zero terms are dropped.
-
-    >>> substitute({(1, 1): 1}, [[1, 1], [0, 1]]) == {(1, 1): 1, (0, 2): 1}
-    True
-    """
-    total = {}
-    for exps, c in p.items():
-        piece = {(0,) * len(rows): c}
-        for i, e in enumerate(exps):
-            for _ in range(e):  # multiply by the linear form of row i
-                grown = {}
-                for m, v in piece.items():
-                    for j, a in enumerate(rows[i]):
-                        if a:
-                            t = m[:j] + (m[j] + 1,) + m[j + 1:]
-                            grown[t] = grown.get(t, 0) + v * a
-                piece = grown
-        for m, v in piece.items():
-            total[m] = total.get(m, 0) + v
-    return {m: v for m, v in total.items() if v}
+    n = len(rows)
+    inverse = []
+    for i, row in enumerate(rows):
+        out = [int(i == j) for j in range(n)]
+        for k in range(i):
+            if row[k]:
+                for j in range(k + 1):
+                    out[j] -= row[k] * inverse[k][j]
+        inverse.append(out)
+    return inverse

@@ -472,6 +472,52 @@ def test_seqcm_accepts_squarefree_ideal(capsys, tmp_path):
     assert json.loads(out)["verdict"]["value"] is False
 
 
+# A8, the two skew lines (x1, x2) and (x3, x4), moved by the unipotent
+# change x1 -> x1, x2 -> x1 + x2, x3 -> x2 + x3, x4 -> x1 + x3 + x4.
+A8_GENERATORS = ["x1*x3", "x1*x4", "x2*x3", "x2*x4"]
+MOVED_A8_GENERATORS = [
+    "x1*x2 + x1*x3", "x1^2 + x1*x3 + x1*x4",
+    "x1*x2 + x2^2 + x1*x3 + x2*x3",
+    "x1^2 + x1*x2 + x1*x3 + x2*x3 + x1*x4 + x2*x4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("localcoh", "--route", "cech"), ("localcoh", "--route", "filtration"),
+    ("localcoh", "--route", "enrico"), ("seqcm", "--seed", "7")],
+    ids=["cech", "filtration", "enrico", "seqcm"])
+def test_cohomology_commands_refuse_a_non_monomial_ideal(capsys, tmp_path,
+                                                        argv):
+    # Local cohomology is invariant under a linear change of coordinates,
+    # but R/in(g.I) is not R/g.I: the moved A8 has no answer here, where A8
+    # itself has H^1 = K in degree 0.
+    moved = write_json(tmp_path, "moved.json",
+                       {"n": 4, "generators": MOVED_A8_GENERATORS})
+    code, out, err = run(capsys, argv[0], moved, *argv[1:])
+    assert code == 2 and out == ""
+    assert "error[undefined-input]" in err
+    a8 = write_json(tmp_path, "a8.json", {"n": 4, "generators": A8_GENERATORS})
+    code, out, _ = run(capsys, argv[0], a8, *argv[1:])
+    if argv[-1] == "filtration":
+        assert code == 2  # A8 is not strongly stable
+    else:
+        assert code == 0
+    if argv[-1] == "cech":
+        assert json.loads(out)["table"]["h"]["1"] == [[0, 1]]
+
+
+def test_hilbert_of_a_non_monomial_ideal_reads_its_initial_ideal(capsys,
+                                                                 tmp_path):
+    # Hilbert functions do survive the change of coordinates and in(I).
+    outputs = []
+    for generators in (A8_GENERATORS, MOVED_A8_GENERATORS):
+        path = write_json(tmp_path, "ideal.json",
+                          {"n": 4, "generators": generators})
+        code, out, _ = run(capsys, "hilbert", path, "--format", "tsv")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_seqcm_has_no_tsv_form(capsys, hollow_complex):
     code, _, err = run(capsys, "seqcm", hollow_complex, "--seed", "11",
                        "--format", "tsv")

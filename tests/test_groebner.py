@@ -6,6 +6,7 @@ import json
 from math import gcd, lcm
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,17 +35,20 @@ from seqcm.groebner import (
     saturate_by_last_variable,
     saturation,
 )
-from seqcm.monomial import MonomialIdeal, hilbert_function, is_strongly_stable
+from seqcm.monomial import (
+    MonomialIdeal,
+    colon_saturate_variable,
+    hilbert_function,
+    is_strongly_stable,
+)
 from seqcm.oracles import depth_and_dim, koszul_betti
 from seqcm.rings import (
     MAX_VARIABLES,
     Monomial,
     Polynomial,
-    RationalMatrix,
-    apply_coordinate_change,
     degrevlex_key,
     parse_polynomial,
-    substitute,
+    random_unipotent,
 )
 from seqcm.simplicial import (
     SimplicialComplex,
@@ -151,12 +155,20 @@ def _reference_element(p):
     return lead, {m: c // g for m, c in ints.items()}
 
 
+def _packed(p):
+    # An exponent-tuple dict as the engine holds it.
+    return {groebner._pack(e): c for e, c in p.items()}
+
+
+def _unpacked_dict(n, p):
+    return {groebner._unpack(n, m): c for m, c in p.items()}
+
+
 def _unpacked(n, element):
     if element is None:
         return None
     lead, terms = element
-    return (groebner._unpack(n, lead),
-            {groebner._unpack(n, m): c for m, c in terms.items()})
+    return groebner._unpack(n, lead), _unpacked_dict(n, terms)
 
 
 def interreduce_until_unchanged(elements):
@@ -192,7 +204,7 @@ _NS = st.sampled_from([1, 3, 5])
 @settings(max_examples=100, deadline=None)
 def test_interreduce_stops_where_the_fixpoint_loop_does(case):
     n, dicts = case
-    got = groebner._interreduce(n, groebner._divisors(dicts))
+    got = groebner._interreduce(n, groebner._divisors(map(_packed, dicts)))
     assert [_unpacked(n, e) for e in got] == \
         interreduce_until_unchanged([_reference_element(p) for p in dicts])
 
@@ -231,6 +243,22 @@ def test_equal_ideals():
     assert equal_ideals(ideal(2), ideal(2))
     assert len(buchberger(ideal(2))) == 0
     assert initial_ideal(ideal(2)) == MonomialIdeal.zero(2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 16])
+def test_saturate_by_last_variable_matches_the_monomial_colon(n):
+    # The engine lowers the packed x_n field; the monomial route strips the
+    # last entry of exponent tuples.  x_n is in most generators.
+    rng = random.Random(n)
+    for _ in range(20):
+        monomials = [[rng.choice((0, 0, 1, 2)) for _ in range(n - 1)]
+                     + [rng.choice((0, 1, 1, 2, 3))]
+                     for _ in range(rng.randint(1, 6))]
+        base = MonomialIdeal(n, [e for e in monomials if any(e)])
+        if base.is_zero():
+            continue
+        assert saturate_by_last_variable(base).as_monomial_ideal() == \
+            colon_saturate_variable(base, n)
 
 
 def test_saturate_by_last_variable():
@@ -424,15 +452,16 @@ def test_cli_gin_cache_dir_serves_a_later_plain_gin(monkeypatch, tmp_path,
 def alternate_identity(monkeypatch):
     # Every other coordinate change is the identity, so the two derived
     # seeds of each attempt disagree and the whole retry budget is spent.
-    real = RationalMatrix.random_unipotent
+    real = groebner.random_unipotent
     draws = []
 
     def alternating(n, seed):
         draws.append(seed)
-        return RationalMatrix.identity(n) if len(draws) % 2 else real(n, seed)
+        if len(draws) % 2:
+            return [[int(i == j) for j in range(n)] for i in range(n)]
+        return real(n, seed)
 
-    monkeypatch.setattr(RationalMatrix, "random_unipotent",
-                        staticmethod(alternating))
+    monkeypatch.setattr(groebner, "random_unipotent", alternating)
 
 
 def test_gin_spends_the_retry_budget_then_raises(monkeypatch):
@@ -550,6 +579,33 @@ def test_engine_routes_skip_polynomial_entry_points(monkeypatch):
     assert runs == [2]
 
 
+def test_engine_routes_unpack_only_leads(monkeypatch):
+    # The packed dict is the one engine form: gin and the Koszul oracle
+    # unpack only leads, and saturation only the Polynomials it returns.
+    real = groebner._unpack
+    callers = []
+
+    def spy(n, m):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(n, m)
+
+    monkeypatch.setattr(groebner, "_unpack", spy)
+    monkeypatch.setattr(GinCache, "_memory", {})
+    base = ideal(3, "x1*x2 - x3^2", "x2^2")
+    leads = len(gin(base, seed=3).gens)
+    assert set(callers) == {"_leads"} and len(callers) >= 2 * leads
+    callers.clear()
+    koszul_betti(base)
+    assert set(callers) == {"_leads"}
+    callers.clear()
+    saturated = saturation(base, seed=3)
+    assert set(callers) == {"_to_polynomial"}
+    assert len(callers) == sum(len(g) for g in saturated.generators)
+
+
 def _basis_as_sets(polys):
     return {frozenset((m.exponents, c) for m, c in g.terms()) for g in polys}
 
@@ -614,7 +670,23 @@ def _dense_matrix(n, seed):
     while True:
         rows = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)]
         if det(rows) != 0:
-            return RationalMatrix(rows)
+            return rows
+
+
+def _dense_image(f, rows):
+    # f(x_i -> sum_j rows[i][j] x_j) as Polynomial products of the linear
+    # forms of the rows, apart from the engine's packed substitution.
+    n = f.n
+    forms = [Polynomial(n, [(Monomial.variable(j + 1, n), a)
+                            for j, a in enumerate(row)]) for row in rows]
+    image = Polynomial.zero(n)
+    for m, c in f.terms():
+        term = Polynomial.from_monomial(Monomial.one(n), c)
+        for form, e in zip(forms, m.exponents):
+            for _ in range(e):
+                term = term * form
+        image = image + term
+    return image
 
 
 # -- The Hilbert-driven engine against the full-pair engine ------------------
@@ -665,7 +737,7 @@ def test_gin_matches_dense_coordinate_change(base):
     # and must give the same initial ideal, with or without a Hilbert target.
     g = _dense_matrix(base.n, 101)
     moved = PolynomialIdeal(
-        base.n, [apply_coordinate_change(f, g) for f in base.generators])
+        base.n, [_dense_image(f, g) for f in base.generators])
     assert initial_ideal(moved) == gin(base, seed=7)
     _engine_leads_agree(base, groebner._generators(moved))
 
@@ -675,9 +747,9 @@ def test_gin_matches_dense_coordinate_change(base):
     + [_random_quadrics(seed) for seed in range(4)],
     ids=sorted(IDEALS) + ["random-%d" % seed for seed in range(4)])
 def test_hilbert_driven_gin_matches_full_pair(base, monkeypatch):
-    rows = groebner._integer_rows(RationalMatrix.random_unipotent(base.n, 7))
-    _engine_leads_agree(
-        base, [substitute(p, rows) for p in groebner._generators(base)])
+    rows = random_unipotent(base.n, 7)
+    _engine_leads_agree(base, [groebner._substitute(base.n, p, rows)
+                               for p in groebner._generators(base)])
     monkeypatch.setattr(GinCache, "_memory", {})
     driven = gin(base, seed=7)
     full_pair_gin(monkeypatch)
@@ -730,8 +802,9 @@ WRONG_TARGETS = [
                          ids=["smaller", "larger", "lex-segment"])
 def test_wrong_hilbert_target_is_refused(leads):
     base = _cycle_ideal(6)
-    rows = groebner._integer_rows(RationalMatrix.random_unipotent(6, 7))
-    moved = [substitute(p, rows) for p in groebner._generators(base)]
+    rows = random_unipotent(6, 7)
+    moved = [groebner._substitute(6, p, rows)
+             for p in groebner._generators(base)]
     target = groebner._HilbertTarget(6, leads)
     for minimal in (False, True):
         with pytest.raises(CertificationError):
@@ -792,8 +865,9 @@ def _division_cases(coefficients):
 @settings(max_examples=150, deadline=None)
 def test_divide_matches_max_reference(case):
     n, p, divisors = case
-    assert groebner._divide(n, p, groebner._divisors(divisors)) == \
-        _reference_remainder(p, divisors)
+    got = groebner._divide(n, _packed(p),
+                           groebner._divisors(map(_packed, divisors)))
+    assert _unpacked_dict(n, got) == _reference_remainder(p, divisors)
 
 
 @given(_division_cases(_NONZERO))
@@ -804,7 +878,7 @@ def test_reduce_int_matches_max_reference(case):
     n, p, divisors = case
     expected = _reference_remainder(p, divisors)
     got = _unpacked(n, groebner._reduce_int(
-        n, groebner._packed(p), groebner._divisors(divisors)))
+        n, _packed(p), groebner._divisors(map(_packed, divisors))))
     if not expected:
         assert got is None
         return

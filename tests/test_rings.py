@@ -1,21 +1,23 @@
 """Monomials, the degrevlex order, polynomial arithmetic, parsing, and
-coordinate changes."""
+coordinate changes, substituted into packed dicts by the Groebner engine."""
 
-from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqcm import groebner
 from seqcm.errors import AmbientMismatchError, ParseError
+from seqcm.linalg import det, matmul
 from seqcm.rings import (
+    RANDOM_ENTRY_BOUND,
     Monomial,
     Polynomial,
-    RationalMatrix,
-    apply_coordinate_change,
     compare,
     degrevlex_key,
     parse_polynomial,
-    substitute,
+    random_unipotent,
+    unipotent_inverse,
 )
 
 
@@ -148,66 +150,113 @@ def test_homogeneous_flag():
     assert Polynomial.zero(3).is_homogeneous()
 
 
+def _packed(f):
+    # A Polynomial as the engine holds it: {packed monomial: coefficient}.
+    return {groebner._pack(m.exponents): c for m, c in f.terms()}
+
+
+def _polynomial(n, p):
+    return Polynomial(n, [(Monomial(groebner._unpack(n, m)), c)
+                          for m, c in p.items()])
+
+
 def test_coordinate_change_known():
-    m = RationalMatrix([[1, 1], [0, 1]])
-    assert str(apply_coordinate_change(parse_polynomial("x1", 2), m)) == "x1 + x2"
-    assert str(apply_coordinate_change(parse_polynomial("x2", 2), m)) == "x2"
-    f = parse_polynomial("x1*x2", 2)
-    assert apply_coordinate_change(f, m) == parse_polynomial("x1*x2 + x2^2", 2)
+    rows = [[1, 1], [0, 1]]
+    for text, image in (("x1", "x1 + x2"), ("x2", "x2"),
+                        ("x1*x2", "x1*x2 + x2^2")):
+        moved = groebner._substitute(2, _packed(parse_polynomial(text, 2)), rows)
+        assert _polynomial(2, moved) == parse_polynomial(image, 2)
 
 
-@given(polys, st.integers(min_value=0, max_value=2 ** 32 - 1))
+_SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@given(polys, _SEEDS)
 @settings(max_examples=25, deadline=None)
 def test_coordinate_change_roundtrip(f, seed):
-    m = RationalMatrix.random_unipotent(3, seed)
-    g = apply_coordinate_change(apply_coordinate_change(f, m), m.inverse())
-    assert g == f
+    rows = random_unipotent(3, seed)
+    moved = groebner._substitute(3, _packed(f), rows)
+    assert groebner._substitute(3, moved, unipotent_inverse(rows)) == _packed(f)
 
 
-@given(polys, st.integers(min_value=0, max_value=2 ** 32 - 1), points)
-@settings(max_examples=25, deadline=None)
-def test_substitute_via_evaluation(f, seed, p):
+# Numbers of variables of the substitution tests: 16 fills the top field.
+_SUBSTITUTION_NS = (1, 3, 5, 16)
+
+
+def _dense_rows(n, seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def _small_polys(draw, n):
+    # One to four terms of degree at most 3, so dense rows in 16 variables
+    # stay small; each term is a multiset of variables, and the first holds
+    # x_n, the top packed field.
+    variables = st.lists(st.integers(0, n - 1), max_size=2)
+    terms = draw(st.lists(st.tuples(variables, coeffs.filter(bool)),
+                          min_size=1, max_size=4))
+    terms[0][0].append(n - 1)
+    return Polynomial(n, [(Monomial([v.count(i) for i in range(n)]), c)
+                          for v, c in terms])
+
+
+@given(st.sampled_from(_SUBSTITUTION_NS).flatmap(lambda n: st.tuples(
+    _small_polys(n), st.tuples(*(coeffs,) * n), st.booleans())), _SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_substitute_via_evaluation(case, seed):
     # (g.f)(p) = f(A p) for the substitution x_i -> sum_j a_ij x_j.
-    rows = RationalMatrix.random_unipotent(3, seed).rows
-    image = substitute({m.exponents: c for m, c in f.terms()}, rows)
-    moved = Polynomial(3, [(Monomial(e), c) for e, c in image.items()])
+    f, p, dense = case
+    n = f.n
+    rows = _dense_rows(n, seed) if dense else random_unipotent(n, seed)
+    moved = _polynomial(n, groebner._substitute(n, _packed(f), rows))
     ap = [sum(a * x for a, x in zip(row, p)) for row in rows]
     assert moved.evaluate(p) == f.evaluate(ap)
 
 
 def test_substitute_keeps_integers():
-    image = substitute({(2, 0): 3, (0, 1): -1}, [[1, 2], [0, 5]])
-    assert image == {(2, 0): 3, (1, 1): 12, (0, 2): 12, (0, 1): -5}
-    assert all(type(c) is int for c in image.values())
+    p = {groebner._pack((2, 0)): 3, groebner._pack((0, 1)): -1}
+    image = groebner._substitute(2, p, [[1, 2], [0, 5]])
+    assert _polynomial(2, image) == parse_polynomial(
+        "3*x1^2 + 12*x1*x2 + 12*x2^2 - 5*x2", 2)
+    for n in _SUBSTITUTION_NS:
+        f = parse_polynomial("2*x%d^2 - 3*x1*x%d" % (n, n), n)
+        point = list(range(2, n + 2))
+        for rows in (random_unipotent(n, n), _dense_rows(n, n)):
+            image = groebner._substitute(
+                n, {m: int(c) for m, c in _packed(f).items()}, rows)
+            assert image and all(type(c) is int for c in image.values())
+            ap = [sum(a * x for a, x in zip(row, point)) for row in rows]
+            assert _polynomial(n, image).evaluate(point) == f.evaluate(ap)
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=25)
-def test_random_invertible(seed):
-    m = RationalMatrix.random_unipotent(4, seed)
-    assert m.det() != 0
-    assert m * m.inverse() == RationalMatrix.identity(4)
-
-
-@given(st.integers(min_value=1, max_value=6),
-       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@given(st.integers(min_value=1, max_value=6), _SEEDS)
 @settings(max_examples=25)
 def test_random_unipotent(n, seed):
-    # x_i -> x_i + sum_{j<i} a_ij x_j: determinant 1 and an integral inverse.
-    m = RationalMatrix.random_unipotent(n, seed)
-    assert all(m.rows[i][j] == int(i == j)
+    # x_i -> x_i + sum_{j<i} a_ij x_j: int rows, determinant 1.
+    rows = random_unipotent(n, seed)
+    assert all(rows[i][j] == int(i == j)
                for i in range(n) for j in range(i, n))
-    assert m.det() == 1
-    assert all(a.denominator == 1 for row in m.inverse().rows for a in row)
-    assert m == RationalMatrix.random_unipotent(n, seed)
+    assert all(type(a) is int and abs(a) <= RANDOM_ENTRY_BOUND
+               for row in rows for a in row)
+    assert det(rows) == 1
+    assert rows == random_unipotent(n, seed)
 
 
-def test_matrix_ops():
-    a = RationalMatrix([[1, 2], [3, 4]])
-    assert a.det() == -2
-    assert a.is_invertible()
-    assert a.inverse() == RationalMatrix(
-        [[Fraction(-2), Fraction(1)], [Fraction(3, 2), Fraction(-1, 2)]])
-    b = RationalMatrix([[1, 1], [1, 1]])
-    assert b.det() == 0
-    assert not b.is_invertible()
+def test_random_unipotent_draws_are_pinned():
+    # The draws behind every seeded gin and saturation digest.
+    assert random_unipotent(3, 7) == [[1, 0, 0], [611, 1, 0], [-5057, 2937, 1]]
+    assert random_unipotent(4, 0) == [
+        [1, 0, 0, 0], [2623, 1, 0, 0], [3781, -8674, 1, 0],
+        [-1516, 6753, 5922, 1]]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_unipotent_inverse_is_integral_and_exact(n):
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for seed in range(3):
+        rows = random_unipotent(n, seed)
+        inverse = unipotent_inverse(rows)
+        assert all(type(a) is int for row in inverse for a in row)
+        assert matmul(rows, inverse) == identity
+        assert matmul(inverse, rows) == identity
