@@ -2,9 +2,17 @@
 
 Everything here is deterministic and exact.  Ranks come from fraction-free
 elimination on sparse rows: each row, cleared of denominators, is reduced
-against the stored pivot row of its lowest column.  Determinants go through
-Bareiss elimination on integer rows, inverses through Gauss-Jordan on
-Fractions.  No floating point anywhere; rank decisions are never numerical.
+against the stored pivot row of its lowest column, and the pivot columns
+are returned.  Determinants go through Bareiss elimination on integer rows,
+inverses through Gauss-Jordan on Fractions.  No floating point anywhere;
+rank decisions are never numerical.
+
+Chain complexes use the pivots for clearing (Chen-Kerber's twist).  With
+rows indexed by the basis of C_k, a pivot sigma of d_(k+1) is the lowest
+column of a reduced row r in im d_(k+1); d_k(r) = 0 makes row sigma of d_k
+a combination of the rows after it, so by downward induction the rows that
+are not pivots of d_(k+1) have the rank of d_k.  The rows left out are ones
+that would reduce to zero.  Cochain maps clear d^i by the pivots of d^(i-1).
 """
 
 from fractions import Fraction
@@ -24,9 +32,16 @@ def _int_rows(matrix):
 
 def rank(matrix):
     """Exact rank of a matrix whose rows are sequences or {column: value}
-    dicts of int or Fraction entries.  A +-1 pivot takes a plain subtract-
-    multiple step, any other a cross-multiply step and a gcd division."""
-    pivots = {}
+    dicts of int or Fraction entries."""
+    return len(pivots(matrix))
+
+
+def pivots(matrix):
+    """The pivot columns of a matrix given as for rank: the lowest columns
+    of its rows after reduction, one per unit of rank.  A +-1 pivot takes a
+    plain subtract-multiple step, any other a cross-multiply step and a gcd
+    division."""
+    pivot_rows = {}
     for row in matrix:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         row = {c: x for c, x in items if x}
@@ -36,9 +51,9 @@ def rank(matrix):
                    for c, x in row.items()}
         while row:
             col = min(row)
-            piv = pivots.get(col)
+            piv = pivot_rows.get(col)
             if piv is None:
-                pivots[col] = row
+                pivot_rows[col] = row
                 break
             a, p = row[col], piv[col]
             cross = p not in (1, -1)
@@ -56,7 +71,7 @@ def rank(matrix):
                 g = gcd(*row.values())
                 if g > 1:
                     row = {c: x // g for c, x in row.items()}
-    return len(pivots)
+    return set(pivot_rows)
 
 
 def det(matrix):

@@ -20,6 +20,10 @@ over the submasks of the free variables, one OR each, and a pattern whose
 neg alone is not covered has no spots.  Over all patterns the pass takes
 prod_k (1 + 2 rho_k) steps (3^n for a squarefree ideal), known before any
 work and bounded by CECH_MAX_WORK.
+
+Every complex is reduced with clearing (see linalg): Koszul maps from d_n
+down, Cech maps from d^0 up, each without the rows that are pivots of the
+map before it.
 """
 
 from fractions import Fraction
@@ -34,7 +38,7 @@ from .errors import (
     UndefinedInputError,
 )
 from .groebner import _STEPS, _divide, _generators, _groebner, _leads, _pack
-from .linalg import rank
+from .linalg import pivots
 from .monomial import (
     MonomialIdeal,
     _binomial_in_minus_d,
@@ -49,8 +53,9 @@ KOSZUL_MAX_N = 10
 # 10); the general route enumerates every degree up to the bound.
 KOSZUL_MAX_BOUND = 32
 # Steps of the Cech spot pass, prod(1 + 2 rho_k).  On a 2-CPU host one took
-# 10-17 us when every pattern feeds rank (one generator of full support) and
-# 0.1 us on the 12-cycle's face ideal (3^12 steps, 0.05 s), where most exit.
+# 4.6-6.1 us when every pattern feeds elimination (one generator of full
+# support in 10-12 variables) and 0.1 us on the 12-cycle's face ideal (3^12
+# steps, 0.04-0.09 s), where most exit.
 CECH_MAX_WORK = 10 ** 6
 
 
@@ -103,11 +108,16 @@ def _koszul_monomial(ideal, bound):
             continue
         spots = _koszul_spots(gen_exps, a, subsets)
         ranks = [0] * (n + 2)
-        for i in range(1, n + 1):
+        cleared = ()
+        for i in range(n, 0, -1):
+            # spot sizes are contiguous, so maps are skipped only around
+            # those with rows
             if not spots[i] or not spots[i - 1]:
                 continue
             rows = []
-            for mask in spots[i]:
+            for mask, idx in spots[i].items():
+                if idx in cleared:
+                    continue
                 row = {}
                 sign = 1
                 for k in range(n):
@@ -117,7 +127,8 @@ def _koszul_monomial(ideal, bound):
                             row[spots[i - 1][sub]] = sign
                         sign = -sign
                 rows.append(row)
-            ranks[i] = rank(rows)
+            cleared = pivots(rows)
+            ranks[i] = len(cleared)
         j = sum(a)
         for i in range(n + 1):
             h = len(spots[i]) - ranks[i] - ranks[i + 1]
@@ -154,17 +165,14 @@ def _koszul_general(n, elements, lead_ideal, bound):
             return []
         return [(mask, m) for mask in subsets[i] for m in std[j - i]]
 
-    entries = {}
-    rank_cache = {}
-
-    def boundary_rank(i, j):
-        # rank of d_i : C_i -> C_{i-1} in total degree j
-        if (i, j) in rank_cache:
-            return rank_cache[(i, j)]
-        cols = basis(i, j)
+    def boundary_pivots(i, j, cleared):
+        # pivots of d_i : C_i -> C_{i-1} in total degree j, without the
+        # rows indexed by cleared
         target = {key: idx for idx, key in enumerate(basis(i - 1, j))}
         rows = []
-        for mask, m in cols:
+        for pos, (mask, m) in enumerate(basis(i, j)):
+            if pos in cleared:
+                continue
             row = {}
             sign = 1
             for k in range(n):
@@ -175,16 +183,17 @@ def _koszul_general(n, elements, lead_ideal, bound):
                         row[idx] = row.get(idx, 0) + sign * c
                     sign = -sign
             rows.append(row)
-        r = rank(rows) if rows and target else 0
-        rank_cache[(i, j)] = r
-        return r
+        return pivots(rows)
 
+    entries = {}
     for j in range(bound + 1):
+        ranks = [0] * (n + 2)
+        cleared = ()
+        for i in range(n, 0, -1):
+            cleared = boundary_pivots(i, j, cleared)
+            ranks[i] = len(cleared)
         for i in range(n + 1):
-            dim_ij = len(basis(i, j))
-            if not dim_ij:
-                continue
-            h = dim_ij - boundary_rank(i, j) - boundary_rank(i + 1, j)
+            h = len(basis(i, j)) - ranks[i] - ranks[i + 1]
             if h:
                 entries[(i, j)] = h
     return entries
@@ -298,12 +307,16 @@ def _cech_piece(n, gen_exps, a, blocks):
     """Cohomology dims (by spot size) of the degree-a piece of the Cech complex."""
     spots = _cech_spots(n, gen_exps, a, blocks)
     ranks = [0] * (n + 2)
+    cleared = ()
     for i in range(n):
-        # d^i : spots of size i -> size i+1
+        # d^i : spots of size i -> size i+1, less the pivots of d^(i-1); spot
+        # sizes are contiguous, so maps are skipped only around those with rows
         if not spots[i] or not spots[i + 1]:
             continue
         rows = []
-        for mask in spots[i]:
+        for mask, idx in spots[i].items():
+            if idx in cleared:
+                continue
             row = {}
             for j in range(n):
                 if mask >> j & 1:
@@ -313,7 +326,8 @@ def _cech_piece(n, gen_exps, a, blocks):
                     below = bin(mask & ((1 << j) - 1)).count("1")
                     row[spots[i + 1][up]] = -1 if below % 2 else 1
             rows.append(row)
-        ranks[i + 1] = rank(rows)
+        cleared = pivots(rows)
+        ranks[i + 1] = len(cleared)
     dims = {}
     for i in range(n + 1):
         h = len(spots[i]) - ranks[i + 1] - ranks[i]

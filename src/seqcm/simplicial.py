@@ -30,7 +30,7 @@ from .errors import (
     ShiftedViolationError,
 )
 from .groebner import gin
-from .linalg import invert, rank
+from .linalg import invert, pivots
 from .monomial import (
     MonomialIdeal,
     _binomial_in_minus_d,
@@ -226,7 +226,8 @@ def _mask_homology(maximal):
     into the vertices come from the 1-skeleton: 1 if there is a vertex, and
     the vertex count minus the components, merged from maximal masks that
     meet.  Higher faces are submasks, with boundary rows as dicts over the
-    indices of the faces one smaller."""
+    indices of the faces one smaller; the maps run from the top down, and a
+    face that is a pivot of the map above is cleared (see linalg)."""
     if not maximal or reduce(int.__and__, maximal):
         return {}
     faces, components = {0}, []
@@ -244,17 +245,21 @@ def _mask_homology(maximal):
     top = max(by_card)
     vertices = len(by_card.get(1, ()))
     ranks = {1: min(vertices, 1), 2: vertices - len(components)}
-    for k in range(3, top + 1):
+    cleared = ()
+    for k in range(top, 2, -1):
         lower = {f: i for i, f in enumerate(by_card[k - 1])}
         rows = []
-        for f in by_card[k]:
+        for i, f in enumerate(by_card[k]):
+            if i in cleared:
+                continue
             row, sign, rest = {}, 1, f
             while rest:
                 bit = rest & -rest
                 row[lower[f ^ bit]] = sign
                 sign, rest = -sign, rest ^ bit
             rows.append(row)
-        ranks[k] = rank(rows)
+        cleared = pivots(rows)
+        ranks[k] = len(cleared)
     out = {}
     for k in range(top + 1):
         h = len(by_card[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -1,12 +1,14 @@
-"""Exact rational rank, determinant, and inverse."""
+"""Exact rational rank, pivots, determinant, and inverse, and clearing in
+chain complexes."""
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm.linalg import det, invert, matmul, rank
+from seqcm.linalg import det, invert, matmul, pivots, rank
 
 
 def cofactor_det(m):
@@ -51,19 +53,25 @@ def test_rank_bounds(m):
 
 
 def dense_rank(matrix):
-    # Reference: fraction-free elimination on dense rows, column by column.
+    return len(dense_pivots(matrix))
+
+
+def dense_pivots(matrix):
+    # Reference: fraction-free elimination on dense rows, column by column;
+    # the columns where a pivot is found.
     m = []
     for row in matrix:
         mult = lcm(*(Fraction(x).denominator for x in row))
         m.append([int(Fraction(x) * mult) for x in row])
     if not m or not m[0]:
-        return 0
+        return []
     nrows, ncols = len(m), len(m[0])
-    r = 0
+    r, cols = 0, []
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
+        cols.append(col)
         m[r], m[piv] = m[piv], m[r]
         p = m[r][col]
         for i in range(r + 1, nrows):
@@ -75,7 +83,7 @@ def dense_rank(matrix):
         r += 1
         if r == nrows:
             break
-    return r
+    return cols
 
 
 @st.composite
@@ -93,9 +101,94 @@ def rectangular(draw):
 def test_sparse_rank_matches_dense_reference(m):
     expected = dense_rank(m)
     assert rank(m) == expected
+    # The lowest columns of an echelon basis depend on the row space alone.
+    assert pivots(m) == set(dense_pivots(m))
     assert rank([{c: x for c, x in enumerate(row) if x} for row in m]) == expected
     assert rank([dict(enumerate(row)) for row in m]) == expected
     assert rank([list(col) for col in zip(*m)]) == (expected if m else 0)
+
+
+def boundary_matrices(facets):
+    # Dense boundary matrices of the complex with these facet masks, the
+    # maps into the vertices and the empty face included: by_card[k] lists
+    # the faces of k vertices, and maps[k] has a row per face of by_card[k]
+    # and a column per face of by_card[k - 1].
+    faces = {0}
+    for m in facets:
+        sub = m
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m
+    by_card = {}
+    for f in sorted(faces):
+        by_card.setdefault(f.bit_count(), []).append(f)
+    maps = {}
+    for k in range(1, max(by_card) + 1):
+        lower = {f: i for i, f in enumerate(by_card[k - 1])}
+        rows = []
+        for f in by_card[k]:
+            row, sign, rest = [0] * len(lower), 1, f
+            while rest:
+                bit = rest & -rest
+                row[lower[f ^ bit]] = sign
+                sign, rest = -sign, rest ^ bit
+            rows.append(row)
+        maps[k] = rows
+    return maps
+
+
+def test_clearing_keeps_boundary_ranks_of_seeded_complexes():
+    # Every map from the top down, without the rows that are pivots of the
+    # map above, has the dense rank of the whole map.
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        facets = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+        maps = boundary_matrices(facets)
+        cleared = set()
+        for k in sorted(maps, reverse=True):
+            cleared = pivots([row for i, row in enumerate(maps[k])
+                              if i not in cleared])
+            assert len(cleared) == dense_rank(maps[k]), (facets, k)
+
+
+@st.composite
+def chain_pair(draw):
+    # Integer matrices a (rows of d_(k+1)) and b (rows of d_k) with a.b = 0:
+    # a = [x | 0].q and b = q^-1.[0 ; y], for a unimodular q built from
+    # random elementary row operations together with its inverse.
+    m = draw(st.integers(0, 6))
+    s = draw(st.integers(0, m))
+    q_rows, p = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    small = st.integers(-2, 2)
+    x = [[draw(small) for _ in range(s)] for _ in range(q_rows)]
+    y = [[draw(small) for _ in range(p)] for _ in range(m - s)]
+    q = [[int(i == j) for j in range(m)] for i in range(m)]
+    q_inv = [row[:] for row in q]
+    for _ in range(draw(st.integers(0, 12)) if m > 1 else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(st.integers(-2, 2))
+        if i == j or not c:
+            continue
+        # row_i += c row_j on q; column_j -= c column_i on its inverse
+        q[i] = [u + c * v for u, v in zip(q[i], q[j])]
+        for row in q_inv:
+            row[j] -= c * row[i]
+    a = [[sum(row[t] * q[t][col] for t in range(s)) for col in range(m)]
+         for row in x]
+    b = [[sum(q_inv[r][s + t] * y[t][col] for t in range(m - s))
+          for col in range(p)] for r in range(m)]
+    return a, b
+
+
+@given(chain_pair())
+@settings(max_examples=200)
+def test_clearing_keeps_the_rank_of_any_composable_pair(pair):
+    a, b = pair
+    assert all(not any(v) for v in matmul(a, b))
+    cleared = pivots(a)
+    assert rank([row for i, row in enumerate(b) if i not in cleared]) \
+        == dense_rank(b)
 
 
 def test_rank_examples():
@@ -105,6 +198,8 @@ def test_rank_examples():
     assert rank([[1, 2], [3, 4]]) == 2
     assert rank([[1, 0, 1], [0, 1, 1]]) == 2
     assert rank([[Fraction(1, 2)], [Fraction(1, 3)]]) == 1
+    assert pivots([[0, 2, 1], [0, 4, 0], [0, 0, 0]]) == {1, 2}
+    assert pivots([{3: 1}, {1: -1, 3: 2}]) == {1, 3}
 
 
 def test_rank_rectangular():

@@ -3,22 +3,38 @@ and Cech local cohomology."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcm import oracles
 from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
-from seqcm.corpus import IDEALS, corpus_ideal
-from seqcm.groebner import PolynomialIdeal, gin
+from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
+from seqcm.groebner import (
+    _STEPS,
+    PolynomialIdeal,
+    _divide,
+    _generators,
+    _groebner,
+    _leads,
+    _pack,
+    gin,
+)
+from seqcm.linalg import rank
 from seqcm.monomial import (
     MonomialIdeal,
     hilbert_function,
     local_cohomology_strongly_stable,
+    monomials_of_degree,
 )
 from seqcm.oracles import (
     CECH_MAX_WORK,
+    _cech_blocks,
+    _cech_piece,
     _cech_spots,
+    _koszul_general,
+    _koszul_monomial,
     _koszul_spots,
     _subsets_by_size,
     brute_cech_window,
@@ -220,7 +236,6 @@ def _random_complex(seed, n):
                                  for _ in range(2 * n)])
 
 
-@pytest.mark.ladder
 @pytest.mark.parametrize("cx", [_cycle(10), _cycle(11), _cycle(12),
                                 _random_complex(1, 10)],
                          ids=["cycle-10", "cycle-11", "cycle-12", "random-10"])
@@ -310,3 +325,167 @@ def test_spot_masks_match_the_membership_predicates():
                 exits += 1
                 assert not any(spots)
     assert exits > 50
+
+
+# The three chain-complex sites without clearing: every boundary map through
+# rank with all of its rows.
+
+
+def all_rows_koszul_monomial(ideal, bound):
+    n = ideal.n
+    gen_exps = [g.exponents for g in ideal.gens]
+    lcm_exps = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+    entries = {}
+    subsets = _subsets_by_size(n)
+    for a in product(*(range(e + 1) for e in lcm_exps)):
+        if sum(a) > bound:
+            continue
+        spots = _koszul_spots(gen_exps, a, subsets)
+        ranks = [0] * (n + 2)
+        for i in range(1, n + 1):
+            rows = []
+            for mask in spots[i]:
+                row, sign = {}, 1
+                for k in range(n):
+                    if mask >> k & 1:
+                        sub = mask ^ (1 << k)
+                        if sub in spots[i - 1]:
+                            row[spots[i - 1][sub]] = sign
+                        sign = -sign
+                rows.append(row)
+            ranks[i] = rank(rows)
+        for i in range(n + 1):
+            h = len(spots[i]) - ranks[i] - ranks[i + 1]
+            if h:
+                entries[(i, sum(a))] = entries.get((i, sum(a)), 0) + h
+    return entries
+
+
+def all_rows_koszul_general(n, elements, lead_ideal, bound):
+    if lead_ideal.is_unit():
+        return {}
+    std = {d: [_pack(m.exponents) for m in monomials_of_degree(n, d)
+               if not lead_ideal.contains(m)] for d in range(bound + 1)}
+    subsets = _subsets_by_size(n)
+
+    def basis(i, j):
+        if i < 0 or i > n or j - i < 0 or j - i > bound:
+            return []
+        return [(mask, m) for mask in subsets[i] for m in std[j - i]]
+
+    def boundary_rank(i, j):
+        target = {key: idx for idx, key in enumerate(basis(i - 1, j))}
+        rows = []
+        for mask, m in basis(i, j):
+            row, sign = {}, 1
+            for k in range(n):
+                if mask >> k & 1:
+                    sub = mask ^ (1 << k)
+                    nf = _divide(n, {m + _STEPS[n][k]: 1}, elements)
+                    for mono, c in nf.items():
+                        idx = target[(sub, mono)]
+                        row[idx] = row.get(idx, 0) + sign * c
+                    sign = -sign
+            rows.append(row)
+        return rank(rows)
+
+    entries = {}
+    for j in range(bound + 1):
+        for i in range(n + 1):
+            h = (len(basis(i, j)) - boundary_rank(i, j)
+                 - boundary_rank(i + 1, j))
+            if h:
+                entries[(i, j)] = h
+    return entries
+
+
+def all_rows_cech_piece(n, gen_exps, a, blocks):
+    spots = _cech_spots(n, gen_exps, a, blocks)
+    ranks = [0] * (n + 2)
+    for i in range(n):
+        rows = []
+        for mask in spots[i]:
+            row = {}
+            for j in range(n):
+                up = mask | (1 << j)
+                if not mask >> j & 1 and up in spots[i + 1]:
+                    below = bin(mask & ((1 << j) - 1)).count("1")
+                    row[spots[i + 1][up]] = -1 if below % 2 else 1
+            rows.append(row)
+        ranks[i + 1] = rank(rows)
+    dims = {}
+    for i in range(n + 1):
+        h = len(spots[i]) - ranks[i + 1] - ranks[i]
+        if h:
+            dims[i] = h
+    return dims
+
+
+def clearing_ideals():
+    # Corpus ideals and their gins, the face ideals of the corpus complexes,
+    # seeded monomial and binomial ideals, and the edge inputs: the face
+    # ideals of the irrelevant and the void complex, unit and zero ideals,
+    # and one variable.
+    out = []
+    for name in sorted(IDEALS):
+        out += [corpus_ideal(name), gin(corpus_ideal(name), 7)]
+    out += [stanley_reisner_ideal(corpus_complex(name))
+            for name in sorted(COMPLEXES)]
+    out += [stanley_reisner_ideal(edge(n)) for n in (1, 3)
+            for edge in (SimplicialComplex.irrelevant, SimplicialComplex.void)]
+    out += [MonomialIdeal.unit(n) for n in (1, 3)]
+    out += [MonomialIdeal.zero(n) for n in (1, 3)]
+    out += [PolynomialIdeal.from_strings(1, ["x1^3"]),
+            PolynomialIdeal.from_strings(3, []),
+            PolynomialIdeal.from_strings(2, ["1"]),
+            PolynomialIdeal.from_strings(2, ["x1 - x2", "x2"]),
+            MonomialIdeal(1, [(2,)]),
+            # its Cech piece in degree (0, 0, 0, 1, 1) loses rank if the row
+            # after each pivot is cleared instead of the pivot's own
+            MonomialIdeal(5, [(1, 1, 0, 0, 0), (0, 1, 2, 1, 1),
+                              (1, 0, 2, 2, 2)])]
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(0, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 5))]
+        out.append(MonomialIdeal(n, [g for g in gens if sum(g)]))
+    for _ in range(4):
+        n = rng.randint(2, 3)
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            a, b = (rng.sample(range(1, n + 1), 2), rng.sample(range(1, n + 1), 2))
+            gens.append("x%d*x%d - %d*x%d*x%d" % (a[0], a[1], rng.randint(2, 3),
+                                                 b[0], b[1]))
+        out.append(PolynomialIdeal.from_strings(n, gens))
+    return out
+
+
+def test_cleared_sites_match_the_all_rows_references():
+    rng = random.Random(13)
+    general = 0
+    for ideal in clearing_ideals():
+        n = ideal.n
+        if isinstance(ideal, MonomialIdeal):
+            gen_exps = [g.exponents for g in ideal.gens]
+            rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+            bound = sum(rho) + 2
+            assert (_koszul_monomial(ideal, bound)
+                    == all_rows_koszul_monomial(ideal, bound)), ideal
+            blocks = _cech_blocks(n, gen_exps)
+            degrees = list(product(*(range(-1, r) for r in rho)))
+            degrees += [tuple(rng.randint(-2, 3) for _ in range(n))
+                        for _ in range(10)]
+            for a in degrees:
+                assert (_cech_piece(n, gen_exps, a, blocks)
+                        == all_rows_cech_piece(n, gen_exps, a, blocks)), \
+                    (ideal, a)
+        else:
+            elements = _groebner(n, _generators(ideal))
+            lead = MonomialIdeal(n, _leads(n, elements))
+            general += not lead.is_unit()
+            bound = 2 + sum(max(col) for col in zip(*(
+                g.exponents for g in lead.gens)))
+            assert (_koszul_general(n, elements, lead, bound)
+                    == all_rows_koszul_general(n, elements, lead, bound)), ideal
+    assert general >= 10

@@ -304,10 +304,10 @@ def test_kernel_matches_the_all_rank_reference():
 
 def test_graphs_need_no_rank(monkeypatch):
     # Ranks into the empty face and into the vertices come from components.
-    def no_rank(rows):
-        raise AssertionError("rank called on a graph")
+    def no_elimination(rows):
+        raise AssertionError("elimination called on a graph")
 
-    monkeypatch.setattr(simplicial, "rank", no_rank)
+    monkeypatch.setattr(simplicial, "pivots", no_elimination)
     for cx in kernel_complexes():
         if cx.dim() <= 1:
             reduced_homology(cx)
