@@ -43,10 +43,11 @@ next term instead of searching for it, and scales by lc/gcd(c, lc) while a
 running integer scale is kept.  Every engine run is certified: each input
 must reduce to zero against the output, its leads found anew, independent
 of the Buchberger bookkeeping.  `_divide`, the rational division behind
-`normal_form` and the Koszul oracle, divides by the scale once at the end,
-so a zero remainder never builds a Fraction; `normal_form` finds its
-divisors' leads anew (`_divisors`).  Fraction-coefficient Polynomials
-appear only at the public entry points.
+`normal_form`, divides by the scale once at the end, so a zero remainder
+never builds a Fraction; `normal_form` finds its divisors' leads anew
+(`_divisors`).  The Koszul oracle reads the integer pairs of `_remainder`
+itself.  Fraction-coefficient Polynomials appear only at the public entry
+points.
 
 Randomized operations (saturation by a generic coordinate change, gin) are
 certified: the computation runs under two seeds derived deterministically from

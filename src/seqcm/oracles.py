@@ -21,6 +21,13 @@ neg alone is not covered has no spots.  Over all patterns the pass takes
 prod_k (1 + 2 rho_k) steps (3^n for a squarefree ideal), known before any
 work and bounded by CECH_MAX_WORK.
 
+The Koszul route of a non-monomial ideal works in the engine's packed
+integers (see groebner): the standard monomials of each degree grow from
+those of the degree below by the packed steps, kept when no lead of the
+reduced basis divides them, and each normal form is the integer pair
+(scale, r) of `_remainder`.  A boundary row scales its parts to the lcm of
+their scales, so its entries are integers.
+
 Every complex is reduced with clearing (see linalg): Koszul maps from d_n
 down, Cech maps from d^0 up, each without the rows that are pivots of the
 map before it.
@@ -29,7 +36,7 @@ map before it.
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .errors import (
     BoundTooSmallError,
@@ -37,7 +44,14 @@ from .errors import (
     CapacityError,
     UndefinedInputError,
 )
-from .groebner import _STEPS, _divide, _generators, _groebner, _leads, _pack
+from .groebner import (
+    _GUARD,
+    _STEPS,
+    _generators,
+    _groebner,
+    _leads,
+    _remainder,
+)
 from .linalg import pivots
 from .monomial import (
     MonomialIdeal,
@@ -139,49 +153,61 @@ def _koszul_monomial(ideal, bound):
 
 def _koszul_general(n, elements, lead_ideal, bound):
     """Koszul homology of R/I from the engine elements of I's reduced basis
-    and their lead ideal; monomials are packed, as in the engine."""
+    and their lead ideal, all in packed integers.
+
+    std[d], the standard monomials of degree d, grows from std[d-1] by the
+    packed steps, keeping what no lead divides (the guard test).  C_i in
+    total degree j has the basis e_S wedge m, S of size i and m in
+    std[j-i], at position (rank of S among the subsets of its size) *
+    len(std[j-i]) + (index of m), the layout that clearing reads.  The
+    normal form of x_k m is the integer pair (scale, r) of `_remainder`,
+    cached by the product; a row multiplies each part by the lcm of its
+    scales over the part's own, so `pivots` meets no denominator.
+    """
     if lead_ideal.is_unit():
         return {}
-    std = {d: [_pack(m.exponents) for m in monomials_of_degree(n, d)
-               if not lead_ideal.contains(m)] for d in range(bound + 1)}
-    standard = {m for monos in std.values() for m in monos}
-    nf_cache = {}
-
-    def reduced_coeffs(k, mono):
-        # normal form of x_(k+1) * mono, of degree at most bound
-        key = (k, mono)
-        if key not in nf_cache:
-            shifted = mono + _STEPS[n][k]
-            if shifted in standard:
-                nf_cache[key] = {shifted: 1}
-            else:
-                nf_cache[key] = _divide(n, {shifted: 1}, elements)
-        return nf_cache[key]
-
+    guard, steps = _GUARD[n], _STEPS[n]
+    leads = [lead for lead, _ in elements]
+    std = [[0]]  # the unit monomial packs to 0
+    for _ in range(bound):
+        grown = {m + s for m in std[-1] for s in steps}
+        std.append(sorted(m for m in grown
+                          if all((m - lead) & guard for lead in leads)))
+    where = [{m: t for t, m in enumerate(monos)} for monos in std]
     subsets = _subsets_by_size(n)
+    rank_of = {mask: t for level in subsets for t, mask in enumerate(level)}
+    forms = {}
 
-    def basis(i, j):
-        if i < 0 or i > n or j - i < 0 or j - i > bound:
-            return []
-        return [(mask, m) for mask in subsets[i] for m in std[j - i]]
+    def reduced(t):
+        # (scale, r): the normal form of the packed monomial t is r / scale
+        nf = forms.get(t)
+        if nf is None:
+            nf = forms[t] = _remainder(n, {t: 1}, elements)
+        return nf
 
     def boundary_pivots(i, j, cleared):
         # pivots of d_i : C_i -> C_{i-1} in total degree j, without the
         # rows indexed by cleared
-        target = {key: idx for idx, key in enumerate(basis(i - 1, j))}
+        monos, below = std[j - i], where[j - i + 1]
+        width = len(below)
         rows = []
-        for pos, (mask, m) in enumerate(basis(i, j)):
+        for pos, (mask, m) in enumerate(product(subsets[i], monos)):
             if pos in cleared:
                 continue
-            row = {}
-            sign = 1
+            parts, sign = [], 1
             for k in range(n):
                 if mask >> k & 1:
-                    sub = mask ^ (1 << k)
-                    for mono, c in reduced_coeffs(k, m).items():
-                        idx = target[(sub, mono)]
-                        row[idx] = row.get(idx, 0) + sign * c
+                    scale, r = reduced(m + steps[k])
+                    parts.append((sign, rank_of[mask ^ 1 << k] * width,
+                                  scale, r))
                     sign = -sign
+            mult = lcm(*(scale for _, _, scale, _ in parts))
+            row = {}
+            for sign, offset, scale, r in parts:
+                f = sign * (mult // scale)
+                for mono, c in r.items():
+                    idx = offset + below[mono]
+                    row[idx] = row.get(idx, 0) + f * c
             rows.append(row)
         return pivots(rows)
 
@@ -189,11 +215,11 @@ def _koszul_general(n, elements, lead_ideal, bound):
     for j in range(bound + 1):
         ranks = [0] * (n + 2)
         cleared = ()
-        for i in range(n, 0, -1):
+        for i in range(min(n, j), 0, -1):
             cleared = boundary_pivots(i, j, cleared)
             ranks[i] = len(cleared)
-        for i in range(n + 1):
-            h = len(basis(i, j)) - ranks[i] - ranks[i + 1]
+        for i in range(min(n, j) + 1):
+            h = len(subsets[i]) * len(std[j - i]) - ranks[i] - ranks[i + 1]
             if h:
                 entries[(i, j)] = h
     return entries

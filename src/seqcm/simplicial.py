@@ -445,45 +445,6 @@ def _face_ring_cohomology(dual, window=None):
     return CohomologyTable((lo, hi), funcs)
 
 
-def local_cohomology_face_ring_printed(cx, window=None):
-    """Variant with the binomial-weighted coefficients and quotient Betti data.
-
-    Kept verbatim for comparison: dim H^i at -j is read as
-
-        sum_h C(n,h) * C(h+j-1, j) * beta_{i-h+1, n-h}(face ring of dual),
-
-    with C(-1, 0) taken to be 1.  It disagrees with the checked route on
-    some complexes (the irrelevant complex already shows a spurious class),
-    so nothing downstream consumes it.
-    """
-    n = cx.n
-    dual = alexander_dual(cx)
-    if window is None:
-        window = default_cohomology_window(dual_ideal(dual))
-    lo, hi = window
-    dual_quotient = hochster_betti(dual)
-    funcs = {}
-    for i in range(n + 1):
-        values = {}
-        for e in range(lo, hi + 1):
-            if e > 0:
-                continue
-            j = -e
-            total = 0
-            for h in range(n + 1):
-                if h == 0 and j == 0:
-                    weight = 1  # C(-1, 0) read as 1
-                else:
-                    weight = comb(h + j - 1, j)
-                total += comb(n, h) * weight * _betti_lookup(
-                    dual_quotient, i - h + 1, n - h)
-            if total:
-                values[e] = Fraction(total)
-        if values:
-            funcs[i] = HilbertFunction((lo, hi), values)
-    return CohomologyTable((lo, hi), funcs)
-
-
 def build_A_matrix(n):
     """(n+1) x (n+1) matrix of weak composition counts, A[j][h] = C(h+j-1, j).
 
@@ -535,15 +496,3 @@ def betti_from_cohomology(h_matrix, n, raw=False):
             if val:
                 entries[(i, j)] = int(val)
     return BettiTable("quotient", entries)
-
-
-def cohomology_matrix_printed(cx):
-    """(n+1) x (n+1) matrix H[i][j] = printed-formula dim of H^i in degree -j."""
-    n = cx.n
-    table = local_cohomology_face_ring_printed(cx, window=(-n, 0))
-    rows = []
-    for i in range(n + 1):
-        f = table.functions.get(i)
-        rows.append([int(f.values.get(-j, 0)) if f else 0
-                     for j in range(n + 1)])
-    return rows

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm import oracles
+from seqcm import groebner, monomial, oracles
 from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
 from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.groebner import (
@@ -19,6 +19,8 @@ from seqcm.groebner import (
     _groebner,
     _leads,
     _pack,
+    _substitute,
+    _to_polynomial,
     gin,
 )
 from seqcm.linalg import rank
@@ -43,9 +45,10 @@ from seqcm.oracles import (
     depth_and_dim,
     koszul_betti,
 )
-from seqcm.rings import Monomial
+from seqcm.rings import Monomial, random_unipotent
 from seqcm.simplicial import (
     SimplicialComplex,
+    complex_of,
     hochster_betti,
     local_cohomology_face_ring,
     stanley_reisner_ideal,
@@ -489,3 +492,63 @@ def test_cleared_sites_match_the_all_rows_references():
             assert (_koszul_general(n, elements, lead, bound)
                     == all_rows_koszul_general(n, elements, lead, bound)), ideal
     assert general >= 10
+
+
+def test_koszul_general_route_reads_packed_integers_only(monkeypatch):
+    # The general Koszul route grows its standard monomials from packed
+    # leads and reduces with `_remainder`: no rational division, no
+    # Monomial enumeration and no membership scan.  The Fraction reference
+    # above, which uses all three, gives the expected tables first.
+    cases = []
+    for ideal in clearing_ideals():
+        if isinstance(ideal, MonomialIdeal):
+            continue
+        n = ideal.n
+        elements = _groebner(n, _generators(ideal))
+        lead = MonomialIdeal(n, _leads(n, elements))
+        bound = 2 + sum(max(col) for col in zip(*(
+            g.exponents for g in lead.gens)))
+        cases.append((n, elements, lead, bound,
+                      all_rows_koszul_general(n, elements, lead, bound)))
+    tc = PolynomialIdeal.from_strings(
+        4, ["x1*x3 - x2^2", "x2*x4 - x3^2", "x1*x4 - x2*x3"])
+    expected = koszul_betti(tc).entries
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the general Koszul route left packed integers")
+
+    monkeypatch.setattr(groebner, "_divide", refuse)
+    monkeypatch.setattr(monomial, "monomials_of_degree", refuse)
+    monkeypatch.setattr(oracles, "monomials_of_degree", refuse)
+    monkeypatch.setattr(MonomialIdeal, "contains", refuse)
+    for n, elements, lead, bound, table in cases:
+        assert _koszul_general(n, elements, lead, bound) == table
+    assert koszul_betti(tc).entries == expected
+    assert len(cases) >= 10
+
+
+def _transformed(ideal, seed):
+    """u . I for u = random_unipotent(n, seed), as a PolynomialIdeal."""
+    n, rows = ideal.n, random_unipotent(ideal.n, seed)
+    return PolynomialIdeal(n, [_to_polynomial(n, _substitute(n, p, rows))
+                               for p in _generators(ideal)])
+
+
+def test_koszul_betti_survives_a_change_of_coordinates():
+    # Third route: graded Betti numbers do not move under a graded change of
+    # coordinates, so the general route on u . I must give the monomial
+    # route's table of I, and Hochster's where I is squarefree.
+    rng = random.Random(16)
+    squarefree = 0
+    for s in range(30):
+        n = rng.randint(2, 4)
+        top = rng.choice((1, 2))
+        gens = [tuple(rng.randint(0, top) for _ in range(n))
+                for _ in range(rng.randint(1, 3))]
+        ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
+        table = koszul_betti(ideal).entries
+        assert koszul_betti(_transformed(ideal, s)).entries == table, ideal
+        if ideal.is_squarefree():
+            squarefree += 1
+            assert hochster_betti(complex_of(ideal)).entries == table, ideal
+    assert squarefree >= 10
