@@ -16,7 +16,6 @@ from .decide import (
 )
 from .groebner import (
     GinCache,
-    GroebnerBasis,
     PolynomialIdeal,
     buchberger,
     gin,
@@ -58,7 +57,6 @@ __all__ = [
     "ComparisonReport",
     "DimensionFiltration",
     "GinCache",
-    "GroebnerBasis",
     "HilbertFunction",
     "Monomial",
     "MonomialIdeal",

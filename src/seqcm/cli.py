@@ -22,7 +22,11 @@ from .decide import (
 )
 from .errors import CapacityError, ParseError, SeqcmError
 from .groebner import GinCache, PolynomialIdeal, gin, initial_ideal
-from .monomial import hilbert_function, local_cohomology_strongly_stable
+from .monomial import (
+    default_cohomology_window,
+    hilbert_function,
+    local_cohomology_strongly_stable,
+)
 from .oracles import cech_local_cohomology, koszul_betti
 from .simplicial import (
     SimplicialComplex,
@@ -109,6 +113,12 @@ def _parse_window(text):
         raise ParseError("window must look like -8..4, got %r" % text)
     if lo > hi:
         raise ParseError("window %r is empty: %d > %d" % (text, lo, hi))
+    return _checked_window(lo, hi)
+
+
+def _checked_window(lo, hi):
+    """(lo, hi), refused before any work if it spans more than
+    MAX_WINDOW_WIDTH degrees."""
     if hi - lo + 1 > MAX_WINDOW_WIDTH:
         raise CapacityError("window width", MAX_WINDOW_WIDTH, hi - lo + 1)
     return lo, hi
@@ -165,16 +175,18 @@ def _cmd_localcoh(args):
     obj = _load(args.input)
     window = _parse_window(args.window) if args.window else None
     payload = {"command": "localcoh", "route": args.route}
-    if args.route == "filtration":
+    if args.route in ("filtration", "cech"):
         if isinstance(obj, SimplicialComplex):
-            raise ParseError("filtration route expects an ideal file")
-        table = local_cohomology_strongly_stable(obj.as_monomial_ideal(),
-                                                 window)
-    elif args.route == "cech":
-        monomial = (stanley_reisner_ideal(obj)
-                    if isinstance(obj, SimplicialComplex)
-                    else obj.as_monomial_ideal())
-        table = cech_local_cohomology(monomial, window)
+            if args.route == "filtration":
+                raise ParseError("filtration route expects an ideal file")
+            monomial = stanley_reisner_ideal(obj)
+        else:
+            monomial = obj.as_monomial_ideal()
+        # Both routes default to this window; hold it to the cap up front.
+        window = window or _checked_window(*default_cohomology_window(monomial))
+        route = (local_cohomology_strongly_stable if args.route == "filtration"
+                 else cech_local_cohomology)
+        table = route(monomial, window)
     else:  # enrico-style closed formula, always cross-checked against Cech
         cx = obj if isinstance(obj, SimplicialComplex) else complex_of(
             obj.as_monomial_ideal())

@@ -67,7 +67,15 @@ class CertificationError(SeqcmError):
     code = "certification-failure"
 
 
-class NotStronglyStableError(SeqcmError):
+class _WitnessedError(SeqcmError):
+    """An error that carries the failing exchange as ``witness``."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotStronglyStableError(_WitnessedError):
     """Input ideal fails the strong-stability exchange test.
 
     ``witness`` is (generator, i, j) with x_j * u / x_i outside the ideal.
@@ -75,19 +83,11 @@ class NotStronglyStableError(SeqcmError):
 
     code = "not-strongly-stable"
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class StrongStabilityViolationError(SeqcmError):
+class StrongStabilityViolationError(_WitnessedError):
     """A computed generic initial ideal is not strongly stable (bug flag)."""
 
     code = "strong-stability-violation"
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotSquarefreeError(SeqcmError):
@@ -100,14 +100,10 @@ class AmbientGrowthError(SeqcmError):
     code = "ambient-growth"
 
 
-class ShiftedViolationError(SeqcmError):
+class ShiftedViolationError(_WitnessedError):
     """Shifted-complex output fails the squarefree exchange test (bug flag)."""
 
     code = "shifted-violation"
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class BoundTooSmallError(SeqcmError):

@@ -183,36 +183,6 @@ class PolynomialIdeal:
         return cls.from_strings(data["n"], [str(g) for g in data["generators"]])
 
 
-class GroebnerBasis:
-    """Reduced degrevlex Groebner basis; elements are monic, sorted by
-    increasing leading monomial.  Unique for the ideal, hence comparable."""
-
-    __slots__ = ("n", "elements")
-
-    def __init__(self, n, elements):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", tuple(elements))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroebnerBasis is immutable")
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def leading_monomials(self):
-        return tuple(g.leading_monomial() for g in self.elements)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroebnerBasis)
-                and self.n == other.n and self.elements == other.elements)
-
-    def __repr__(self):
-        return "GroebnerBasis(%d, %d elements)" % (self.n, len(self.elements))
-
-
 # ---------------------------------------------------------------------------
 # Integer-primitive engine on packed monomials: field i is bits _W*i up.
 
@@ -575,18 +545,20 @@ def _groebner(n, gens, target=None, minimal=False):
 
 
 def buchberger(ideal):
-    """Reduced degrevlex Groebner basis of a PolynomialIdeal (`_groebner`)."""
-    basis = _groebner(ideal.n, _generators(ideal))
-    return GroebnerBasis(ideal.n, _polynomials(ideal.n, basis))
+    """Reduced degrevlex Groebner basis of a PolynomialIdeal (`_groebner`):
+    a tuple of monic Polynomials sorted by increasing lead.  Reduced bases
+    are unique, so two ideals are equal exactly when their tuples are."""
+    return tuple(_polynomials(ideal.n, _groebner(ideal.n, _generators(ideal))))
 
 
 def normal_form(f, basis):
-    """Remainder of f on division by the basis elements (rational, exact).
+    """Remainder of f on division by an iterable of Polynomials (rational,
+    exact).
 
     f minus the result lies in the ideal generated by the basis; no monomial
     of the result is divisible by any basis leading monomial.
     """
-    elements = list(basis.elements if isinstance(basis, GroebnerBasis) else basis)
+    elements = list(basis)
     for b in elements:
         if b.n != f.n:
             raise AmbientMismatchError("polynomial and basis ambient differ")
@@ -601,15 +573,6 @@ def initial_ideal(ideal):
     return MonomialIdeal(ideal.n, _leads(ideal.n, basis))
 
 
-def equal_ideals(a, b):
-    """Ideal equality by mutual normal-form membership."""
-    if a.n != b.n:
-        raise AmbientMismatchError("ideals in %d and %d variables" % (a.n, b.n))
-    gb_a, gb_b = buchberger(a), buchberger(b)
-    return (all(not normal_form(g, gb_a) for g in b.generators)
-            and all(not normal_form(g, gb_b) for g in a.generators))
-
-
 def _saturate_last(n, gens):
     """(I : x_n^infinity) of packed integer dicts via the reverse-lex
     device: in a reduced degrevlex basis of a homogeneous ideal, dividing
@@ -622,12 +585,6 @@ def _saturate_last(n, gens):
         k = min(m >> shift & _FIELD for m in p)
         divided.append({m - k * step: c for m, c in p.items()} if k else p)
     return _groebner(n, divided)
-
-
-def saturate_by_last_variable(ideal):
-    """(I : x_n^infinity), generated by its reduced Groebner basis."""
-    basis = _saturate_last(ideal.n, _generators(ideal))
-    return PolynomialIdeal(ideal.n, _polynomials(ideal.n, basis))
 
 
 def _derive_seed(seed, k):

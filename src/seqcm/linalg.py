@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Everything here is deterministic and exact.  Ranks come from fraction-free
-elimination on sparse rows: each row, cleared of denominators, is reduced
-against the stored pivot row of its lowest column, and the pivot columns
-are returned.  Determinants go through Bareiss elimination on integer rows,
-inverses through Gauss-Jordan on Fractions.  No floating point anywhere;
-rank decisions are never numerical.
+elimination on sparse integer rows, {column: int} dicts with no zero entry
+that the elimination consumes: each row is reduced against the stored pivot
+row of its lowest column, and the pivot columns are returned; every caller
+builds its rows fresh, in integers.  Determinants go through Bareiss
+elimination on integer rows, inverses through Gauss-Jordan on Fractions.
+No floating point anywhere; rank decisions are never numerical.
 
 Chain complexes use the pivots for clearing (Chen-Kerber's twist).  With
 rows indexed by the basis of C_k, a pivot sigma of d_(k+1) is the lowest
@@ -30,25 +31,14 @@ def _int_rows(matrix):
     return out, scale
 
 
-def rank(matrix):
-    """Exact rank of a matrix whose rows are sequences or {column: value}
-    dicts of int or Fraction entries."""
-    return len(pivots(matrix))
-
-
-def pivots(matrix):
-    """The pivot columns of a matrix given as for rank: the lowest columns
-    of its rows after reduction, one per unit of rank.  A +-1 pivot takes a
-    plain subtract-multiple step, any other a cross-multiply step and a gcd
+def pivots(rows):
+    """The pivot columns of a matrix whose rows are {column: int} dicts with
+    no zero entry: the lowest columns of its rows after reduction, one per
+    unit of rank.  The rows are consumed.  A +-1 pivot takes a plain
+    subtract-multiple step, any other a cross-multiply step and a gcd
     division."""
     pivot_rows = {}
-    for row in matrix:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {c: x for c, x in items if x}
-        if any(type(x) is not int for x in row.values()):
-            mult = lcm(*(x.denominator for x in row.values()))
-            row = {c: x.numerator * (mult // x.denominator)
-                   for c, x in row.items()}
+    for row in rows:
         while row:
             col = min(row)
             piv = pivot_rows.get(col)

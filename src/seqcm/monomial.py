@@ -253,18 +253,6 @@ def krull_dimension(ideal):
     raise InconsistencyError("no variable cover found")  # unreachable
 
 
-def component_ideal(ideal, d):
-    """The ideal generated by all degree-d monomials of I."""
-    if d < 0:
-        raise UndefinedInputError("component degree must be nonnegative")
-    gens = []
-    for g in ideal.gens:
-        if g.degree <= d:
-            for m in monomials_of_degree(ideal.n, d - g.degree):
-                gens.append(g * m)
-    return MonomialIdeal(ideal.n, gens)
-
-
 class FiltrationLayer:
     """One step of the dimension filtration.
 
@@ -303,15 +291,6 @@ class FiltrationLayer:
             values[d] = total
         return HilbertFunction(window, values)
 
-    def to_json(self):
-        return {
-            "ideal": [str(g) for g in self.ideal.gens],
-            "next_ideal": [str(g) for g in self.next_ideal.gens],
-            "s": self.s,
-            "dim": self.dim,
-            "socle": self.socle.to_json(),
-        }
-
 
 class DimensionFiltration:
     """Chain I = I_0 < I_1 < ... < (1) with one layer record per step."""
@@ -333,13 +312,6 @@ class DimensionFiltration:
 
     def dims(self):
         return [layer.dim for layer in self.layers]
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "layers": [layer.to_json() for layer in self.layers],
-            "complete": True,
-        }
 
 
 def dimension_filtration(ideal):

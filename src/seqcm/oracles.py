@@ -162,7 +162,10 @@ def _koszul_general(n, elements, lead_ideal, bound):
     len(std[j-i]) + (index of m), the layout that clearing reads.  The
     normal form of x_k m is the integer pair (scale, r) of `_remainder`,
     cached by the product; a row multiplies each part by the lcm of its
-    scales over the part's own, so `pivots` meets no denominator.
+    scales over the part's own, so `pivots` meets no denominator.  Nor
+    does it meet a zero entry: the part of x_k m fills its own column
+    block, from rank_of[S minus k] * width, and `_remainder` keeps no zero
+    coefficient.
     """
     if lead_ideal.is_unit():
         return {}

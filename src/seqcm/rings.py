@@ -90,18 +90,6 @@ class Monomial:
             raise ValueError("%s does not divide %s" % (other, self))
         return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
-    def lcm(self, other):
-        _same_ambient(self, other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def gcd(self, other):
-        _same_ambient(self, other)
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def is_coprime(self, other):
-        _same_ambient(self, other)
-        return all(min(a, b) == 0 for a, b in zip(self.exponents, other.exponents))
-
     def exponent(self, i):
         """Exponent of x_i, 1-based."""
         return self.exponents[i - 1]
@@ -154,13 +142,6 @@ def degrevlex_key(monomial):
     return (monomial.degree, tuple(-e for e in reversed(monomial.exponents)))
 
 
-def compare(u, v):
-    """-1, 0, or 1 as u <, =, > v in degrevlex."""
-    _same_ambient(u, v)
-    ku, kv = degrevlex_key(u), degrevlex_key(v)
-    return (ku > kv) - (ku < kv)
-
-
 class Polynomial:
     """Map monomial -> nonzero Fraction; the zero polynomial has no terms."""
 
@@ -209,9 +190,6 @@ class Polynomial:
         return sorted(self._coeffs.items(), key=lambda t: degrevlex_key(t[0]),
                       reverse=True)
 
-    def monomials(self):
-        return [m for m, _ in self.terms()]
-
     def __len__(self):
         return len(self._coeffs)
 
@@ -219,10 +197,6 @@ class Polynomial:
         if not self._coeffs:
             return None
         return max(self._coeffs, key=degrevlex_key)
-
-    def leading_coefficient(self):
-        lm = self.leading_monomial()
-        return self._coeffs[lm] if lm is not None else Fraction(0)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -286,27 +260,6 @@ class Polynomial:
         if not c:
             return Polynomial.zero(self.n)
         return Polynomial(self.n, {m: c * v for m, v in self._coeffs.items()})
-
-    def monic(self):
-        lc = self.leading_coefficient()
-        if not lc:
-            return self
-        return self.scale(Fraction(1) / lc)
-
-    def evaluate(self, point):
-        """Value at a rational point (sequence of n numbers)."""
-        if len(point) != self.n:
-            raise AmbientMismatchError("point has %d coordinates, need %d"
-                                       % (len(point), self.n))
-        point = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for m, c in self._coeffs.items():
-            v = c
-            for p, e in zip(point, m.exponents):
-                if e:
-                    v *= p**e
-            total += v
-        return total
 
     def _check(self, other):
         if not isinstance(other, Polynomial):

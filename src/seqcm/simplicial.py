@@ -118,11 +118,6 @@ class SimplicialComplex:
             return -2
         return max(len(f) for f in self.facets) - 1
 
-    def has_face(self, vertices):
-        face = _as_face(vertices, self.n)
-        fs = set(face)
-        return any(fs <= set(g) for g in self.facets)
-
     def faces(self):
         """All faces as sorted tuples, ordered by (size, lex); empty for void."""
         seen = set()
@@ -140,12 +135,6 @@ class SimplicialComplex:
         if not counts:
             return ()
         return tuple(counts.get(k, 0) for k in range(max(counts) + 1))
-
-    def restriction(self, vertices):
-        """Subcomplex of faces contained in the given vertex set, same ambient."""
-        w = set(_as_face(vertices, self.n))
-        return SimplicialComplex(
-            self.n, [tuple(v for v in f if v in w) for f in self.facets])
 
     def to_json(self):
         return {"n": self.n, "facets": [list(f) for f in self.facets]}

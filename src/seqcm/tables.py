@@ -16,6 +16,7 @@ exists to prevent.
 from fractions import Fraction
 
 from .errors import InconsistencyError
+from .rings import _fraction_str
 
 
 def _eval_poly(coeffs, d):
@@ -28,11 +29,6 @@ def _eval_poly(coeffs, d):
 def _same_polynomial(p, q):
     pad = max(len(p), len(q))
     return p + (0,) * (pad - len(p)) == q + (0,) * (pad - len(q))
-
-
-def _fraction_to_str(c):
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
 
 class HilbertFunction:
@@ -90,9 +86,6 @@ class HilbertFunction:
             raise InconsistencyError("tail value %s at degree %d is not a dimension" % (v, d))
         return int(v)
 
-    def support(self):
-        return sorted(self.values)
-
     def equal_on(self, other, window):
         lo, hi = window
         return all(self.value(d) == other.value(d) for d in range(lo, hi + 1))
@@ -115,22 +108,10 @@ class HilbertFunction:
             "window": list(self.window),
             "values": [[d, self.values[d]] for d in sorted(self.values)],
             "tails": {
-                "left": None if left is None else [_fraction_to_str(c) for c in left],
-                "right": None if right is None else [_fraction_to_str(c) for c in right],
+                "left": None if left is None else [_fraction_str(c) for c in left],
+                "right": None if right is None else [_fraction_str(c) for c in right],
             },
         }
-
-    @classmethod
-    def from_json(cls, data):
-        tails = data.get("tails") or {}
-        left = tails.get("left")
-        right = tails.get("right")
-        return cls(
-            tuple(data["window"]),
-            {int(d): int(v) for d, v in data["values"]},
-            (None if left is None else tuple(Fraction(c) for c in left),
-             None if right is None else tuple(Fraction(c) for c in right)),
-        )
 
 
 class BettiTable:
@@ -169,13 +150,6 @@ class BettiTable:
         """Largest i with a nonzero row; -1 for the zero module."""
         return self.max_i()
 
-    def regularity(self):
-        """max(j - i) over nonzero entries; -1 for the zero module."""
-        return max((j - i for i, j in self.entries), default=-1)
-
-    def total(self):
-        return sum(self.entries.values())
-
     def entrywise_leq(self, other):
         keys = set(self.entries) | set(other.entries)
         return all(self.value(i, j) <= other.value(i, j) for i, j in keys)
@@ -204,10 +178,6 @@ class BettiTable:
             "module": self.module,
             "entries": [[i, j, v] for (i, j), v in sorted(self.entries.items())],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["module"], {(i, j): v for i, j, v in data["entries"]})
 
     def to_tsv(self):
         """Rows are i, columns are j, tab-separated with a header row."""
@@ -325,22 +295,6 @@ class CohomologyTable:
                 for i, hf in sorted(self.functions.items())
             },
         }
-
-    @classmethod
-    def from_json(cls, data):
-        window = tuple(data["window"])
-        tails = data.get("tails") or {}
-        funcs = {}
-        for key, pairs in data["h"].items():
-            t = tails.get(key) or {}
-            left, right = t.get("left"), t.get("right")
-            funcs[int(key)] = HilbertFunction(
-                window,
-                {int(d): int(v) for d, v in pairs},
-                (None if left is None else tuple(Fraction(c) for c in left),
-                 None if right is None else tuple(Fraction(c) for c in right)),
-            )
-        return cls(window, funcs)
 
     def to_tsv(self):
         lo, hi = self.window

@@ -373,6 +373,33 @@ def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
     assert "error[capacity]: Cech oracle work" in err
 
 
+@pytest.mark.parametrize("route", ["cech", "filtration"])
+def test_localcoh_default_window_is_held_to_the_cap(capsys, tmp_path,
+                                                    monkeypatch, route):
+    # The default window of x1^d in 2 variables spans 2d + 5 degrees; past
+    # MAX_WINDOW_WIDTH it is refused before any route work, as a --window
+    # that wide is, and up to it the route gets that window.
+    class Reached(Exception):
+        pass
+
+    def reached(ideal, window):
+        raise Reached(window)
+
+    monkeypatch.setattr(cli, "cech_local_cohomology", reached)
+    monkeypatch.setattr(cli, "local_cohomology_strongly_stable", reached)
+    for d in (5000, 4998):
+        path = write_json(tmp_path, "deep.json",
+                          {"n": 2, "generators": ["x1^%d" % d]})
+        code, out, err = run(capsys, "localcoh", path, "--route", route)
+        assert (code, out) == (3, "")
+        assert ("error[capacity]: window width exceeds cap: requested %d"
+                % (2 * d + 5)) in err
+    path = write_json(tmp_path, "deep.json", {"n": 2, "generators": ["x1^4997"]})
+    with pytest.raises(Reached) as exc:
+        run(capsys, "localcoh", path, "--route", route)
+    assert exc.value.args[0] == (-5001, 4997)
+
+
 def test_localcoh_routes_match(capsys, tmp_path):
     path = write_json(tmp_path, "ss.json", {"n": 2, "generators": ["x1^2"]})
     code, out, _ = run(capsys, "localcoh", path, "--window=-4..1")

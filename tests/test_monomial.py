@@ -10,7 +10,6 @@ from seqcm.groebner import gin, initial_ideal
 from seqcm.monomial import (
     MonomialIdeal,
     colon_saturate_variable,
-    component_ideal,
     default_cohomology_window,
     dimension_filtration,
     hilbert_function,
@@ -204,11 +203,6 @@ def test_krull_dimension():
     # Two disjoint edges: cover number 2.
     assert krull_dimension(MonomialIdeal(
         4, [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)])) == 2
-
-
-def test_component_ideal():
-    got = component_ideal(MonomialIdeal(2, [(1, 0)]), 2)
-    assert sorted(str(g) for g in got.gens) == ["x1*x2", "x1^2"]
 
 
 def test_filtration_two_layers():

@@ -2,13 +2,14 @@
 and Cech local cohomology."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm import groebner, monomial, oracles
+from seqcm import groebner, monomial, oracles, simplicial
 from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
 from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.groebner import (
@@ -23,7 +24,7 @@ from seqcm.groebner import (
     _to_polynomial,
     gin,
 )
-from seqcm.linalg import rank
+from seqcm.linalg import pivots
 from seqcm.monomial import (
     MonomialIdeal,
     hilbert_function,
@@ -51,8 +52,10 @@ from seqcm.simplicial import (
     complex_of,
     hochster_betti,
     local_cohomology_face_ring,
+    shifted_complex,
     stanley_reisner_ideal,
 )
+from test_linalg import rank
 
 disjoint_edges_ideal = MonomialIdeal(
     4, [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)])
@@ -492,6 +495,35 @@ def test_cleared_sites_match_the_all_rows_references():
             assert (_koszul_general(n, elements, lead, bound)
                     == all_rows_koszul_general(n, elements, lead, bound)), ideal
     assert general >= 10
+
+
+def test_every_pivots_caller_passes_nonzero_integer_dict_rows(monkeypatch):
+    # pivots consumes {column: int} dicts with no zero entry and normalises
+    # nothing, so each caller must build its rows in that form: a list row,
+    # a Fraction or a zero entry fails here.
+    callers = set()
+
+    def checked(rows):
+        rows = list(rows)
+        for row in rows:
+            assert type(row) is dict, row
+            assert all(type(x) is int and x for x in row.values()), row
+        callers.add(sys._getframe(1).f_code.co_name)
+        return pivots(rows)
+
+    monkeypatch.setattr(simplicial, "pivots", checked)
+    monkeypatch.setattr(oracles, "pivots", checked)
+    for ideal in clearing_ideals():
+        koszul_betti(ideal)
+        if isinstance(ideal, MonomialIdeal) and not ideal.is_unit():
+            cech_local_cohomology(ideal)
+    for name in sorted(COMPLEXES):
+        cx = corpus_complex(name)
+        for face_ring in (cx, shifted_complex(cx, 7)):
+            hochster_betti(face_ring)
+            local_cohomology_face_ring(face_ring)
+    assert callers == {"_mask_homology", "_koszul_monomial", "_cech_piece",
+                       "boundary_pivots"}
 
 
 def test_koszul_general_route_reads_packed_integers_only(monkeypatch):

@@ -2,6 +2,7 @@
 coordinate changes, substituted into packed dicts by the Groebner engine."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,6 @@ from seqcm.rings import (
     RANDOM_ENTRY_BOUND,
     Monomial,
     Polynomial,
-    compare,
     degrevlex_key,
     parse_polynomial,
     random_unipotent,
@@ -25,12 +25,26 @@ def mono(*exps):
     return Monomial(exps)
 
 
+def compare(u, v):
+    # -1, 0, or 1 as u <, =, > v in degrevlex.
+    ku, kv = degrevlex_key(u), degrevlex_key(v)
+    return (ku > kv) - (ku < kv)
+
+
+def evaluate(f, point):
+    # The value of a Polynomial at a rational point.
+    total = Fraction(0)
+    for m, c in f.terms():
+        for x, e in zip(point, m.exponents):
+            c *= Fraction(x) ** e
+        total += c
+    return total
+
+
 def test_monomial_basics():
     u = mono(2, 1, 0)
     v = mono(0, 1, 3)
     assert (u * v).exponents == (2, 2, 3)
-    assert u.lcm(v) == mono(2, 1, 3)
-    assert u.gcd(v) == mono(0, 1, 0)
     assert u.degree == 3
     assert u.support() == (1, 2)
     assert u.max_var == 2
@@ -39,8 +53,6 @@ def test_monomial_basics():
     assert mono(1, 0, 1).is_squarefree()
     assert Monomial.one(3) == mono(0, 0, 0)
     assert Monomial.variable(2, 3) == mono(0, 1, 0)
-    assert u.is_coprime(mono(0, 0, 5)) is True
-    assert u.is_coprime(v) is False
 
 
 def test_monomial_division():
@@ -99,10 +111,10 @@ points = st.tuples(*(coeffs,) * 3)
 
 @given(polys, polys, points)
 def test_arithmetic_via_evaluation(f, g, p):
-    assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
-    assert (f - g).evaluate(p) == f.evaluate(p) - g.evaluate(p)
-    assert (f * g).evaluate(p) == f.evaluate(p) * g.evaluate(p)
-    assert (-f).evaluate(p) == -f.evaluate(p)
+    assert evaluate(f + g, p) == evaluate(f, p) + evaluate(g, p)
+    assert evaluate(f - g, p) == evaluate(f, p) - evaluate(g, p)
+    assert evaluate(f * g, p) == evaluate(f, p) * evaluate(g, p)
+    assert evaluate(-f, p) == -evaluate(f, p)
 
 
 @given(polys)
@@ -139,9 +151,9 @@ def test_leading_data():
     f = parse_polynomial("x2^2 + x1*x3", 3)
     # x2^2 beats x1*x3 in degrevlex.
     assert f.leading_monomial() == mono(0, 2, 0)
-    assert f.leading_coefficient() == 1
     g = parse_polynomial("2*x1*x2 + x2^2", 2)
-    assert g.monic() == parse_polynomial("x1*x2 + 1/2*x2^2", 2)
+    assert g.leading_monomial() == mono(1, 1)
+    assert Polynomial.zero(2).leading_monomial() is None
 
 
 def test_homogeneous_flag():
@@ -211,7 +223,7 @@ def test_substitute_via_evaluation(case, seed):
     rows = _dense_rows(n, seed) if dense else random_unipotent(n, seed)
     moved = _polynomial(n, groebner._substitute(n, _packed(f), rows))
     ap = [sum(a * x for a, x in zip(row, p)) for row in rows]
-    assert moved.evaluate(p) == f.evaluate(ap)
+    assert evaluate(moved, p) == evaluate(f, ap)
 
 
 def test_substitute_keeps_integers():
@@ -227,7 +239,7 @@ def test_substitute_keeps_integers():
                 n, {m: int(c) for m, c in _packed(f).items()}, rows)
             assert image and all(type(c) is int for c in image.values())
             ap = [sum(a * x for a, x in zip(row, point)) for row in rows]
-            assert _polynomial(n, image).evaluate(point) == f.evaluate(ap)
+            assert evaluate(_polynomial(n, image), point) == evaluate(f, ap)
 
 
 @given(st.integers(min_value=1, max_value=6), _SEEDS)
