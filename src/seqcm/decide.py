@@ -17,7 +17,7 @@ from .monomial import (
     default_cohomology_window,
     local_cohomology_strongly_stable,
 )
-from .oracles import cech_local_cohomology
+from .oracles import _check_cech_work, cech_local_cohomology
 from .simplicial import (
     alexander_dual,
     betti_numbers_of_ideal,
@@ -172,8 +172,10 @@ def main_theorem_check(ideal, seed, window=None):
     else:
         monomial = ideal.as_monomial_ideal() if ideal.is_monomial() else None
     n = ideal.n
-    if monomial is not None and monomial.is_unit():
-        raise UndefinedInputError("main theorem check on the zero ring")
+    if monomial is not None:
+        if monomial.is_unit():
+            raise UndefinedInputError("main theorem check on the zero ring")
+        _check_cech_work(monomial)  # before gin, which may take long
     if ideal.is_zero():
         gin_ideal = MonomialIdeal.zero(n)  # gin of 0 is 0
     else:
@@ -214,6 +216,7 @@ def theorem41_check(cx, seed, window=None):
     """
     dual = alexander_dual(cx)
     ideal = dual_ideal(dual)
+    _check_cech_work(ideal)  # before gin, which may take long
     shifted = shifted_ideal(ideal, seed)
     n = cx.n
     derived = _merge_windows(default_cohomology_window(ideal),

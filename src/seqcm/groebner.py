@@ -574,17 +574,16 @@ def initial_ideal(ideal):
 
 
 def _saturate_last(n, gens):
-    """(I : x_n^infinity) of packed integer dicts via the reverse-lex
-    device: in a reduced degrevlex basis of a homogeneous ideal, dividing
-    each element by its full power of x_n, the least x_n field (field n-1)
-    of its terms, generates the saturation.  The result is the reduced
-    basis of that, as engine elements."""
+    """Generators of (I : x_n^infinity) as packed integer dicts, by the
+    reverse-lex device: in a reduced degrevlex basis of a homogeneous ideal,
+    dividing each element by its full power of x_n, the least x_n field
+    (field n-1) of its terms, generates the saturation."""
     shift, step = _W * (n - 1), _STEPS[n][n - 1]
     divided = []
     for _, p in _groebner(n, gens):
         k = min(m >> shift & _FIELD for m in p)
         divided.append({m - k * step: c for m, c in p.items()} if k else p)
-    return _groebner(n, divided)
+    return divided
 
 
 def _derive_seed(seed, k):
@@ -608,7 +607,7 @@ def saturation(ideal, seed):
             rows = random_unipotent(n, _derive_seed(seed, 2 * t + k))
             sat = _saturate_last(n, [_substitute(n, p, rows) for p in gens])
             back = unipotent_inverse(rows)
-            pair.append(_groebner(n, [_substitute(n, p, back) for _, p in sat]))
+            pair.append(_groebner(n, [_substitute(n, p, back) for p in sat]))
         if pair[0] == pair[1]:
             return PolynomialIdeal(ideal.n, _polynomials(ideal.n, pair[0]))
     raise CertificationError(

@@ -10,7 +10,7 @@ with strictly increasing layer dimensions.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 from operator import le
 
@@ -226,12 +226,9 @@ def hilbert_function(ideal, window=(0, 10)):
     values = {d: _quotient_dim(n, numerator, d) for d in range(lo, hi + 1)}
     right = None
     if hi - 1 >= max(numerator) - n + 1:
-        poly = [Fraction(0)] * n
-        for a, c in numerator.items():
-            # C(n - 1 + d - a, n - 1) is C((n - a) - e - 1, n - 1) at e = -d.
-            for k, coef in enumerate(_binomial_in_minus_d(n - a, n - 1)):
-                poly[k] += (-1) ** k * c * coef
-        right = tuple(poly)
+        # C(n - 1 + d - a, n - 1) is C((n - a) - e - 1, n - 1) at e = -d.
+        tail = _graded_tail([(n - a, n, c) for a, c in numerator.items()])
+        right = tuple((-1) ** k * c for k, c in enumerate(tail))
     left = () if lo + 1 < 0 else None
     return HilbertFunction((lo, hi), values, (left, right))
 
@@ -277,19 +274,12 @@ class FiltrationLayer:
     def hilbert_as_module(self, window):
         """Hilbert function of the layer as an R-module: the socle Hilbert
         convolved with that of K[x_{s+1}..x_n]."""
-        n = self.ideal.n
-        m = n - self.s
+        m = self.ideal.n - self.s
         lo, hi = window
-        values = {}
-        for d in range(lo, hi + 1):
-            total = 0
-            for a, h in self.socle.values.items():
-                if m == 0:
-                    total += h if d == a else 0
-                elif d >= a:
-                    total += h * comb(m - 1 + d - a, m - 1)
-            values[d] = total
-        return HilbertFunction(window, values)
+        # Degree d of the module is degree e = -d of the summand (m - a, m, h).
+        parts = [(m - a, m, h) for a, h in self.socle.values.items()]
+        values = _graded_values((-hi, -lo), parts)
+        return HilbertFunction(window, {-e: v for e, v in values.items()})
 
 
 class DimensionFiltration:
@@ -317,9 +307,12 @@ class DimensionFiltration:
 def dimension_filtration(ideal):
     """Dimension filtration of a proper strongly stable ideal (zero allowed).
 
-    Each step saturates by the last occurring variable; the layer socle is
-    Hilb(R'/J) - Hilb(R'/J^sat) over R' = K[x1..xs], a nonnegative finitely
-    supported function.  Layer dimensions strictly increase.
+    Each step saturates by the last occurring variable.  The layer socle is
+    the Hilbert function of J^sat/J over R' = K[x1..xs], a module of finite
+    length, so its series (N(J) - N(J^sat)) / (1 - t)^s is a polynomial, N
+    the K-polynomial (`k_polynomial`).  It is found by s exact divisions by
+    1 - t; a remainder, a negative value or an empty socle raises
+    InconsistencyError.  Layer dimensions strictly increase.
     """
     if ideal.is_unit():
         raise UndefinedInputError("the unit ideal has no dimension filtration")
@@ -341,26 +334,21 @@ def dimension_filtration(ideal):
             raise InconsistencyError("saturation failed to drop the last variable")
         prev_s = s
         nxt = colon_saturate_variable(current, s)
-        # Work inside R' = K[x1..xs]; all generators live there.
-        j_gens = [Monomial(g.exponents[:s]) for g in current.gens]
-        j_prime = MonomialIdeal(s, j_gens)
-        jsat_prime = colon_saturate_variable(j_prime, s)
-        rho = max(g.exponent(s) for g in current.gens)
-        top = j_prime.max_gen_degree() + rho
-        hj = hilbert_function(j_prime, (0, top))
-        hjs = hilbert_function(jsat_prime, (0, top))
-        socle_vals = {}
-        for d in range(0, top + 1):
-            v = hj.value(d) - hjs.value(d)
-            if v < 0:
-                raise InconsistencyError("saturation shrank the quotient")
-            if v:
-                socle_vals[d] = v
+        numerator = k_polynomial(s, [g.exponents[:s] for g in current.gens])
+        for a, c in k_polynomial(s, [g.exponents[:s] for g in nxt.gens]).items():
+            numerator[a] = numerator.get(a, 0) - c
+        coeffs = [numerator.get(d, 0) for d in range(max(numerator, default=-1) + 1)]
+        for _ in range(s):
+            # p = (1 - t) q holds for the prefix sums q of p iff p(1) = 0.
+            if sum(coeffs):
+                raise InconsistencyError("layer socle series is not a polynomial")
+            coeffs = list(accumulate(coeffs))[:-1]
+        if any(v < 0 for v in coeffs):
+            raise InconsistencyError("saturation shrank the quotient")
+        socle_vals = {d: v for d, v in enumerate(coeffs) if v}
         if not socle_vals:
             raise InconsistencyError("saturation produced an empty layer")
-        if socle_vals.get(top):
-            raise InconsistencyError("layer socle did not stabilize by degree %d" % top)
-        socle = HilbertFunction((0, top), socle_vals)
+        socle = HilbertFunction((0, max(socle_vals)), socle_vals)
         ok, witness = is_strongly_stable(nxt)
         if not ok:
             raise InconsistencyError(
@@ -382,49 +370,18 @@ def default_cohomology_window(ideal):
 def local_cohomology_strongly_stable(ideal, window=None):
     """Hilbert functions of all H^i_m(R/I) for strongly stable proper I.
 
-    Only the layer dimensions i = n - s_k occur; for such a layer with socle
-    h the contribution at degree e is sum_a h(a) * C(-(e-a)-1, m-1) over the
-    guard e - a <= -m, m = n - s (and h itself verbatim when m = 0).  The
-    binomial never sees a negative upper argument: the guard makes the top
-    argument at least m - 1 >= 0.
+    Only the layer dimensions m = n - s_k occur, H^m being the sum of the
+    summands (a, m, h(a)) over the layer's socle h (see `_graded_sum`).
     """
     if ideal.is_unit():
         raise UndefinedInputError("R/I is zero; no cohomology table")
-    n = ideal.n
     if window is None:
         window = default_cohomology_window(ideal)
-    lo, hi = int(window[0]), int(window[1])
-    filt = dimension_filtration(ideal)
-    funcs = {}
-    for layer in filt.layers:
-        m = layer.dim
-        values = {}
-        for e in range(lo, hi + 1):
-            total = 0
-            for a, h in layer.socle.values.items():
-                if m == 0:
-                    total += h if e == a else 0
-                elif e - a <= -m:
-                    total += h * comb(a - e - 1, m - 1)
-            if total:
-                values[e] = total
-        socle_degs = sorted(layer.socle.values)
-        left = None
-        if m == 0:
-            if lo + 1 < min(socle_degs):
-                left = ()
-        else:
-            valid_from = min(socle_degs) - m
-            if lo + 1 <= valid_from:
-                poly = [Fraction(0)] * max(m, 1)
-                for a, h in layer.socle.values.items():
-                    # C(a - e - 1, m - 1) as a polynomial in e.
-                    for k, coef in enumerate(_binomial_in_minus_d(a, m - 1)):
-                        poly[k] += h * coef
-                left = tuple(poly)
-        right = () if hi - 1 > max(socle_degs) - m else None
-        funcs[m] = HilbertFunction((lo, hi), values, (left, right))
-    return CohomologyTable((lo, hi), funcs)
+    window = int(window[0]), int(window[1])
+    return CohomologyTable(window, {
+        layer.dim: _graded_sum(window, [
+            (a, layer.dim, h) for a, h in layer.socle.values.items()])
+        for layer in dimension_filtration(ideal).layers})
 
 
 def _binomial_in_minus_d(shift, k):
@@ -437,3 +394,52 @@ def _binomial_in_minus_d(shift, k):
         coeffs = [b - a for a, b in zip(shifted, scaled)]
     f = Fraction(1, factorial(k))
     return tuple(f * a for a in coeffs)
+
+
+def _graded_values(window, parts):
+    """{e: value} on the window, zeros omitted, of the sum of the parts
+    (a, m, h): h times the vectors in Z^m with entries <= -1 summing to
+    e - a, which is h * C(a - e - 1, m - 1) for e <= a - m, and h in degree
+    a alone for m = 0.  m rounds of f(e) <- f(e + 1) + f(e + 2) + ... turn h
+    in degree a into it; a part below lo never reaches the window."""
+    lo, hi = window
+    top = max([hi] + [a for a, _, _ in parts])
+    total = [0] * (hi - lo + 1)
+    for m in {m for _, m, _ in parts}:
+        f = [0] * (top - lo + 1)
+        for a, k, h in parts:
+            if k == m and a >= lo:
+                f[a - lo] += h
+        for _ in range(m):
+            f = list(accumulate(f[:0:-1]))[::-1] + [0]
+        total = [t + v for t, v in zip(total, f)]
+    return {lo + k: v for k, v in enumerate(total) if v}
+
+
+def _graded_tail(parts):
+    """Coefficients of the sum of the parts with m > 0 as a polynomial in
+    e, of length the largest m (0 for none): the sum below every part."""
+    poly = [Fraction(0)] * max((m for _, m, _ in parts), default=0)
+    for a, m, h in parts:
+        if m:
+            for k, coef in enumerate(_binomial_in_minus_d(a, m - 1)):
+                poly[k] += h * coef
+    return tuple(poly)
+
+
+def _graded_sum(window, parts):
+    """The HilbertFunction of the summed parts (see `_graded_values`), in
+    which both cohomology routes end: a part is h copies of the top local
+    cohomology of a polynomial ring in m variables, shifted by a.  Parts
+    with equal (a, m) are merged.  The left tail is attached once lo + 1 is
+    below every part (lo + 1 <= a - max(m, 1)), the right tail () once
+    hi - 1 is above every part (hi - 1 > a - m)."""
+    lo, hi = window
+    merged = {}
+    for a, m, h in parts:
+        merged[a, m] = merged.get((a, m), 0) + h
+    parts = [(a, m, h) for (a, m), h in merged.items()]
+    left = (_graded_tail(parts)
+            if all(lo + 1 <= a - max(m, 1) for a, m, _ in parts) else None)
+    right = () if all(hi - 1 > a - m for a, m, _ in parts) else None
+    return HilbertFunction(window, _graded_values(window, parts), (left, right))

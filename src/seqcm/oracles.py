@@ -9,8 +9,10 @@ The Cech route sums one small subcomplex per "pattern": the degree-a piece
 of the localized quotient only depends on the signs of the entries of a
 and on their values clamped at the generator exponents, and pieces vanish
 unless a is bounded above by those exponents minus one.  Each pattern then
-accounts for an explicit binomial number of multidegrees per total degree,
-which makes the output exact on any window, with polynomial tails.
+accounts for an explicit binomial number of multidegrees per total degree:
+with its npos entries -1 and positive entries summing to fixed, h copies of
+its piece are the summand (fixed, npos, h) of `monomial._graded_sum`, which
+adds them up exactly on any window, with polynomial tails.
 
 The spots of a pattern a (the basis of its piece) are sets S of variables
 that hold its negative set neg, so only the supersets neg | sub are visited.
@@ -33,10 +35,9 @@ down, Cech maps from d^0 up, each without the rows that are pivots of the
 map before it.
 """
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from .errors import (
     BoundTooSmallError,
@@ -55,7 +56,7 @@ from .groebner import (
 from .linalg import pivots
 from .monomial import (
     MonomialIdeal,
-    _binomial_in_minus_d,
+    _graded_sum,
     default_cohomology_window,
     krull_dimension,
     monomials_of_degree,
@@ -365,6 +366,19 @@ def _cech_piece(n, gen_exps, a, blocks):
     return dims
 
 
+def _check_cech_work(ideal):
+    """The generators' exponent maxima rho_k of a monomial ideal, after
+    refusing with CapacityError a Cech spot pass of prod(1 + 2 rho_k) steps
+    over CECH_MAX_WORK."""
+    rho = [max((g.exponents[k] for g in ideal.gens), default=0)
+           for k in range(ideal.n)]
+    work = prod(1 + 2 * r for r in rho)
+    if work > CECH_MAX_WORK:
+        raise CapacityError("Cech oracle work prod(1 + 2 rho_k)",
+                            CECH_MAX_WORK, work)
+    return rho
+
+
 def cech_local_cohomology(ideal, window=None):
     """Local cohomology Hilbert functions of R/I from the Cech complex.
 
@@ -375,20 +389,16 @@ def cech_local_cohomology(ideal, window=None):
     """
     if not isinstance(ideal, MonomialIdeal):
         raise UndefinedInputError("Cech route needs a monomial ideal")
+    rho = _check_cech_work(ideal)
     n = ideal.n
     gen_exps = [g.exponents for g in ideal.gens]
-    rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
-    work = prod(1 + 2 * r for r in rho)
-    if work > CECH_MAX_WORK:
-        raise CapacityError("Cech oracle work prod(1 + 2 rho_k)",
-                            CECH_MAX_WORK, work)
     blocks = _cech_blocks(n, gen_exps)
     if window is None:
         window = default_cohomology_window(ideal)
     lo, hi = window
     # Pieces vanish unless a_k <= rho_k - 1, so clamped patterns with
     # entries in [-1, rho_k - 1] cover everything.  Per cohomological index:
-    # a list of (fixed degree, negative count, dim).
+    # the summands (fixed degree, negative count, dim).
     contributions = {}
     for c in product(*(range(-1, r) for r in rho)):
         dims = _cech_piece(n, gen_exps, c, blocks)
@@ -398,37 +408,9 @@ def cech_local_cohomology(ideal, window=None):
         npos = sum(1 for v in c if v < 0)
         for i, h in dims.items():
             contributions.setdefault(i, []).append((fixed, npos, h))
-    funcs = {}
-    for i, parts in sorted(contributions.items()):
-        values = {}
-        for e in range(lo, hi + 1):
-            total = 0
-            for fixed, npos, h in parts:
-                if npos == 0:
-                    if e == fixed:
-                        total += h
-                elif e <= fixed - npos:
-                    total += h * comb(fixed - e - 1, npos - 1)
-            if total:
-                values[e] = total
-        # Below every pattern the counts are a single polynomial in e.
-        settle = min(fixed - max(npos, 1) for fixed, npos, _ in parts)
-        left = None
-        if lo + 1 <= settle:
-            poly = [Fraction(0)] * max(n, 1)
-            for fixed, npos, h in parts:
-                if npos == 0:
-                    continue
-                for k, coef in enumerate(_binomial_in_minus_d(fixed, npos - 1)):
-                    poly[k] += h * coef
-            while poly and not poly[-1]:
-                poly.pop()
-            left = tuple(poly)
-        top = max(fixed - (0 if npos == 0 else npos)
-                  for fixed, npos, _ in parts)
-        right = () if hi - 1 > top else None
-        funcs[i] = HilbertFunction((lo, hi), values, (left, right))
-    return CohomologyTable((lo, hi), funcs)
+    return CohomologyTable((lo, hi), {
+        i: _graded_sum((lo, hi), parts)
+        for i, parts in sorted(contributions.items())})
 
 
 def brute_cech_window(ideal, window, slack=0):

@@ -373,6 +373,21 @@ def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
     assert "error[capacity]: Cech oracle work" in err
 
 
+def test_verify_over_the_cech_work_cap_exits_three_before_gin(
+        capsys, tmp_path, monkeypatch):
+    # The 13-cycle's face ideal takes 3^13 spot-pass steps; the cap refuses
+    # it before the shift's gin.
+    def no_gin(*args, **kwargs):
+        raise AssertionError("gin ran before the Cech work cap")
+
+    monkeypatch.setattr(simplicial, "gin", no_gin)
+    path = write_json(tmp_path, "cycle.json", {
+        "n": 13, "facets": [[i, i % 13 + 1] for i in range(1, 14)]})
+    code, out, err = run(capsys, "verify", "thm41", path, "--seed", "7")
+    assert (code, out) == (3, "")
+    assert "error[capacity]: Cech oracle work" in err
+
+
 @pytest.mark.parametrize("route", ["cech", "filtration"])
 def test_localcoh_default_window_is_held_to_the_cap(capsys, tmp_path,
                                                     monkeypatch, route):

@@ -1,6 +1,7 @@
 """Built-in corpus sanity."""
 
 import json
+import os
 
 from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal, write_corpus
 
@@ -33,3 +34,13 @@ def test_write_corpus(tmp_path):
     with open(tmp_path / "C4.json") as fh:
         data = json.load(fh)
     assert data["facets"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_write_corpus_reproduces_the_corpus_directory(tmp_path):
+    # corpus/ holds the entries of seqcm.corpus a second time, byte for byte.
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    written = {os.path.basename(p): p for p in write_corpus(str(tmp_path))}
+    assert sorted(written) == sorted(os.listdir(corpus))
+    for name, path in written.items():
+        with open(path, "rb") as new, open(os.path.join(corpus, name), "rb") as old:
+            assert new.read() == old.read(), name

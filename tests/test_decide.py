@@ -15,6 +15,7 @@ from seqcm.decide import (
     widen_window,
 )
 from seqcm.errors import (
+    CapacityError,
     InconsistencyError,
     ShiftedViolationError,
     UndefinedInputError,
@@ -213,3 +214,21 @@ def test_non_shifted_sigma_image_is_refused(monkeypatch):
         is_componentwise_linear(stanley_reisner_ideal(disjoint_edges), seed=21)
     with pytest.raises(ShiftedViolationError):
         theorem41_check(disjoint_edges, seed=21)
+
+
+def test_cech_work_cap_is_checked_before_gin(monkeypatch):
+    # prod(1 + 2 rho_k) is known from the input: 3^13 steps on the 13-cycle's
+    # face ideal and on x1*...*x13 are refused before gin runs.
+    def no_gin(*args, **kwargs):
+        raise AssertionError("gin ran before the Cech work cap")
+
+    monkeypatch.setattr(decide, "gin", no_gin)
+    monkeypatch.setattr(simplicial, "gin", no_gin)
+    cycle = SimplicialComplex(13, [(i, i % 13 + 1) for i in range(1, 14)])
+    with pytest.raises(CapacityError, match="Cech oracle work"):
+        theorem41_check(cycle, seed=7)
+    with pytest.raises(CapacityError, match="Cech oracle work"):
+        main_theorem_check(MonomialIdeal(13, [(1,) * 13]), seed=7)
+    with pytest.raises(CapacityError, match="Cech oracle work"):
+        main_theorem_check(PolynomialIdeal.from_strings(
+            13, ["*".join("x%d" % i for i in range(1, 14))]), seed=7)

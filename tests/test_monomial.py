@@ -1,6 +1,9 @@
 """Monomial ideals: Hilbert functions, the dimension filtration, and local
 cohomology of strongly stable quotients."""
 
+from itertools import product
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,8 @@ from seqcm.errors import NotStronglyStableError, UndefinedInputError
 from seqcm.groebner import gin, initial_ideal
 from seqcm.monomial import (
     MonomialIdeal,
+    _graded_tail,
+    _graded_values,
     colon_saturate_variable,
     default_cohomology_window,
     dimension_filtration,
@@ -298,3 +303,33 @@ def test_local_cohomology_rejects_non_stable():
 def test_default_window():
     assert default_cohomology_window(MonomialIdeal(2, [(2, 0)])) == (-6, 2)
     assert default_cohomology_window(MonomialIdeal.zero(2)) == (-4, 0)
+
+
+def lattice_count(a, m, e):
+    # Vectors in Z^m with entries <= -1 summing to e - a; each entry is at
+    # least e - a + m - 1, as the other m - 1 are at most -1.
+    return sum(1 for v in product(range(e - a + m - 1, 0), repeat=m)
+               if sum(v) == e - a)
+
+
+def test_graded_count_matches_lattice_points():
+    # A summand (a, m, h) counts h vectors per degree e; its tail is the
+    # count below every summand, where each is polynomial in e.
+    rng = random.Random(18)
+    for _ in range(40):
+        parts = [(rng.randint(-3, 4), rng.randint(0, 3), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 4))]
+        lo = rng.randint(-8, 1)
+        window = (lo, lo + rng.randint(0, 6))
+
+        def count(e):
+            return sum(h * lattice_count(a, m, e) for a, m, h in parts)
+
+        assert _graded_values(window, parts) == {
+            e: count(e) for e in range(lo, window[1] + 1) if count(e)}, parts
+        tail = _graded_tail(parts)
+        assert len(tail) == max(m for _, m, _ in parts), parts
+        below = min(a - max(m, 1) for a, m, _ in parts)
+        for e in range(below - 4, below + 1):
+            assert sum(c * e ** k for k, c in enumerate(tail)) == count(e), \
+                (parts, e)

@@ -1,6 +1,8 @@
 """Independent oracles: enumerated Hilbert functions, Koszul Betti numbers,
 and Cech local cohomology."""
 
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -27,6 +29,7 @@ from seqcm.groebner import (
 from seqcm.linalg import pivots
 from seqcm.monomial import (
     MonomialIdeal,
+    dimension_filtration,
     hilbert_function,
     local_cohomology_strongly_stable,
     monomials_of_degree,
@@ -190,6 +193,53 @@ def test_cech_matches_filtration_route_on_every_window():
                 assert (cech_local_cohomology(g, window).to_json()
                         == local_cohomology_strongly_stable(g, window).to_json()), \
                     (name, window)
+
+
+def borel_closure(n, exponents):
+    """The strongly stable ideal generated by the monomials: closed under
+    x_j * u / x_i for x_i | u and j < i."""
+    seen = set(map(tuple, exponents))
+    todo = list(seen)
+    while todo:
+        u = todo.pop()
+        for i in range(1, n):
+            for j in range(i if u[i] else 0):
+                v = u[:j] + (u[j] + 1,) + u[j + 1:i] + (u[i] - 1,) + u[i + 1:]
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+    return MonomialIdeal(n, seen)
+
+
+# sha256 of the grid below, recorded before the Cech and filtration routes
+# shared their graded count: any change to a value, a tail or a socle moves it.
+PINNED_GRID_DIGEST = (
+    "9a78872357ab6d1c2afe70bc3c38e59712b755ab37d722ad81f58ae7fd7f26ce")
+
+
+def test_cohomology_and_hilbert_json_on_a_pinned_grid():
+    rng = random.Random(18)
+    ideals = [MonomialIdeal.zero(2), MonomialIdeal(1, [(2,)])]
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        gens = [tuple(rng.randint(0, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if any(g)] or [(1,) + (0,) * (n - 1)]
+        ideals.append(MonomialIdeal(n, gens))
+    windows = [(lo, lo + w) for lo in (-7, -4, -2, -1, 0, 2) for w in (0, 1, 3)]
+    out = []
+    for ideal in ideals:
+        stable = borel_closure(ideal.n, [g.exponents for g in ideal.gens])
+        layers = dimension_filtration(stable).layers
+        out.append([[layer.s, sorted(layer.socle.values.items())]
+                    for layer in layers])
+        for w in windows:
+            out.append(cech_local_cohomology(ideal, w).to_json())
+            out.append(local_cohomology_strongly_stable(stable, w).to_json())
+            out.append(hilbert_function(ideal, w).to_json())
+            out.append([layer.hilbert_as_module(w).to_json() for layer in layers])
+    blob = json.dumps(out, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_GRID_DIGEST
 
 
 def test_brute_cech_matches_patterns():
