@@ -11,7 +11,7 @@ with strictly increasing layer dimensions.
 
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import le
 
 from .errors import (
@@ -274,11 +274,11 @@ class FiltrationLayer:
     def hilbert_as_module(self, window):
         """Hilbert function of the layer as an R-module: the socle Hilbert
         convolved with that of K[x_{s+1}..x_n]."""
-        m = self.ideal.n - self.s
         lo, hi = window
         # Degree d of the module is degree e = -d of the summand (m - a, m, h).
-        parts = [(m - a, m, h) for a, h in self.socle.values.items()]
-        values = _graded_values((-hi, -lo), parts)
+        m = self.dim
+        values = _graded_values((-hi, -lo), [
+            (m - a, m, h) for a, h in self.socle.values.items()])
         return HilbertFunction(window, {-e: v for e, v in values.items()})
 
 
@@ -398,17 +398,22 @@ def _binomial_in_minus_d(shift, k):
 
 def _graded_values(window, parts):
     """{e: value} on the window, zeros omitted, of the sum of the parts
-    (a, m, h): h times the vectors in Z^m with entries <= -1 summing to
-    e - a, which is h * C(a - e - 1, m - 1) for e <= a - m, and h in degree
-    a alone for m = 0.  m rounds of f(e) <- f(e + 1) + f(e + 2) + ... turn h
-    in degree a into it; a part below lo never reaches the window."""
+    (a, m, h): h * C(a - e - 1, m - 1), the vectors in Z^m with entries <= -1
+    summing to e - a, for e <= a - m (h in degree a alone for m = 0).  Parts
+    with hi <= a - max(m, 1) are a polynomial on the window (`_graded_tail`);
+    m rounds of suffix sums turn h in degree a into each other part."""
     lo, hi = window
-    top = max([hi] + [a for a, _, _ in parts])
-    total = [0] * (hi - lo + 1)
+    high = [p for p in parts if hi <= p[0] - max(p[1], 1)]
+    parts = [p for p in parts if hi > p[0] - max(p[1], 1) and p[0] >= lo]
+    tail = _graded_tail(high)
+    den = lcm(*(c.denominator for c in tail))
+    tail = [int(c * den) for c in tail]
+    total = [sum(c * e ** k for k, c in enumerate(tail)) // den
+             for e in range(lo, hi + 1)]
     for m in {m for _, m, _ in parts}:
-        f = [0] * (top - lo + 1)
+        f = [0] * (hi - lo + 1 + m)
         for a, k, h in parts:
-            if k == m and a >= lo:
+            if k == m:
                 f[a - lo] += h
         for _ in range(m):
             f = list(accumulate(f[:0:-1]))[::-1] + [0]
@@ -430,15 +435,10 @@ def _graded_tail(parts):
 def _graded_sum(window, parts):
     """The HilbertFunction of the summed parts (see `_graded_values`), in
     which both cohomology routes end: a part is h copies of the top local
-    cohomology of a polynomial ring in m variables, shifted by a.  Parts
-    with equal (a, m) are merged.  The left tail is attached once lo + 1 is
-    below every part (lo + 1 <= a - max(m, 1)), the right tail () once
-    hi - 1 is above every part (hi - 1 > a - m)."""
+    cohomology of a polynomial ring in m variables, shifted by a.  The left
+    tail is attached iff lo + 1 <= a - max(m, 1) for every part, the right
+    tail () iff hi - 1 > a - m for every part."""
     lo, hi = window
-    merged = {}
-    for a, m, h in parts:
-        merged[a, m] = merged.get((a, m), 0) + h
-    parts = [(a, m, h) for (a, m), h in merged.items()]
     left = (_graded_tail(parts)
             if all(lo + 1 <= a - max(m, 1) for a, m, _ in parts) else None)
     right = () if all(hi - 1 > a - m for a, m, _ in parts) else None

@@ -8,6 +8,7 @@ from math import comb
 import os
 import re
 import sys
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
@@ -425,6 +426,26 @@ def test_localcoh_routes_match(capsys, tmp_path):
     assert code == 0 and code2 == 0
     assert cech["table"]["h"] == filtration["table"]["h"]
     assert cech["table"]["h"]["1"] == [[-4, 2], [-3, 2], [-2, 2], [-1, 2], [0, 1]]
+
+
+@pytest.mark.parametrize("route", ["cech", "filtration"])
+def test_localcoh_far_below_window_is_the_left_tail(capsys, tmp_path, route):
+    # Two degrees near -10^8 are read off the polynomial below every
+    # summand, at a cost that follows the window's width, not its place.
+    path = write_json(tmp_path, "far.json",
+                      {"n": 3, "generators": ["x1^2", "x1*x2^2"]})
+    lo = -10 ** 8
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "localcoh", path, "--route", route,
+                       "--window=%d..%d" % (lo, lo + 1))
+    assert code == 0 and time.perf_counter() - start < 5
+    table = json.loads(out)["table"]
+    assert sorted(table["h"]) == ["1", "2"]
+    for i, values in table["h"].items():
+        tail = [Fraction(c) for c in table["tails"][i]["left"]]
+        assert values == [[e, sum(c * e ** k for k, c in enumerate(tail))]
+                          for e in (lo, lo + 1)]
+    assert table["h"]["2"] == [[lo, 10 ** 8 - 1], [lo + 1, 10 ** 8 - 2]]
 
 
 def test_localcoh_filtration_rejects_complex(capsys, hollow_complex):

@@ -2,6 +2,7 @@
 cohomology of strongly stable quotients."""
 
 from itertools import product
+from math import comb
 import random
 
 import pytest
@@ -254,9 +255,24 @@ def test_socle_against_enumeration():
     for gens in ([(2, 0), (1, 1)], [(2, 0), (1, 1), (0, 3)], [(3, 0), (2, 1)]):
         ideal = MonomialIdeal(2, gens)
         for layer in dimension_filtration(ideal).layers:
-            lo, hi = layer.socle.window
-            for d in range(lo, hi + 1):
-                assert layer.socle.value(d) == brute_socle(layer, 2, d)
+            # Past the largest generator degree plus the x_s exponent the
+            # socle is zero; the bound does not come from the socle itself.
+            rho = max(g.exponent(layer.s) for g in layer.ideal.gens)
+            for d in range(0, ideal.max_gen_degree() + rho + 1):
+                assert layer.socle.values.get(d, 0) == brute_socle(layer, 2, d)
+
+
+def test_module_hilbert_far_above_zero():
+    # Degree d of a layer is the sum over its socle of h(a) copies of
+    # K[x_{s+1}..x_n] shifted by a, for d near 10^8 as near 0.
+    ideal = MonomialIdeal(3, [(2, 0, 0), (1, 2, 0)])
+    for layer in dimension_filtration(ideal).layers:
+        for lo in (0, 10 ** 8):
+            hf = layer.hilbert_as_module((lo, lo + 2))
+            for d in range(lo, lo + 3):
+                assert hf.value(d) == sum(
+                    h * comb(layer.dim - 1 + d - a, layer.dim - 1)
+                    for a, h in layer.socle.values.items() if a <= d)
 
 
 def test_telescoping_sum():
