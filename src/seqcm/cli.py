@@ -76,7 +76,8 @@ def _load_json(path):
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
-        raise ParseError("%s: invalid JSON: %s" % (path, exc))
+        raise ParseError("%s: invalid JSON: %s" % (path, exc.msg),
+                         exc.lineno, exc.colno)
 
 
 def _sniff(data, path):

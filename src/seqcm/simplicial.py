@@ -203,10 +203,34 @@ def stanley_reisner_ideal(cx):
 
 
 def _maximal(masks):
-    """The maximal ones among vertex masks, as a frozenset."""
-    masks = set(masks)
-    return frozenset(m for m in masks
-                     if all(m & k != m or m == k for k in masks))
+    """The maximal ones among vertex masks, as a frozenset: largest first,
+    each kept unless a kept mask contains it."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for k in kept:
+            if m & k == m:
+                break
+        else:
+            kept.append(m)
+    return frozenset(kept)
+
+
+def _core(maximal):
+    """Strong-collapse core of the complex with the given maximal masks.
+
+    A vertex v is dominated when some other vertex lies in every maximal
+    face through v; deleting it is a strong collapse and keeps the homotopy
+    type (Barmak-Minian, Strong homotopy types, nerves and collapses, 2012).
+    Dominated vertices are deleted, and the vertices scanned again, until
+    none is dominated."""
+    rest = reduce(int.__or__, maximal)
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        if reduce(int.__and__, [m for m in maximal if m & v]) != v:
+            maximal = _maximal([m & ~v for m in maximal])
+            rest = reduce(int.__or__, maximal)
+    return maximal
 
 
 def _mask_homology(maximal):
@@ -214,26 +238,39 @@ def _mask_homology(maximal):
     none if they share a vertex (a cone).  The ranks into the empty face and
     into the vertices come from the 1-skeleton: 1 if there is a vertex, and
     the vertex count minus the components, merged from maximal masks that
-    meet.  Higher faces are submasks, with boundary rows as dicts over the
-    indices of the faces one smaller; the maps run from the top down, and a
-    face that is a pivot of the map above is cleared (see linalg)."""
+    meet.  A graph (no maximal face of 3 vertices) is read off its maximal
+    masks: vertices, edges and components, with no face enumerated.  Higher
+    faces are submasks, with boundary rows as dicts over the indices of the
+    faces one smaller; the maps run from the top down, and a face that is a
+    pivot of the map above is cleared (see linalg)."""
     if not maximal or reduce(int.__and__, maximal):
         return {}
-    faces, components = {0}, []
+    components = []
     for m in maximal:
-        sub = m
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & m
-        met = [c for c in components if c & m]
-        components = [c for c in components if not c & m]
-        components.append(reduce(int.__or__, met, m))
-    by_card = {}
-    for f in faces:
-        by_card.setdefault(f.bit_count(), []).append(f)
-    top = max(by_card)
-    vertices = len(by_card.get(1, ()))
+        apart = []
+        for c in components:
+            if c & m:
+                m |= c
+            else:
+                apart.append(c)
+        apart.append(m)
+        components = apart
+    vertices = reduce(int.__or__, components).bit_count()
     ranks = {1: min(vertices, 1), 2: vertices - len(components)}
+    top = max(map(int.bit_count, maximal))
+    if top < 3:
+        sizes = [1, vertices, sum(m.bit_count() == 2 for m in maximal)]
+    else:
+        faces = set()
+        for m in maximal:
+            sub = m
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & m
+        by_card = {}
+        for f in faces:
+            by_card.setdefault(f.bit_count(), []).append(f)
+        sizes = [1] + [len(by_card[k]) for k in range(1, top + 1)]
     cleared = ()
     for k in range(top, 2, -1):
         lower = {f: i for i, f in enumerate(by_card[k - 1])}
@@ -251,7 +288,7 @@ def _mask_homology(maximal):
         ranks[k] = len(cleared)
     out = {}
     for k in range(top + 1):
-        h = len(by_card[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        h = sizes[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
         if h:
             out[k - 1] = h
     return out
@@ -274,8 +311,9 @@ def hochster_betti(cx):
     the restrictions to the j-element vertex sets; beta_{0,0} = 1 whenever
     the face ring is nonzero.  Returns a quotient-convention table.  Vertex
     sets that are faces are skipped, since their restrictions are simplices,
-    and the others whose restrictions have the same maximal faces share one
-    homology.
+    and so are cones.  A restriction with a maximal face of 3 or more
+    vertices is reduced to its strong-collapse core (`_core`), which has the
+    same homology, and restrictions with the same core share one homology.
     """
     n = cx.n
     _check_n(n)
@@ -287,6 +325,10 @@ def hochster_betti(cx):
         if w in cut:
             continue
         key = _maximal(cut)
+        if key and reduce(int.__and__, key):
+            continue
+        if any(m.bit_count() > 2 for m in key):
+            key = _core(key)
         if key not in homology:
             homology[key] = _mask_homology(key)
         j = w.bit_count()

@@ -297,6 +297,15 @@ def test_non_integer_n_is_parse_error(capsys, tmp_path):
         assert "error[parse-error]" in err and "Traceback" not in err
 
 
+def test_invalid_json_cites_the_line_and_column(capsys, tmp_path):
+    # A trailing comma on line 3: the error cites where the decoder stopped.
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3,\n  "facets": [\n  [1, 2],]\n}\n')
+    code, out, err = run(capsys, "dual", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[parse-error]: line 3, column 10: "), err
+
+
 def test_non_integer_vertex_is_parse_error(capsys, tmp_path):
     for vertex in ("a", 1.5):
         path = write_json(tmp_path, "v.json", {"n": 2, "facets": [[vertex, 2]]})

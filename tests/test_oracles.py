@@ -58,6 +58,7 @@ from seqcm.simplicial import (
     shifted_complex,
     stanley_reisner_ideal,
 )
+from test_groebner import _cross_polytope
 from test_linalg import rank
 
 disjoint_edges_ideal = MonomialIdeal(
@@ -293,8 +294,10 @@ def _random_complex(seed, n):
 
 
 @pytest.mark.parametrize("cx", [_cycle(10), _cycle(11), _cycle(12),
-                                _random_complex(1, 10)],
-                         ids=["cycle-10", "cycle-11", "cycle-12", "random-10"])
+                                _random_complex(1, 10), _cross_polytope(4),
+                                _cross_polytope(5)],
+                         ids=["cycle-10", "cycle-11", "cycle-12", "random-10",
+                              "cross4", "cross5"])
 def test_cech_matches_the_face_ring_on_the_ladder(cx):
     _cech_agrees_with_the_face_ring(cx)
 

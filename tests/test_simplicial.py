@@ -2,6 +2,7 @@
 homology, Hochster tables, shifting, and the face-ring cohomology formula."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -32,6 +33,7 @@ from seqcm.simplicial import (
     stanley_reisner_ideal,
 )
 from seqcm.tables import CohomologyTable, HilbertFunction
+from test_groebner import _cross_polytope
 from test_linalg import dense_rank, rank
 
 hollow_triangle = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
@@ -327,15 +329,59 @@ def test_graphs_need_no_rank(monkeypatch):
 
 def test_hochster_restricts_only_to_nonfaces(monkeypatch):
     # A vertex set that is a face restricts to a simplex, with no homology.
+    # Restrictions are counted where hochster_betti takes them, not inside
+    # the core's own calls to _maximal.
     calls = []
     maximal = simplicial._maximal
-    monkeypatch.setattr(simplicial, "_maximal",
-                        lambda masks: calls.append(1) or maximal(masks))
+
+    def counted(masks):
+        if sys._getframe(1).f_code is hochster_betti.__code__:
+            calls.append(1)
+        return maximal(masks)
+
+    monkeypatch.setattr(simplicial, "_maximal", counted)
     for cx in kernel_complexes():
         calls.clear()
         hochster_betti(cx)
         nonempty_faces = len(cx.faces()) - (not cx.is_void())
         assert len(calls) == (1 << cx.n) - 1 - nonempty_faces, cx
+
+
+def dominated(maximal):
+    # Vertices v with some u != v in every maximal face through v.
+    union = reduce(int.__or__, maximal)
+    vertices = [1 << i for i in range(union.bit_length()) if union >> i & 1]
+    return [v for v in vertices
+            if any(all(m & u for m in maximal if m & v)
+                   for u in vertices if u != v)]
+
+
+def test_core_keeps_the_homology_and_leaves_no_dominated_vertex():
+    for cx in kernel_complexes():
+        masks = [sum(1 << (v - 1) for v in f) for f in cx.facets]
+        restrictions = {simplicial._maximal([m & w for m in masks])
+                        for w in range(1, 1 << cx.n)} - {frozenset()}
+        for maximal in restrictions:
+            core = simplicial._core(maximal)
+            assert not dominated(core), (cx, maximal, core)
+            assert (all_rank_mask_homology(core)
+                    == all_rank_mask_homology(maximal)), (cx, maximal)
+
+
+@pytest.mark.parametrize("k, dual, calls", [(4, False, 15), (4, True, 16),
+                                             (5, False, 31), (5, True, 32)],
+                         ids=["cross4", "cross4-dual", "cross5", "cross5-dual"])
+def test_hochster_homology_calls_on_cross_polytopes(monkeypatch, k, dual,
+                                                    calls):
+    # Restrictions with the same strong-collapse core share one homology, so
+    # the calls count distinct cores, not distinct restrictions.
+    counted = []
+    homology = simplicial._mask_homology
+    monkeypatch.setattr(simplicial, "_mask_homology",
+                        lambda maximal: counted.append(1) or homology(maximal))
+    cx = _cross_polytope(k)
+    hochster_betti(alexander_dual(cx) if dual else cx)
+    assert len(counted) == calls
 
 
 def f_vector_numerator(cx):
