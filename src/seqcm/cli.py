@@ -20,7 +20,7 @@ from .decide import (
     main_theorem_check,
     theorem41_check,
 )
-from .errors import CapacityError, ParseError, SeqcmError
+from .errors import CapacityError, InconsistencyError, ParseError, SeqcmError
 from .groebner import GinCache, PolynomialIdeal, gin, initial_ideal
 from .monomial import (
     default_cohomology_window,
@@ -193,9 +193,13 @@ def _cmd_localcoh(args):
             obj.as_monomial_ideal())
         dual = alexander_dual(cx)
         table = _face_ring_cohomology(dual, window)
-        cech = cech_local_cohomology(dual_ideal(dual), table.window)
-        payload["cech"] = cech.to_json()
-        payload["cech_diff"] = [list(t) for t in table.diff(cech)]
+        cech = cech_local_cohomology(dual_ideal(dual), table.window).to_json()
+        if cech != table.to_json():
+            raise InconsistencyError(
+                "face-ring table differs from its Cech check on window %r"
+                % (table.window,))
+        payload["cech"] = cech
+        payload["cech_diff"] = []
     payload["window"] = list(table.window)
     payload["table"] = table.to_json()
     return _emit(payload, args.format, table.to_tsv())

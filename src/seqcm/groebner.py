@@ -107,6 +107,9 @@ GIN_RETRY_BUDGET = 3
 PAIR_CAP = 20000
 # In-process gin results kept; the oldest entry is evicted beyond this.
 GIN_MEMO_CAP = 256
+# Terms that gin's coordinate change may give its generators, summed over
+# them (see `_image_terms`): it bounds the memory of the changed input.
+GIN_MAX_TERMS = 10 ** 6
 
 
 class PolynomialIdeal:
@@ -287,6 +290,16 @@ def _substitute(n, p, rows):
         for t, v in piece.items():
             total[t] = total.get(t, 0) + v
     return {t: v for t, v in total.items() if v}
+
+
+def _image_terms(n, p):
+    """C(t - 1 + d, d), the degree-d monomials in x_1..x_t, for d the degree
+    and t the last variable of p, read off the packed fields: a bound on the
+    terms of p under a lower unitriangular change."""
+    low = (1 << _W * n) - 1
+    t = max(((m & low).bit_length() + _W - 1) // _W for m in p)
+    d = max(-(m >> _W * n) for m in p)
+    return comb(max(t - 1, 0) + d, d)
 
 
 def _leads(n, basis):
@@ -633,7 +646,9 @@ def gin(ideal, seed, cache=None):
     rest (see the module docstring).  The certified result must be strongly
     stable (characteristic zero), else a violation error is raised: that
     outcome indicates a bug, never data.  `cache` (default `GinCache()`)
-    is read first and stores the result.
+    is read first and stores the result.  Generators whose changed forms
+    could have more than GIN_MAX_TERMS terms in all are refused with
+    CapacityError before any substitution.
     """
     if ideal.is_zero():
         raise UndefinedInputError("gin of the zero ideal is undefined here")
@@ -642,6 +657,9 @@ def gin(ideal, seed, cache=None):
     if hit is not None:
         return hit
     n, gens = ideal.n, _generators(ideal)
+    terms = sum(_image_terms(n, p) for p in gens)
+    if terms > GIN_MAX_TERMS:
+        raise CapacityError("gin coordinate-change terms", GIN_MAX_TERMS, terms)
     # HF(R/u.I) = HF(R/I): a monomial I is its own Hilbert target, and any
     # other I takes the lead ideal of its first full-pair run.
     target = (_HilbertTarget(n, _leads(n, [(min(p), p) for p in gens]))

@@ -434,7 +434,8 @@ def _graded_tail(parts):
 
 def _graded_sum(window, parts):
     """The HilbertFunction of the summed parts (see `_graded_values`), in
-    which both cohomology routes end: a part is h copies of the top local
+    which all three cohomology routes end (Cech, the dimension filtration
+    and the face-ring formula): a part is h copies of the top local
     cohomology of a polynomial ring in m variables, shifted by a.  The left
     tail is attached iff lo + 1 <= a - max(m, 1) for every part, the right
     tail () iff hi - 1 > a - m for every part."""

@@ -12,8 +12,8 @@ dual and the Stanley-Reisner ideal are built from it.  Shifting acts on
 ideals, where gin works, and `shifted_complex` is the complex of the result.
 
 Betti numbers of face rings come from Hochster's formula; local cohomology
-of a face ring can be read off the Betti numbers of the Alexander dual
-ideal degree by degree.
+of a face ring is a graded sum over the Betti numbers of the Alexander dual
+ideal.
 """
 
 from fractions import Fraction
@@ -31,13 +31,9 @@ from .errors import (
 )
 from .groebner import gin
 from .linalg import invert, pivots
-from .monomial import (
-    MonomialIdeal,
-    _binomial_in_minus_d,
-    default_cohomology_window,
-)
+from .monomial import MonomialIdeal, _graded_sum, default_cohomology_window
 from .rings import Monomial
-from .tables import BettiTable, CohomologyTable, HilbertFunction
+from .tables import BettiTable, CohomologyTable
 
 # Subset enumeration over 1..n backs most routines here.
 SIMPLICIAL_MAX_N = 16
@@ -420,10 +416,6 @@ def shifted_complex(cx, seed):
     return complex_of(shifted_ideal(stanley_reisner_ideal(cx), seed))
 
 
-def _betti_lookup(table, i, j):
-    return table.entries.get((i, j), 0)
-
-
 def local_cohomology_face_ring(cx, window=None):
     """Local cohomology Hilbert functions of a face ring, from dual Betti data.
 
@@ -433,8 +425,9 @@ def local_cohomology_face_ring(cx, window=None):
 
     where c_0(j) is 1 exactly at j = 0 and c_h(j) = C(j-1, h-1) counts the
     strictly negative exponent vectors of total degree -j on h fixed
-    variables.  Degrees e > 0 carry nothing.  Left tails are polynomial for
-    e <= -1 and attached whenever the window reaches -2.
+    variables.  Degrees e > 0 carry nothing.  Each beta_{p,j} is the part
+    (0, n - j, beta) of H^{p+n-j}, summed by `monomial._graded_sum`, which
+    also attaches the tails, as on the Cech and filtration routes.
     """
     return _face_ring_cohomology(alexander_dual(cx), window)
 
@@ -445,35 +438,11 @@ def _face_ring_cohomology(dual, window=None):
     n = dual.n
     if window is None:
         window = default_cohomology_window(dual_ideal(dual))
-    lo, hi = window
-    dual_betti = betti_numbers_of_ideal(dual)
-    funcs = {}
-    for i in range(n + 1):
-        values = {}
-        for e in range(lo, min(hi, 0) + 1):
-            j = -e
-            if j == 0:
-                total = _betti_lookup(dual_betti, i, n)
-            else:
-                total = sum(comb(j - 1, h - 1) * _betti_lookup(dual_betti, i - h, n - h)
-                            for h in range(1, n + 1))
-            if total:
-                values[e] = total
-        left = None
-        if lo + 1 <= -1:
-            poly = [Fraction(0)] * max(n, 1)
-            for h in range(1, n + 1):
-                b = _betti_lookup(dual_betti, i - h, n - h)
-                if b:
-                    for k, coef in enumerate(_binomial_in_minus_d(0, h - 1)):
-                        poly[k] += b * coef
-            while poly and not poly[-1]:
-                poly.pop()
-            left = tuple(poly)
-        right = () if hi - 1 >= 1 else None
-        if values or left:
-            funcs[i] = HilbertFunction((lo, hi), values, (left, right))
-    return CohomologyTable((lo, hi), funcs)
+    parts = {}
+    for (p, j), b in betti_numbers_of_ideal(dual).entries.items():
+        parts.setdefault(p + n - j, []).append((0, n - j, b))
+    return CohomologyTable(window, {
+        i: _graded_sum(window, part) for i, part in parts.items()})
 
 
 def build_A_matrix(n):

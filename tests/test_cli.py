@@ -18,6 +18,7 @@ from seqcm.cli import MAX_WINDOW_WIDTH, _load, build_parser, main
 from seqcm.decide import widen_window
 from seqcm.groebner import GinCache, PolynomialIdeal
 from seqcm.oracles import KOSZUL_MAX_BOUND
+from seqcm.tables import CohomologyTable, HilbertFunction
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -383,6 +384,16 @@ def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
     assert "error[capacity]: Cech oracle work" in err
 
 
+def test_seqcm_over_the_gin_term_cap_exits_three(capsys, tmp_path):
+    # The dual's one generator x4*...*x14 would take C(24, 11) terms under
+    # gin's coordinate change; on 13 vertices it takes C(22, 10), admitted.
+    path = write_json(tmp_path, "facet.json", {"n": 14, "facets": [[1, 2, 3]]})
+    code, out, err = run(capsys, "seqcm", path, "--seed", "7")
+    assert (code, out) == (3, "")
+    assert "error[capacity]: gin coordinate-change terms" in err
+    assert "requested %d" % comb(24, 11) in err
+
+
 def test_verify_over_the_cech_work_cap_exits_three_before_gin(
         capsys, tmp_path, monkeypatch):
     # The 13-cycle's face ideal takes 3^13 spot-pass steps; the cap refuses
@@ -502,6 +513,23 @@ def test_localcoh_enrico_builds_the_dual_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["cech_diff"] == []
     assert len(calls) == 1
+
+
+def test_localcoh_enrico_compares_whole_tables_with_cech(
+        capsys, hollow_complex, monkeypatch):
+    # Equal window values with another left tail is still a failed check.
+    real = cli._face_ring_cohomology
+
+    def other_tail(dual, window):
+        table = real(dual, window)
+        funcs = {i: HilbertFunction(hf.window, hf.values, (None, hf.tails[1]))
+                 for i, hf in table.functions.items()}
+        return CohomologyTable(table.window, funcs)
+
+    monkeypatch.setattr(cli, "_face_ring_cohomology", other_tail)
+    code, out, err = run(capsys, "localcoh", hollow_complex, "--route", "enrico")
+    assert (code, out) == (4, "")
+    assert "error[inconsistency]: face-ring table differs" in err
 
 
 def test_localcoh_on_complex_uses_face_ideal(capsys, edges_complex):

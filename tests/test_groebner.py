@@ -3,7 +3,7 @@
 from fractions import Fraction
 import itertools
 import json
-from math import gcd, lcm
+from math import comb, gcd, lcm
 import os
 import random
 import sys
@@ -23,6 +23,7 @@ from seqcm.errors import (
 )
 from seqcm.linalg import det
 from seqcm.groebner import (
+    GIN_MAX_TERMS,
     GIN_RETRY_BUDGET,
     GinCache,
     PolynomialIdeal,
@@ -614,6 +615,26 @@ def test_engine_routes_unpack_only_leads(monkeypatch):
     saturated = saturation(base, seed=3)
     assert set(callers) == {"_to_polynomial"}
     assert len(callers) == sum(len(g) for g in saturated.generators)
+
+
+def test_gin_refuses_the_term_cap_before_any_substitution(monkeypatch):
+    # Under x_i -> x_i + sum_{j<i} a_ij x_j a generator of degree d whose
+    # last variable is x_t can take all C(t - 1 + d, d) monomials of degree
+    # d in x_1..x_t: here 1 + 6 + C(24, 11) = 2,496,151 in all.
+    def no_substitution(*args):
+        raise AssertionError("substituted before the term cap")
+
+    monkeypatch.setattr(groebner, "_substitute", no_substitution)
+    monkeypatch.setattr(GinCache, "_memory", {})
+    over = MonomialIdeal(14, [(2,) + (0,) * 13, (0, 1, 1) + (0,) * 11,
+                              (0,) * 3 + (1,) * 11])
+    with pytest.raises(CapacityError) as exc:
+        gin(over, seed=7)
+    assert exc.value.limit == GIN_MAX_TERMS == 10 ** 6
+    assert exc.value.requested == 1 + 6 + comb(24, 11)
+    # The same generator on 13 vertices is admitted: C(22, 10) terms.
+    under = groebner._generators(MonomialIdeal(13, [(0,) * 3 + (1,) * 10]))
+    assert groebner._image_terms(13, under[0]) == comb(22, 10) <= GIN_MAX_TERMS
 
 
 def _basis_as_sets(polys):

@@ -17,7 +17,6 @@ from seqcm.monomial import MonomialIdeal, default_cohomology_window, k_polynomia
 from seqcm.rings import Monomial
 from seqcm.simplicial import (
     SimplicialComplex,
-    _betti_lookup,
     alexander_dual,
     betti_from_cohomology,
     betti_numbers_of_ideal,
@@ -540,8 +539,8 @@ def local_cohomology_face_ring_printed(cx, window=None):
                     weight = 1  # C(-1, 0) read as 1
                 else:
                     weight = comb(h + j - 1, j)
-                total += comb(n, h) * weight * _betti_lookup(
-                    dual_quotient, i - h + 1, n - h)
+                total += comb(n, h) * weight * dual_quotient.value(
+                    i - h + 1, n - h)
             if total:
                 values[e] = Fraction(total)
         if values:
