@@ -86,6 +86,9 @@ def _sniff(data, path):
     if type(data["n"]) is not int:
         raise ParseError("%s: \"n\" must be an integer, got %r"
                          % (path, data["n"]))
+    if "generators" in data and "facets" in data:
+        raise ParseError("%s: both \"generators\" and \"facets\"; an input "
+                         "is an ideal or a complex, not both" % path)
     if "generators" in data:
         return "ideal"
     if "facets" in data:

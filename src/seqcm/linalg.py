@@ -14,6 +14,16 @@ column of a reduced row r in im d_(k+1); d_k(r) = 0 makes row sigma of d_k
 a combination of the rows after it, so by downward induction the rows that
 are not pivots of d_(k+1) have the rank of d_k.  The rows left out are ones
 that would reduce to zero.  Cochain maps clear d^i by the pivots of d^(i-1).
+
+The complexes on vertex masks (Hochster's restrictions, the Koszul
+multidegrees and the Cech patterns) are ranked by `level_ranks`.  Their
+bases are levels of equal-size masks, and a mask f maps to the masks f ^ v
+of the next level with the sign (-1)^(vertices of f below v): one rule for
+both directions, the boundary downwards and its transpose upwards.  So the
+order of the levels sets each map's orientation and its clearing order.
+Hochster and Koszul pass their levels from the top down, Cech from the
+bottom up: both orders give the same ranks, and each site keeps the one
+that does less elimination on its own complexes.
 """
 
 from fractions import Fraction
@@ -62,6 +72,41 @@ def pivots(rows):
                 if g > 1:
                     row = {c: x // g for c, x in row.items()}
     return set(pivot_rows)
+
+
+def level_ranks(n, levels):
+    """The ranks of the maps from each level to the next, with clearing.
+
+    levels[t] is a {mask: index} dict of equal-size masks on n vertices,
+    and the masks of levels[t + 1] are one vertex larger or one vertex
+    smaller.  A map with an empty side has rank 0 and clears nothing."""
+    ranks, cleared = [], ()
+    for level, after in zip(levels, levels[1:]):
+        if not level or not after:
+            ranks.append(0)
+            cleared = ()
+            continue
+        # the sign turns at each vertex of f passed; downwards only those
+        # are tried, upwards all (those of f then find nothing)
+        up = next(iter(after)).bit_count() > next(iter(level)).bit_count()
+        spread = (1 << n) - 1 if up else 0
+        rows = []
+        for f, idx in level.items():
+            if idx in cleared:
+                continue
+            row, sign, rest = {}, 1, f | spread
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                col = after.get(f ^ v)
+                if col is not None:
+                    row[col] = sign
+                if f & v:
+                    sign = -sign
+            rows.append(row)
+        cleared = pivots(rows)
+        ranks.append(len(cleared))
+    return ranks
 
 
 def det(matrix):

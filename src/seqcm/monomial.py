@@ -137,6 +137,21 @@ def m_of(mono):
     return mono.max_var
 
 
+def _exchange_witness(ideal, squarefree=False):
+    """(generator u, i, j) when x_j * u / x_i leaves the ideal for some x_i
+    dividing u and j < i, else None; with squarefree, only the x_j that do
+    not divide u are tried."""
+    var = [Monomial.variable(i, ideal.n) for i in range(1, ideal.n + 1)]
+    for u in ideal.gens:
+        for i in u.support():
+            for j in range(1, i):
+                if squarefree and u.exponent(j):
+                    continue
+                if not ideal.contains(u / var[i - 1] * var[j - 1]):
+                    return u, i, j
+    return None
+
+
 def is_strongly_stable(ideal):
     """Exchange test: x_i | u and j < i force x_j * u / x_i into the ideal.
 
@@ -144,14 +159,8 @@ def is_strongly_stable(ideal):
     Checking minimal generators suffices: the property propagates to all
     monomials of the ideal.
     """
-    for u in ideal.gens:
-        for i in u.support():
-            xi = Monomial.variable(i, ideal.n)
-            for j in range(1, i):
-                v = (u / xi) * Monomial.variable(j, ideal.n)
-                if not ideal.contains(v):
-                    return (False, (u, i, j))
-    return (True, None)
+    witness = _exchange_witness(ideal)
+    return witness is None, witness
 
 
 def colon_saturate_variable(ideal, s):

@@ -30,9 +30,10 @@ reduced basis divides them, and each normal form is the integer pair
 (scale, r) of `_remainder`.  A boundary row scales its parts to the lcm of
 their scales, so its entries are integers.
 
-Every complex is reduced with clearing (see linalg): Koszul maps from d_n
-down, Cech maps from d^0 up, each without the rows that are pivots of the
-map before it.
+Every complex is reduced with clearing.  The multidegree pieces of the
+Koszul route and the pattern pieces of the Cech route are ranked by
+`linalg.level_ranks`; the linalg docstring holds their sign rule and
+clearing orders: Koszul from d_n down, Cech from d^0 up.
 """
 
 from functools import reduce
@@ -53,7 +54,7 @@ from .groebner import (
     _leads,
     _remainder,
 )
-from .linalg import pivots
+from .linalg import level_ranks, pivots
 from .monomial import (
     MonomialIdeal,
     _graded_sum,
@@ -122,28 +123,8 @@ def _koszul_monomial(ideal, bound):
         if sum(a) > bound:
             continue
         spots = _koszul_spots(gen_exps, a, subsets)
-        ranks = [0] * (n + 2)
-        cleared = ()
-        for i in range(n, 0, -1):
-            # spot sizes are contiguous, so maps are skipped only around
-            # those with rows
-            if not spots[i] or not spots[i - 1]:
-                continue
-            rows = []
-            for mask, idx in spots[i].items():
-                if idx in cleared:
-                    continue
-                row = {}
-                sign = 1
-                for k in range(n):
-                    if mask >> k & 1:
-                        sub = mask ^ (1 << k)
-                        if sub in spots[i - 1]:
-                            row[spots[i - 1][sub]] = sign
-                        sign = -sign
-                rows.append(row)
-            cleared = pivots(rows)
-            ranks[i] = len(cleared)
+        # d_i maps spots[i] to spots[i - 1]; ranks[i] is its rank
+        ranks = [0, *level_ranks(n, spots[n::-1])[::-1], 0]
         j = sum(a)
         for i in range(n + 1):
             h = len(spots[i]) - ranks[i] - ranks[i + 1]
@@ -336,28 +317,8 @@ def _cech_spots(n, gen_exps, a, blocks=None):
 def _cech_piece(n, gen_exps, a, blocks):
     """Cohomology dims (by spot size) of the degree-a piece of the Cech complex."""
     spots = _cech_spots(n, gen_exps, a, blocks)
-    ranks = [0] * (n + 2)
-    cleared = ()
-    for i in range(n):
-        # d^i : spots of size i -> size i+1, less the pivots of d^(i-1); spot
-        # sizes are contiguous, so maps are skipped only around those with rows
-        if not spots[i] or not spots[i + 1]:
-            continue
-        rows = []
-        for mask, idx in spots[i].items():
-            if idx in cleared:
-                continue
-            row = {}
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                up = mask | (1 << j)
-                if up in spots[i + 1]:
-                    below = bin(mask & ((1 << j) - 1)).count("1")
-                    row[spots[i + 1][up]] = -1 if below % 2 else 1
-            rows.append(row)
-        cleared = pivots(rows)
-        ranks[i + 1] = len(cleared)
+    # d^i maps spots[i] to spots[i + 1]; ranks[i + 1] is its rank
+    ranks = [0, *level_ranks(n, spots), 0]
     dims = {}
     for i in range(n + 1):
         h = len(spots[i]) - ranks[i + 1] - ranks[i]

@@ -30,8 +30,13 @@ from .errors import (
     ShiftedViolationError,
 )
 from .groebner import gin
-from .linalg import invert, pivots
-from .monomial import MonomialIdeal, _graded_sum, default_cohomology_window
+from .linalg import invert, level_ranks
+from .monomial import (
+    MonomialIdeal,
+    _exchange_witness,
+    _graded_sum,
+    default_cohomology_window,
+)
 from .rings import Monomial
 from .tables import BettiTable, CohomologyTable
 
@@ -236,9 +241,9 @@ def _mask_homology(maximal):
     the vertex count minus the components, merged from maximal masks that
     meet.  A graph (no maximal face of 3 vertices) is read off its maximal
     masks: vertices, edges and components, with no face enumerated.  Higher
-    faces are submasks, with boundary rows as dicts over the indices of the
-    faces one smaller; the maps run from the top down, and a face that is a
-    pivot of the map above is cleared (see linalg)."""
+    faces are submasks, handed by size from the top faces down to the edges
+    to `linalg.level_ranks` (the linalg docstring has the sign rule and the
+    clearing)."""
     if not maximal or reduce(int.__and__, maximal):
         return {}
     components = []
@@ -265,23 +270,12 @@ def _mask_homology(maximal):
                 sub = (sub - 1) & m
         by_card = {}
         for f in faces:
-            by_card.setdefault(f.bit_count(), []).append(f)
+            level = by_card.setdefault(f.bit_count(), {})
+            level[f] = len(level)
         sizes = [1] + [len(by_card[k]) for k in range(1, top + 1)]
-    cleared = ()
-    for k in range(top, 2, -1):
-        lower = {f: i for i, f in enumerate(by_card[k - 1])}
-        rows = []
-        for i, f in enumerate(by_card[k]):
-            if i in cleared:
-                continue
-            row, sign, rest = {}, 1, f
-            while rest:
-                bit = rest & -rest
-                row[lower[f ^ bit]] = sign
-                sign, rest = -sign, rest ^ bit
-            rows.append(row)
-        cleared = pivots(rows)
-        ranks[k] = len(cleared)
+        ranks.update(zip(range(top, 2, -1), level_ranks(
+            max(maximal).bit_length(),
+            [by_card[k] for k in range(top, 1, -1)])))
     out = {}
     for k in range(top + 1):
         h = sizes[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -369,19 +363,6 @@ def sigma(mono):
     return Monomial(tuple(exps))
 
 
-def _exchange_witness(ideal):
-    """(generator, i, j) when replacing the variable x_i of a generator by a
-    smaller missing x_j leaves the squarefree ideal, else None."""
-    var = [Monomial.variable(i, ideal.n) for i in range(1, ideal.n + 1)]
-    for u in ideal.gens:
-        for i in u.support():
-            for j in range(1, i):
-                if not u.exponent(j) and not ideal.contains(
-                        u / var[i - 1] * var[j - 1]):
-                    return u, i, j
-    return None
-
-
 def is_shifted(cx):
     """Whether exchanging any vertex of a face for a larger one stays a face.
 
@@ -389,7 +370,7 @@ def is_shifted(cx):
     one variable of a generator by a smaller missing one lands in the
     ideal.  Returns (flag, witness), witness = (generator, i, j) on failure.
     """
-    witness = _exchange_witness(stanley_reisner_ideal(cx))
+    witness = _exchange_witness(stanley_reisner_ideal(cx), squarefree=True)
     return witness is None, witness
 
 
@@ -403,7 +384,7 @@ def shifted_ideal(ideal, seed):
     if ideal.is_zero():
         return ideal
     out = MonomialIdeal(ideal.n, [sigma(u) for u in gin(ideal, seed).gens])
-    witness = _exchange_witness(out)
+    witness = _exchange_witness(out, squarefree=True)
     if witness is not None:
         raise ShiftedViolationError(
             "shift produced a non-shifted ideal at %s, swap x%d <- x%d"

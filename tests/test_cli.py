@@ -307,6 +307,20 @@ def test_invalid_json_cites_the_line_and_column(capsys, tmp_path):
     assert err.startswith("error[parse-error]: line 3, column 10: "), err
 
 
+def test_file_with_generators_and_facets_is_parse_error(capsys, tmp_path):
+    # Neither key wins, whichever kinds of input the command takes.
+    data = {"n": 2, "generators": ["x1*x2"], "facets": [[1], [2]]}
+    (tmp_path / "both").mkdir()
+    path = write_json(tmp_path / "both", "both.json", data)
+    for argv in (("seqcm", path, "--seed", "7"), ("localcoh", path),
+                 ("betti", path), ("dual", path), ("shift", path, "--seed", "7"),
+                 ("verify", "corpus", str(tmp_path / "both"), "--seed", "7")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error[parse-error]: ") and "both.json" in err
+        assert '"generators"' in err and '"facets"' in err, err
+
+
 def test_non_integer_vertex_is_parse_error(capsys, tmp_path):
     for vertex in ("a", 1.5):
         path = write_json(tmp_path, "v.json", {"n": 2, "facets": [[vertex, 2]]})

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm.linalg import det, invert, matmul, pivots
+from seqcm.linalg import det, invert, level_ranks, matmul, pivots
 
 
 def int_rows(matrix):
@@ -168,6 +168,78 @@ def test_clearing_keeps_boundary_ranks_of_seeded_complexes():
             cleared = pivots(int_rows(row for i, row in enumerate(maps[k])
                                        if i not in cleared))
             assert len(cleared) == dense_rank(maps[k]), (facets, k)
+
+
+def mask_levels(masks):
+    # The masks by size, from the smallest size to the largest, as the
+    # {mask: index} dicts of level_ranks; sizes with no mask give {}.
+    lo = min(m.bit_count() for m in masks)
+    levels = [{} for _ in range(max(m.bit_count() for m in masks) - lo + 1)]
+    for m in sorted(masks):
+        level = levels[m.bit_count() - lo]
+        level[m] = len(level)
+    return levels
+
+
+def signed_map(n, level, after):
+    # Dense matrix of the map from level to after: entry (f, g) is
+    # (-1)^(vertices of f below v) when f and g differ in one vertex v.
+    rows = [[0] * len(after) for _ in level]
+    for f, i in level.items():
+        for g, j in after.items():
+            v = f ^ g
+            if v.bit_count() == 1:
+                below = sum(f >> u & 1 for u in range(n) if 1 << u < v)
+                rows[i][j] = (-1) ** below
+    return rows
+
+
+def test_level_ranks_match_the_dense_reference_in_both_orders():
+    # A family of masks that holds every mask between two of its own (the
+    # masks under some of a few tops and over some of a few bottoms) is a
+    # complex in both directions, so clearing keeps each map's rank, also
+    # across a size that has no mask.  The reference ranks every map on
+    # its own, without clearing.
+    rng = random.Random(21)
+    gaps = 0
+    for case in range(200):
+        n = rng.randint(1, 7)
+        tops = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+        bottoms = (tops if rng.getrandbits(1)
+                   else [t & rng.getrandbits(n) for t in tops])
+        if case % 5 == 0:
+            # two intervals on disjoint vertices, of sizes 1-2 and 4-5:
+            # maps of rank 1 on both sides of the empty size 3
+            n, v = 8, [1 << u for u in rng.sample(range(8), 8)]
+            tops = [v[0] | v[1], sum(v[3:])]
+            bottoms = [v[0], tops[1] ^ rng.choice(v[3:])]
+        masks = [m for m in range(1 << n)
+                 if any(m & t == m for t in tops)
+                 and any(m & b == b for b in bottoms)]
+        if not masks:
+            continue
+        levels = mask_levels(masks)
+        gaps += not all(levels)
+        for order in (levels, levels[::-1]):
+            expected = [dense_rank(signed_map(n, a, b))
+                        for a, b in zip(order, order[1:])]
+            assert level_ranks(n, order) == expected, (n, tops, bottoms)
+    assert gaps >= 40
+
+
+@pytest.mark.parametrize("facets", [
+    [0b11111 ^ 1 << v for v in range(5)],   # boundary of the 4-simplex
+    [a | b | c for a in (1, 2) for b in (4, 8) for c in (16, 32)],
+])
+def test_level_ranks_of_a_complex_reverse_with_the_order(facets):
+    # Top-down the maps are boundaries, bottom-up their transposes.
+    n = max(facets).bit_length()
+    faces = {sub for m in facets for sub in range(m + 1) if sub & m == sub}
+    levels = mask_levels(sorted(faces))
+    down = level_ranks(n, levels[::-1])
+    assert down == level_ranks(n, levels)[::-1]
+    maps = boundary_matrices(facets)
+    assert down == [dense_rank(maps[k]) for k in sorted(maps, reverse=True)]
 
 
 @st.composite

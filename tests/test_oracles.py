@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm import groebner, monomial, oracles, simplicial
+from seqcm import groebner, linalg, monomial, oracles, simplicial
 from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
 from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.groebner import (
@@ -581,7 +581,7 @@ def test_every_pivots_caller_passes_nonzero_integer_dict_rows(monkeypatch):
         callers.add(sys._getframe(1).f_code.co_name)
         return pivots(rows)
 
-    monkeypatch.setattr(simplicial, "pivots", checked)
+    monkeypatch.setattr(linalg, "pivots", checked)
     monkeypatch.setattr(oracles, "pivots", checked)
     for ideal in clearing_ideals():
         koszul_betti(ideal)
@@ -592,8 +592,34 @@ def test_every_pivots_caller_passes_nonzero_integer_dict_rows(monkeypatch):
         for face_ring in (cx, shifted_complex(cx, 7)):
             hochster_betti(face_ring)
             local_cohomology_face_ring(face_ring)
-    assert callers == {"_mask_homology", "_koszul_monomial", "_cech_piece",
-                       "boundary_pivots"}
+    assert callers == {"level_ranks", "boundary_pivots"}
+
+
+def test_each_site_keeps_its_clearing_direction(monkeypatch):
+    # The rows each site hands to pivots, one input per site.  Reversing a
+    # site's levels gives the same ranks from other rows: Hochster on cross4
+    # bottom-up hands over [12, 12, 12, 12, 24, 15], Koszul on the
+    # octahedron's face ideal bottom-up 259 rows, and the Cech piece at
+    # degree 0 of cross4's face ideal top-down [16, 17, 7, 1].
+    counts = []
+
+    def counted(rows):
+        rows = list(rows)
+        counts.append(len(rows))
+        return pivots(rows)
+
+    monkeypatch.setattr(linalg, "pivots", counted)
+    hochster_betti(_cross_polytope(4))
+    assert counts == [8, 8, 8, 8, 16, 17]
+    counts.clear()
+    _koszul_monomial(stanley_reisner_ideal(_cross_polytope(3)), 8)
+    assert sum(counts) == 252
+    counts.clear()
+    ideal = stanley_reisner_ideal(_cross_polytope(4))
+    gen_exps = [g.exponents for g in ideal.gens]
+    assert _cech_piece(8, gen_exps, (0,) * 8, _cech_blocks(8, gen_exps)) \
+        == {4: 1}
+    assert counts == [1, 7, 17, 15]
 
 
 def test_koszul_general_route_reads_packed_integers_only(monkeypatch):

@@ -316,10 +316,10 @@ def test_kernel_matches_the_all_rank_reference():
 
 def test_graphs_need_no_rank(monkeypatch):
     # Ranks into the empty face and into the vertices come from components.
-    def no_elimination(rows):
+    def no_elimination(n, levels):
         raise AssertionError("elimination called on a graph")
 
-    monkeypatch.setattr(simplicial, "pivots", no_elimination)
+    monkeypatch.setattr(simplicial, "level_ranks", no_elimination)
     for cx in kernel_complexes():
         if cx.dim() <= 1:
             reduced_homology(cx)
