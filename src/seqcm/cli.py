@@ -15,12 +15,12 @@ import secrets
 import sys
 
 from .decide import (
-    MAX_WINDOW_WIDTH,
+    checked_window,
     is_sequentially_cm,
     main_theorem_check,
     theorem41_check,
 )
-from .errors import CapacityError, InconsistencyError, ParseError, SeqcmError
+from .errors import InconsistencyError, ParseError, SeqcmError
 from .groebner import GinCache, PolynomialIdeal, gin, initial_ideal
 from .monomial import (
     default_cohomology_window,
@@ -117,15 +117,7 @@ def _parse_window(text):
         raise ParseError("window must look like -8..4, got %r" % text)
     if lo > hi:
         raise ParseError("window %r is empty: %d > %d" % (text, lo, hi))
-    return _checked_window(lo, hi)
-
-
-def _checked_window(lo, hi):
-    """(lo, hi), refused before any work if it spans more than
-    MAX_WINDOW_WIDTH degrees."""
-    if hi - lo + 1 > MAX_WINDOW_WIDTH:
-        raise CapacityError("window width", MAX_WINDOW_WIDTH, hi - lo + 1)
-    return lo, hi
+    return checked_window(lo, hi, "window width")
 
 
 def _resolve_seed(args):
@@ -164,7 +156,9 @@ def _cmd_hilbert(args):
 def _cmd_betti(args):
     poly = _load(args.input, "ideal")
     monomial = poly.as_monomial_ideal() if poly.is_monomial() else None
-    if args.oracle or monomial is None or not monomial.is_squarefree():
+    # Only the Koszul route takes a degree bound, so a given one selects it.
+    if (args.oracle or args.bound is not None or monomial is None
+            or not monomial.is_squarefree()):
         route = "koszul"
         table = koszul_betti(monomial if monomial is not None else poly,
                              args.bound)
@@ -187,7 +181,8 @@ def _cmd_localcoh(args):
         else:
             monomial = obj.as_monomial_ideal()
         # Both routes default to this window; hold it to the cap up front.
-        window = window or _checked_window(*default_cohomology_window(monomial))
+        window = window or checked_window(*default_cohomology_window(monomial),
+                                          "window width")
         route = (local_cohomology_strongly_stable if args.route == "filtration"
                  else cech_local_cohomology)
         table = route(monomial, window)
@@ -305,7 +300,8 @@ def build_parser():
                            help="gin cache directory (or $SEQCM_CACHE_DIR)")
         if bound:
             p.add_argument("--bound", type=int, default=None,
-                           help="degree bound for the Koszul oracle")
+                           help="degree bound for the Koszul oracle; "
+                                "selects that route")
 
     p = sub.add_parser("gin", help="generic initial ideal of an ideal file")
     p.add_argument("input")

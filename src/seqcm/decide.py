@@ -1,13 +1,24 @@
 """Deciders built on the two local cohomology routes and on shifting.
 
-Cohomology tables are compared exactly, not on a sample of degrees.  Both
-routes make each H^i exact on its window and attach polynomial tails once the
-window reaches past the last degree where the function is irregular.  The
-deciders compute both tables on the widened hull of the caller's window and
-the derived one, which always reaches that far, and CohomologyTable.
-same_function compares window values and tails, which settles every degree.
-A caller's window can therefore widen what is compared and reported, but
-never narrows it and never changes a verdict.
+Both theorem checks take one comparison path, `_compare`: the main theorem
+compares R/I with R/gin(I), its squarefree analogue (Theorem 4.1) the face
+ring K[D] with K[D^s] of the shifted complex.  Either way the left side is
+bounded by the right in every degree, with equality everywhere exactly when
+the ring is sequentially Cohen-Macaulay, so `_compare` raises
+InconsistencyError wherever the left exceeds the right.  For R/I the bound
+is Sbarra's.  For the face ring it follows from three facts: the face-ring
+formula writes dim H^i(K[D])_{-j} as a nonnegative combination of the graded
+Betti numbers of I_{D^v}, the ideal of the Alexander dual; shifting only
+raises those numbers (Aramova-Herzog-Hibi, Math. Z. 1998); and
+(D^v)^s = (D^s)^v.
+
+Tables are compared exactly, not on a sample of degrees.  Both routes make
+each H^i exact on its window and attach polynomial tails once the window
+reaches past the last degree where the function is irregular.  Both tables
+are computed on the widened hull of the caller's window and the derived one,
+which always reaches that far, and CohomologyTable.same_function compares
+window values and tails, which settles every degree.  A caller's window can
+therefore widen what is compared, but never narrows it or changes a verdict.
 """
 
 from .errors import CapacityError, InconsistencyError, UndefinedInputError
@@ -36,16 +47,12 @@ def widen_window(window, n):
     return (window[0] - (n + 2), window[1] + 2)
 
 
-def _merge_windows(a, b):
-    return (min(a[0], b[0]), max(a[1], b[1]))
-
-
-def _compared_window(window, derived, n):
-    """Widened hull of the caller's window and the derived one."""
-    lo, hi = _merge_windows(window, derived)
+def checked_window(lo, hi, what):
+    """(lo, hi), refused as the capacity `what` before any work if it spans
+    more than MAX_WINDOW_WIDTH degrees."""
     if hi - lo + 1 > MAX_WINDOW_WIDTH:
-        raise CapacityError("compared window width", MAX_WINDOW_WIDTH, hi - lo + 1)
-    return widen_window((lo, hi), n)
+        raise CapacityError(what, MAX_WINDOW_WIDTH, hi - lo + 1)
+    return lo, hi
 
 
 class ComparisonReport:
@@ -128,16 +135,7 @@ def is_componentwise_linear(ideal, seed):
     is shifted directly, and each side's complex is built once, for
     Hochster's formula.  The zero and unit ideals qualify trivially.
     """
-    return _componentwise_linear(ideal, complex_of(ideal), seed)
-
-
-def _componentwise_linear(ideal, cx, seed):
-    """`is_componentwise_linear` of an ideal whose complex cx is built."""
-    shifted = complex_of(shifted_ideal(ideal, seed))
-    comparison = BettiComparison(
-        "ideal", "shifted ideal",
-        betti_numbers_of_ideal(cx), betti_numbers_of_ideal(shifted))
-    return SeqCMVerdict(comparison.equal, "betti-vs-shifted", seed, comparison)
+    return _shift_verdict(ideal, complex_of(ideal), seed, "betti-vs-shifted")
 
 
 def is_sequentially_cm(cx, seed):
@@ -147,14 +145,45 @@ def is_sequentially_cm(cx, seed):
     the Stanley-Reisner ideal of its dual, read off the facets by
     `dual_ideal`, is componentwise linear.
     """
-    return _sequentially_cm(cx, alexander_dual(cx), seed)
+    return _shift_verdict(dual_ideal(cx), alexander_dual(cx), seed,
+                          "dual-componentwise-linear")
 
 
-def _sequentially_cm(cx, dual, seed):
-    """`is_sequentially_cm` of cx with its Alexander dual built."""
-    inner = _componentwise_linear(dual_ideal(cx), dual, seed)
-    return SeqCMVerdict(inner.value, "dual-componentwise-linear",
-                        seed, inner.details)
+def _shift_verdict(ideal, cx, seed, route):
+    """Whether the Betti numbers of ideal, whose complex cx is built, survive
+    its shift, as a verdict of the given route."""
+    shifted = complex_of(shifted_ideal(ideal, seed))
+    comparison = BettiComparison(
+        "ideal", "shifted ideal",
+        betti_numbers_of_ideal(cx), betti_numbers_of_ideal(shifted))
+    return SeqCMVerdict(comparison.equal, route, seed, comparison)
+
+
+def _compare(labels, left_ideal, right_route, right_ideal, window, seed,
+             notes=()):
+    """The Cech table of R/left_ideal against right_route's of R/right_ideal.
+
+    Both are computed on the widened hull, held to MAX_WINDOW_WIDTH, of
+    window and the derived window, the hull of both ideals' default ones,
+    which stands in for a window of None.  A degree where the left exceeds
+    the right breaks both theorems' bound and raises InconsistencyError.
+    """
+    (lo1, hi1), (lo2, hi2) = map(default_cohomology_window,
+                                 (left_ideal, right_ideal))
+    window = window or (min(lo1, lo2), max(hi1, hi2))
+    wide = widen_window(checked_window(
+        min(window[0], lo1, lo2), max(window[1], hi1, hi2),
+        "compared window width"), left_ideal.n)
+    left = cech_local_cohomology(left_ideal, wide)
+    right = right_route(right_ideal, wide)
+    diff = left.diff(right, wide)
+    if any(a > b for _, _, a, b in diff):
+        raise InconsistencyError("cohomology of %s exceeds that of %s "
+                                 "somewhere on %r" % (labels + (wide,)))
+    return ComparisonReport(
+        labels[0], labels[1], window, wide,
+        "equal" if left.same_function(right) else "unequal",
+        diff, left, right, seed, notes)
 
 
 def main_theorem_check(ideal, seed, window=None):
@@ -163,78 +192,52 @@ def main_theorem_check(ideal, seed, window=None):
     The gin side always runs (dimension filtration of the strongly stable
     gin).  The R/I side runs through the Cech complex and therefore needs
     a monomial ideal; otherwise it is skipped and the verdict says so.
-    Whenever both sides run, the degreewise inequality left <= right is
-    asserted; a violation cannot come from the mathematics and raises
-    InconsistencyError.
+    Whenever both sides run, `_compare` asserts the degreewise inequality
+    left <= right (Sbarra); a violation raises InconsistencyError.
     """
     if isinstance(ideal, MonomialIdeal):
         monomial = ideal
     else:
         monomial = ideal.as_monomial_ideal() if ideal.is_monomial() else None
-    n = ideal.n
     if monomial is not None:
         if monomial.is_unit():
             raise UndefinedInputError("main theorem check on the zero ring")
         _check_cech_work(monomial)  # before gin, which may take long
     if ideal.is_zero():
-        gin_ideal = MonomialIdeal.zero(n)  # gin of 0 is 0
+        gin_ideal = MonomialIdeal.zero(ideal.n)  # gin of 0 is 0
     else:
         gin_ideal = gin(ideal, seed)
-    derived = default_cohomology_window(gin_ideal)
     if monomial is not None:
-        derived = _merge_windows(derived, default_cohomology_window(monomial))
-    if window is None:
-        window = derived
-
-    if monomial is None:
-        table = local_cohomology_strongly_stable(gin_ideal, window)
-        return ComparisonReport(
-            "cech R/I", "filtration R/gin(I)", window, None,
-            "left-skipped", (), None, table, seed,
-            ["input is not a monomial ideal; only the gin side was computed"])
-
-    wide = _compared_window(window, derived, n)
-    left = cech_local_cohomology(monomial, wide)
-    right = local_cohomology_strongly_stable(gin_ideal, wide)
-    equal = left.same_function(right)
-    diff = left.diff(right, wide)
-    if any(a > b for _, _, a, b in diff):
-        raise InconsistencyError(
-            "cohomology of R/I exceeds that of R/gin(I) somewhere on %r" % (wide,))
+        return _compare(("cech R/I", "filtration R/gin(I)"), monomial,
+                        local_cohomology_strongly_stable, gin_ideal, window, seed)
+    window = window or default_cohomology_window(gin_ideal)
     return ComparisonReport(
-        "cech R/I", "filtration R/gin(I)", window, wide,
-        "equal" if equal else "unequal", diff, left, right, seed)
+        "cech R/I", "filtration R/gin(I)", window, None, "left-skipped", (),
+        None, local_cohomology_strongly_stable(gin_ideal, window), seed,
+        ["input is not a monomial ideal; only the gin side was computed"])
 
 
 def theorem41_check(cx, seed, window=None):
     """Compare face-ring local cohomology before and after shifting.
 
     Computes both tables with the Cech route, the shifted side on
-    `shifted_ideal` of the face ideal, and cross-checks the verdict against
-    the sequential Cohen-Macaulay decider; the two must agree, and a
-    mismatch raises InconsistencyError.
+    `shifted_ideal` of the face ideal, through `_compare`, which asserts
+    dim H^i(K[cx])_j <= dim H^i(K[cx^s])_j in every degree.  The verdict
+    is then cross-checked against the sequential Cohen-Macaulay decider;
+    the two must agree, and a mismatch raises InconsistencyError.
     """
     dual = alexander_dual(cx)
     ideal = dual_ideal(dual)
     _check_cech_work(ideal)  # before gin, which may take long
     shifted = shifted_ideal(ideal, seed)
-    n = cx.n
-    derived = _merge_windows(default_cohomology_window(ideal),
-                             default_cohomology_window(shifted))
-    if window is None:
-        window = derived
-    wide = _compared_window(window, derived, n)
-    left = cech_local_cohomology(ideal, wide)
-    right = cech_local_cohomology(shifted, wide)
-    equal = left.same_function(right)
-    verdict = _sequentially_cm(cx, dual, seed)
-    if equal != verdict.value:
+    report = _compare(
+        ("cech face ring", "cech shifted face ring"), ideal,
+        cech_local_cohomology, shifted, window, seed,
+        ["verdict concords with the sequential Cohen-Macaulay decider"])
+    verdict = _shift_verdict(dual_ideal(cx), dual, seed,
+                             "dual-componentwise-linear")
+    if (report.verdict == "equal") != verdict.value:
         raise InconsistencyError(
             "cohomology comparison says %s but the shifting decider says %s"
-            % ("equal" if equal else "unequal", verdict.value))
-    report = ComparisonReport(
-        "cech face ring", "cech shifted face ring", window, wide,
-        "equal" if equal else "unequal",
-        left.diff(right, wide), left, right, seed,
-        ["verdict concords with the sequential Cohen-Macaulay decider"])
+            % (report.verdict, verdict.value))
     return report, verdict

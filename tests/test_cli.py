@@ -14,11 +14,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from seqcm import cli, simplicial
-from seqcm.cli import MAX_WINDOW_WIDTH, _load, build_parser, main
-from seqcm.decide import widen_window
+from seqcm.cli import _load, build_parser, main
+from seqcm.decide import MAX_WINDOW_WIDTH, widen_window
 from seqcm.groebner import GinCache, PolynomialIdeal
 from seqcm.oracles import KOSZUL_MAX_BOUND
 from seqcm.tables import CohomologyTable, HilbertFunction
+from test_decide import lower_the_shifted_side
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -359,6 +360,21 @@ def test_betti_tsv(capsys, tmp_path):
     code, out, _ = run(capsys, "betti", path, "--format", "tsv")
     assert code == 0
     assert out.splitlines()[0] == "i\\j\t0\t1"
+
+
+def test_betti_bound_selects_the_koszul_route(capsys, tmp_path):
+    # Squarefree input takes Hochster unless a bound is given; a bound is
+    # the Koszul route's, so it is always checked.
+    path = write_json(tmp_path, "path.json",
+                      {"n": 3, "generators": ["x1*x2", "x2*x3"]})
+    code, out, _ = run(capsys, "betti", path)
+    hochster = json.loads(out)
+    assert code == 0 and hochster["route"] == "hochster"
+    code, out, _ = run(capsys, "betti", path, "--bound", "6")
+    assert code == 0 and json.loads(out) == dict(hochster, route="koszul")
+    for bound, exit_code in (("-5", 2), ("99", 3)):
+        code, out, _ = run(capsys, "betti", path, "--bound", bound)
+        assert (code, out) == (exit_code, "")
 
 
 def test_betti_bound_too_small(capsys, tmp_path):
@@ -706,6 +722,14 @@ def test_verify_verdict_does_not_depend_on_window(capsys, name):
         assert report["wide_window"] is None
     else:
         assert tuple(report["wide_window"]) == widen_window((-20, 8), data["n"])
+
+
+def test_verify_thm41_exits_four_when_left_exceeds_right(
+        capsys, edges_complex, monkeypatch):
+    lower_the_shifted_side(monkeypatch)
+    code, out, err = run(capsys, "verify", "thm41", edges_complex, "--seed", "7")
+    assert (code, out) == (4, "")
+    assert "error[inconsistency]: cohomology of cech face ring exceeds" in err
 
 
 def test_verify_far_window_is_capacity_error(capsys):

@@ -1,6 +1,7 @@
 """Deciders and dual-route comparisons."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -119,6 +120,53 @@ def test_theorem41_concordance():
     report, verdict = theorem41_check(edge_plus_vertex, seed=11)
     assert report.verdict == "equal" and verdict.value is True
     assert report.left_label == "cech face ring"
+
+
+def lowered_below(left, right):
+    """right, lowered to one below left at left's top degree of its top H^i."""
+    i = max(left.indices())
+    d = max(left.functions[i].values)
+    hf = right.functions[i]
+    values = {**hf.values, d: left.value(i, d) - 1}
+    return CohomologyTable(right.window, {
+        **right.functions, i: HilbertFunction(hf.window, values, hf.tails)})
+
+
+def lower_the_shifted_side(monkeypatch):
+    # _compare computes the face ring's table, then the shifted one's.
+    real = decide.cech_local_cohomology
+    tables = []
+
+    def patched(ideal, window):
+        tables.append(real(ideal, window))
+        return tables[-1] if len(tables) % 2 else lowered_below(*tables[-2:])
+
+    monkeypatch.setattr(decide, "cech_local_cohomology", patched)
+
+
+def test_theorem41_bound_is_asserted(monkeypatch):
+    # Two disjoint edges already give unequal tables, so the verdict still
+    # concords with the decider; only the bound left <= right can object.
+    lower_the_shifted_side(monkeypatch)
+    with pytest.raises(InconsistencyError, match="exceeds"):
+        theorem41_check(disjoint_edges, seed=11)
+
+
+def random_complex(seed):
+    rng = random.Random(seed)
+    n = 3 + seed % 5
+    return SimplicialComplex(n, [
+        rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+        for _ in range(rng.randint(2, 2 * n))])
+
+
+def test_theorem41_on_random_complexes():
+    # Each check asserts left <= right in every degree and the concordance
+    # of its verdict with the shifting decider, beyond the corpus's three
+    # complexes that are not sequentially Cohen-Macaulay.
+    verdicts = [theorem41_check(random_complex(seed), seed=7)[1].value
+                for seed in range(40)]
+    assert verdicts.count(False) >= 8
 
 
 def spot_table(window, degree, tails=((), ())):
