@@ -627,6 +627,12 @@ def saturation(ideal, seed):
         "saturation results disagreed across %d seed pairs" % GIN_RETRY_BUDGET)
 
 
+def gin_terms(ideal):
+    """Terms that gin's coordinate change may give the generators of ideal,
+    summed: `_image_terms` of each, which gin holds to GIN_MAX_TERMS."""
+    return sum(_image_terms(ideal.n, p) for p in _generators(ideal))
+
+
 def ideal_content_hash(ideal):
     """Stable hash of the presented ideal (sorted canonical generators); a
     MonomialIdeal and its PolynomialIdeal hash alike."""
@@ -656,12 +662,12 @@ def gin(ideal, seed, cache=None):
     hit = cache.get(ideal, seed)
     if hit is not None:
         return hit
-    n, gens = ideal.n, _generators(ideal)
-    terms = sum(_image_terms(n, p) for p in gens)
+    terms = gin_terms(ideal)
     if terms > GIN_MAX_TERMS:
         raise CapacityError("gin coordinate-change terms", GIN_MAX_TERMS, terms)
     # HF(R/u.I) = HF(R/I): a monomial I is its own Hilbert target, and any
     # other I takes the lead ideal of its first full-pair run.
+    n, gens = ideal.n, _generators(ideal)
     target = (_HilbertTarget(n, _leads(n, [(min(p), p) for p in gens]))
               if all(len(p) == 1 for p in gens) else None)
     for t in range(GIN_RETRY_BUDGET):

@@ -8,8 +8,10 @@ face (ideal (x1,...,xn), face ring K).
 
 The Stanley-Reisner transfer has one subset enumeration, `complex_of`:
 `dual_ideal` reads the ideal of the Alexander dual off the facets, and the
-dual and the Stanley-Reisner ideal are built from it.  Shifting acts on
-ideals, where gin works, and `shifted_complex` is the complex of the result.
+dual and the Stanley-Reisner ideal are built from it.  Back the other way,
+`_dual_complex` reads the Alexander dual off the generators of a face ideal.
+Shifting acts on ideals, where gin works, and `shifted_complex` is the
+complex of the result.
 
 Betti numbers of face rings come from Hochster's formula; local cohomology
 of a face ring is a graded sum over the Betti numbers of the Alexander dual
@@ -162,6 +164,15 @@ def dual_ideal(cx):
     n = cx.n
     return MonomialIdeal(n, [tuple(0 if v in f else 1 for v in range(1, n + 1))
                              for f in cx.facets])
+
+
+def _dual_complex(ideal):
+    """Alexander dual of the complex of a squarefree ideal, read off the
+    generators: the facets of the dual are the complements of the minimal
+    nonfaces, so no subset is enumerated.  The inverse of `dual_ideal`."""
+    n = ideal.n
+    return SimplicialComplex(n, [
+        [v for v in range(1, n + 1) if not g.exponent(v)] for g in ideal.gens])
 
 
 def complex_of(ideal):
@@ -327,6 +338,58 @@ def hochster_betti(cx):
             if i >= 1:
                 entries[(i, j)] = entries.get((i, j), 0) + dim
     return BettiTable("quotient", entries)
+
+
+def _relabelled(maximal):
+    """The maximal masks with their vertices renumbered from 1 in order, so
+    that complexes alike up to the names of their vertices share one key."""
+    support, bits = reduce(int.__or__, maximal), []
+    while support:
+        bits.append(support & -support)
+        support &= support - 1
+    return frozenset(sum(1 << i for i, b in enumerate(bits) if m & b)
+                     for m in maximal)
+
+
+def _skeleta_cm(cx):
+    """Whether cx is sequentially Cohen-Macaulay, with no gin and no seed:
+    Duval (Electron. J. Combin. 3, 1996), each pure skeleton is CM, and the
+    ones spanned by the s-vertex faces for the facet sizes s suffice.
+
+    The s-skeleton is the top-degree skeleton, of degree s - 1, of the
+    complex of the facets of s or more vertices, and Reisner's criterion
+    decides it: no link has reduced homology below its top degree.  Below
+    that degree a skeleton has its complex's homology, so no s-subset is
+    enumerated.  The link of a face is reached one vertex at a time: the
+    top-degree skeleton of a complex is CM when the complex has no homology
+    below the top degree and the link of each vertex passes one degree down.
+    Links alike up to relabelling are checked once, simplices pass at once,
+    cones have no homology, and any other link's is that of its core.
+    """
+    passed = set()
+
+    def passes(link, top):
+        if top < 1 or len(link) == 1:
+            return True
+        link = _relabelled(link)
+        if (link, top) in passed:
+            return True
+        if not reduce(int.__and__, link):
+            core = _core(link) if any(m.bit_count() > 2 for m in link) else link
+            if min(_mask_homology(core), default=top) < top:
+                return False
+        rest = reduce(int.__or__, link)
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if not passes(_maximal([m & ~v for m in link if m & v]), top - 1):
+                return False
+        passed.add((link, top))
+        return True
+
+    facets = [_mask(f) for f in cx.facets]
+    return all(passes(frozenset(m for m in facets if m.bit_count() >= s), s - 1)
+               for s in {m.bit_count() for m in facets})
 
 
 def betti_numbers_of_ideal(cx):

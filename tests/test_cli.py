@@ -19,7 +19,12 @@ from seqcm.decide import MAX_WINDOW_WIDTH, widen_window
 from seqcm.groebner import GinCache, PolynomialIdeal
 from seqcm.oracles import KOSZUL_MAX_BOUND
 from seqcm.tables import CohomologyTable, HilbertFunction
-from test_decide import lower_the_shifted_side
+from test_decide import (
+    direct_dual_verdict,
+    flip_the_skeleta,
+    lower_the_shifted_side,
+)
+from test_oracles import _random_complex
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -225,17 +230,39 @@ def test_verify_main_theorem_on_the_8_cycle_face_ideal(capsys, tmp_path):
     assert json.loads(out)["report"]["verdict"] == "equal"
 
 
-@pytest.mark.parametrize("command", [
-    "main-theorem", pytest.param("thm41", marks=pytest.mark.ladder)])
+@pytest.mark.parametrize("command", ["main-theorem", "thm41"])
 def test_verify_on_the_9_cycle(capsys, tmp_path, command):
     # 3^9 steps of the Cech spot pass; the 9-cycle is sequentially CM.
-    # thm41 shifts the dual, about 5 s.
+    # thm41 shifts the face ideal only, well under a second.
     path, cx = cycle_face_ideal(tmp_path, 9)
     if command == "thm41":
         path = write_json(tmp_path, "cycle9-complex.json", cx.to_json())
     code, out, err = run(capsys, "verify", command, path, "--seed", "7")
     assert code == 0, err
     assert json.loads(out)["report"]["verdict"] == "equal"
+
+
+@pytest.mark.ladder
+@pytest.mark.parametrize("cx", [
+    simplicial.SimplicialComplex(10, [(i, i % 10 + 1) for i in range(1, 11)]),
+    _random_complex(1, 9), _random_complex(2, 9)],
+    ids=["cycle-10", "random-9-seed-1", "random-9-seed-2"])
+def test_seqcm_and_thm41_match_the_direct_dual_oracle_on_the_ladder(
+        capsys, tmp_path, cx):
+    # Both read the one shift of the face ideal; the oracle shifts the
+    # dual's ideal, which took about 7, 12 and 40 s on a 2-CPU x86-64 host.
+    oracle = direct_dual_verdict(cx).to_json()
+    path = write_json(tmp_path, "cx.json", cx.to_json())
+    code, out, err = run(capsys, "seqcm", path, "--seed", "7")
+    assert code == 0, err
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["value"], verdict["details"]) == (oracle["value"],
+                                                      oracle["details"])
+    code, out, err = run(capsys, "verify", "thm41", path, "--seed", "7")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["seqcm"] == verdict
+    assert (payload["report"]["verdict"] == "equal") is oracle["value"]
 
 
 def test_window_equals_form_accepts_negatives(capsys, edge_ideal):
@@ -414,14 +441,35 @@ def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
     assert "error[capacity]: Cech oracle work" in err
 
 
+def cofacets_of(tmp_path, n):
+    """The complex with facets [n] - {k} for k = 4..n, whose face ideal has
+    the one generator x4*...*xn, and the single facet {1, 2, 3}, its dual."""
+    return (write_json(tmp_path, "cofacets.json", {"n": n, "facets": [
+        [v for v in range(1, n + 1) if v != k] for k in range(4, n + 1)]}),
+            write_json(tmp_path, "facet.json", {"n": n, "facets": [[1, 2, 3]]}))
+
+
 def test_seqcm_over_the_gin_term_cap_exits_three(capsys, tmp_path):
-    # The dual's one generator x4*...*x14 would take C(24, 11) terms under
+    # Shifting the face ideal x4*...*x14 would take C(24, 11) terms under
     # gin's coordinate change; on 13 vertices it takes C(22, 10), admitted.
-    path = write_json(tmp_path, "facet.json", {"n": 14, "facets": [[1, 2, 3]]})
-    code, out, err = run(capsys, "seqcm", path, "--seed", "7")
+    path, _ = cofacets_of(tmp_path, 14)
+    code, out, err = run(capsys, "shift", path, "--seed", "7")
     assert (code, out) == (3, "")
     assert "error[capacity]: gin coordinate-change terms" in err
     assert "requested %d" % comb(24, 11) in err
+
+
+def test_seqcm_shifts_the_side_with_fewer_gin_terms(capsys, tmp_path):
+    # Each of these complexes has its face ideal or its dual's past the gin
+    # term cap; seqcm shifts the other, so each answers.  All three are
+    # sequentially Cohen-Macaulay: a simplex, its Alexander dual and the
+    # boundary of the 12-simplex, a sphere.
+    sphere = write_json(tmp_path, "sphere.json", {"n": 13, "facets": [
+        [v for v in range(1, 14) if v != k] for k in range(1, 14)]})
+    for path in cofacets_of(tmp_path, 14) + (sphere,):
+        code, out, err = run(capsys, "seqcm", path, "--seed", "7")
+        assert code == 0, err
+        assert json.loads(out)["verdict"]["value"] is True
 
 
 def test_verify_over_the_cech_work_cap_exits_three_before_gin(
@@ -722,6 +770,16 @@ def test_verify_verdict_does_not_depend_on_window(capsys, name):
         assert report["wide_window"] is None
     else:
         assert tuple(report["wide_window"]) == widen_window((-20, 8), data["n"])
+
+
+@pytest.mark.parametrize("argv", [("seqcm",), ("verify", "thm41")],
+                         ids=["seqcm", "thm41"])
+def test_skeleta_disagreement_exits_four(capsys, edges_complex, monkeypatch,
+                                         argv):
+    flip_the_skeleta(monkeypatch)
+    code, out, err = run(capsys, *argv, edges_complex, "--seed", "7")
+    assert (code, out) == (4, "")
+    assert "error[inconsistency]: the shifting decider says False" in err
 
 
 def test_verify_thm41_exits_four_when_left_exceeds_right(

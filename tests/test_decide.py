@@ -26,9 +26,14 @@ from seqcm.monomial import MonomialIdeal
 from seqcm.rings import Monomial
 from seqcm.simplicial import (
     SimplicialComplex,
+    _dual_complex,
+    _skeleta_cm,
     alexander_dual,
+    betti_numbers_of_ideal,
+    dual_ideal,
     local_cohomology_face_ring,
     shifted_complex,
+    shifted_ideal,
     stanley_reisner_ideal,
 )
 from seqcm.tables import BettiTable, CohomologyTable, HilbertFunction
@@ -51,11 +56,33 @@ def test_componentwise_linear_verdicts():
     assert verdict.route == "betti-vs-shifted"
     assert verdict.details.equal
 
-    dual_ideal = stanley_reisner_ideal(alexander_dual(disjoint_edges))
-    verdict = is_componentwise_linear(dual_ideal, seed=11)
+    cofacets = stanley_reisner_ideal(alexander_dual(disjoint_edges))
+    verdict = is_componentwise_linear(cofacets, seed=11)
     assert verdict.value is False
     assert verdict.details.first_difference == (0, 3)
     assert verdict.details.left.entries == {(0, 2): 2, (1, 4): 1}
+
+
+def direct_dual_verdict(cx, seed=7):
+    """The decider's oracle: the ideal of the Alexander dual shifted
+    directly, where the decider reads the dual of the face ideal's shift."""
+    return is_componentwise_linear(dual_ideal(cx), seed)
+
+
+def glued_complex(seed):
+    """Two random pieces on 3 or 4 vertices, with facets of 2 or 3 vertices,
+    on disjoint vertex sets (even seeds) or sharing one vertex (odd seeds):
+    disjoint unions and wedges, mostly not sequentially Cohen-Macaulay."""
+    rng = random.Random(seed)
+    a, b, wedge = rng.randint(3, 4), rng.randint(3, 4), seed % 2
+
+    def piece(first, k):
+        vertices = range(first, first + k)
+        return [rng.sample(vertices, rng.randint(2, 3))
+                for _ in range(rng.randint(1, k))]
+
+    return SimplicialComplex(a + b - wedge,
+                             piece(1, a) + piece(a + 1 - wedge, b))
 
 
 def test_sequentially_cm_verdicts():
@@ -160,6 +187,57 @@ def random_complex(seed):
         for _ in range(rng.randint(2, 2 * n))])
 
 
+def test_the_dual_of_the_shift_has_the_direct_dual_shift_betti_table():
+    # (D^v)^s = (D^s)^v: the right side both deciders now read off the
+    # shifted face ideal has the Betti table of the dual's direct shift.
+    for cx in [corpus_complex(name) for name in sorted(COMPLEXES)] + [
+            random_complex(seed) for seed in range(40)]:
+        oracle = direct_dual_verdict(cx)
+        shifted_dual = _dual_complex(
+            shifted_ideal(stanley_reisner_ideal(cx), seed=7))
+        assert (betti_numbers_of_ideal(shifted_dual).entries
+                == oracle.details.right.entries), cx
+        verdict = is_sequentially_cm(cx, seed=7)
+        assert verdict.value == oracle.value, cx
+        assert verdict.details.right.entries == oracle.details.right.entries
+
+
+def test_skeleta_agree_with_the_direct_dual_oracle():
+    plain = [random_complex(seed) for seed in range(200)]
+    glued = [glued_complex(seed) for seed in range(50)]
+    for cxs, least_no in ((plain, 40), (glued, 30)):
+        verdicts = [_skeleta_cm(cx) for cx in cxs]
+        assert verdicts == [direct_dual_verdict(cx).value for cx in cxs]
+        assert verdicts.count(False) >= least_no
+
+
+def test_skeleta_on_small_complexes():
+    assert _skeleta_cm(hollow_triangle) and _skeleta_cm(edge_plus_vertex)
+    assert not _skeleta_cm(disjoint_edges) and not _skeleta_cm(bowtie)
+    for cx in (SimplicialComplex.void(3), SimplicialComplex.irrelevant(3),
+               SimplicialComplex.full(3)):
+        assert _skeleta_cm(cx)
+    # The boundary of the 12-simplex: 8,191 faces, whose links are one
+    # sphere per dimension up to relabelling.
+    sphere = SimplicialComplex(13, [[v for v in range(1, 14) if v != k]
+                                    for k in range(1, 14)])
+    assert _skeleta_cm(sphere)
+
+
+def flip_the_skeleta(monkeypatch):
+    real = decide._skeleta_cm
+    monkeypatch.setattr(decide, "_skeleta_cm", lambda cx: not real(cx))
+
+
+def test_skeleta_disagreement_is_an_inconsistency(monkeypatch):
+    flip_the_skeleta(monkeypatch)
+    for cx in (hollow_triangle, disjoint_edges):
+        with pytest.raises(InconsistencyError, match="skeleta"):
+            theorem41_check(cx, seed=11)
+        with pytest.raises(InconsistencyError, match="skeleta"):
+            is_sequentially_cm(cx, seed=11)
+
+
 def test_theorem41_on_random_complexes():
     # Each check asserts left <= right in every degree and the concordance
     # of its verdict with the shifting decider, beyond the corpus's three
@@ -244,9 +322,9 @@ def test_one_subset_enumeration_per_transfer(monkeypatch):
     for name in COMPLEXES:
         calls.clear()
         theorem41_check(corpus_complex(name), seed=7)
-        # The dual's complex, built once for the face ideal and the decider,
-        # then the shifted dual's.
-        assert len(calls) == 2, name
+        # The dual's complex, built once for the face ideal and the decider;
+        # the shifted dual is read off the shifted face ideal's generators.
+        assert len(calls) == 1, name
     calls.clear()
     local_cohomology_face_ring(bowtie)
     assert len(calls) == 1
