@@ -130,11 +130,8 @@ class SeqCMVerdict:
         self.details = details
 
     def to_json(self):
-        details = self.details
-        if hasattr(details, "to_json"):
-            details = details.to_json()
         return {"value": self.value, "route": self.route,
-                "seed": self.seed, "details": details}
+                "seed": self.seed, "details": self.details.to_json()}
 
 
 def is_componentwise_linear(ideal, seed):

@@ -236,16 +236,20 @@ def koszul_betti(ideal, bound=None):
             "degrees above the table" % bound)
     if bound is not None and bound > KOSZUL_MAX_BOUND:
         raise CapacityError("Koszul degree bound", KOSZUL_MAX_BOUND, bound)
+    return _koszul(ideal, *_basis(ideal), bound)
+
+
+def _basis(ideal):
+    """(elements, lead ideal): the engine's reduced basis of I and its lead
+    ideal, or None and I itself when I is a MonomialIdeal."""
     if isinstance(ideal, MonomialIdeal):
-        return _koszul(ideal, None, bound)
-    return _koszul(ideal, _groebner(ideal.n, _generators(ideal)), bound)
+        return None, ideal
+    elements = _groebner(ideal.n, _generators(ideal))
+    return elements, MonomialIdeal(ideal.n, _leads(ideal.n, elements))
 
 
-def _koszul(ideal, elements, bound):
-    """The Koszul Betti table of R/I; elements is the engine's reduced basis
-    of I, or None when I is a MonomialIdeal."""
-    lead_ideal = (ideal if elements is None
-                  else MonomialIdeal(ideal.n, _leads(ideal.n, elements)))
+def _koszul(ideal, elements, lead_ideal, bound):
+    """The Koszul Betti table of R/I from the pair that `_basis` gives."""
     requested = bound
     if bound is None:
         bound = sum(max(col) for col in zip(*(
@@ -269,14 +273,10 @@ def depth_and_dim(ideal):
     the initial ideal.  Undefined for the unit ideal (the zero ring).
     """
     _check_koszul_n(ideal.n)
-    if isinstance(ideal, MonomialIdeal):
-        elements, lead = None, ideal
-    else:
-        elements = _groebner(ideal.n, _generators(ideal))
-        lead = MonomialIdeal(ideal.n, _leads(ideal.n, elements))
+    elements, lead = _basis(ideal)
     if lead.is_unit():
         raise UndefinedInputError("depth of the zero ring")
-    pd = _koszul(ideal, elements, None).projective_dimension()
+    pd = _koszul(ideal, elements, lead, None).projective_dimension()
     return ideal.n - pd, krull_dimension(lead)
 
 

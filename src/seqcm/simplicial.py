@@ -13,9 +13,12 @@ dual and the Stanley-Reisner ideal are built from it.  Back the other way,
 Shifting acts on ideals, where gin works, and `shifted_complex` is the
 complex of the result.
 
-Betti numbers of face rings come from Hochster's formula; local cohomology
-of a face ring is a graded sum over the Betti numbers of the Alexander dual
-ideal.
+Complexes, restrictions and links are held by maximal vertex masks
+(`_maximal`), and their homology has one entry, `_homology`: cones have
+none, and any other complex has that of its strong-collapse core, computed
+once per core in the caller's memo.  Hochster's Betti numbers,
+`reduced_homology` and the skeleta route's links call it.  Local cohomology
+of a face ring is a graded sum over the Betti numbers of the dual ideal.
 """
 
 from fractions import Fraction
@@ -72,12 +75,10 @@ class SimplicialComplex:
     def __init__(self, n, facets):
         _check_n(int(n))
         object.__setattr__(self, "n", int(n))
-        cleaned = sorted(set(_as_face(f, n) for f in facets),
-                         key=lambda f: (len(f), f))
-        sets = [frozenset(f) for f in cleaned]
-        maximal = [f for f, s in zip(cleaned, sets)
-                   if not any(s < t for t in sets)]
-        object.__setattr__(self, "facets", tuple(maximal))
+        maximal = [tuple(v for v in range(1, self.n + 1) if m >> v - 1 & 1)
+                   for m in _maximal(_mask(_as_face(f, n)) for f in facets)]
+        object.__setattr__(self, "facets", tuple(
+            sorted(maximal, key=lambda f: (len(f), f))))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -246,17 +247,15 @@ def _core(maximal):
 
 
 def _mask_homology(maximal):
-    """Reduced homology of the complex with the given maximal face masks;
-    none if they share a vertex (a cone).  The ranks into the empty face and
-    into the vertices come from the 1-skeleton: 1 if there is a vertex, and
-    the vertex count minus the components, merged from maximal masks that
-    meet.  A graph (no maximal face of 3 vertices) is read off its maximal
-    masks: vertices, edges and components, with no face enumerated.  Higher
-    faces are submasks, handed by size from the top faces down to the edges
-    to `linalg.level_ranks` (the linalg docstring has the sign rule and the
+    """Reduced homology of the nonvoid complex with the given maximal face
+    masks, for `_homology`.  The ranks into the empty face and into the
+    vertices come from the 1-skeleton: 1 if there is a vertex, and the vertex
+    count minus the components, merged from maximal masks that meet.  A graph
+    (no maximal face of 3 vertices) is read off its maximal masks: vertices,
+    edges and components, with no face enumerated.  Higher faces are
+    submasks, handed by size from the top faces down to the edges to
+    `linalg.level_ranks` (the linalg docstring has the sign rule and the
     clearing)."""
-    if not maximal or reduce(int.__and__, maximal):
-        return {}
     components = []
     for m in maximal:
         apart = []
@@ -295,14 +294,27 @@ def _mask_homology(maximal):
     return out
 
 
+def _homology(maximal, memo):
+    """Reduced homology of the complex with the given maximal masks: none
+    for the void complex or a cone, else `_mask_homology` of the core (if a
+    face has 3 or more vertices), run once per core in the caller's memo."""
+    if not maximal or reduce(int.__and__, maximal):
+        return {}
+    if any(m.bit_count() > 2 for m in maximal):
+        maximal = _core(maximal)
+    if maximal not in memo:
+        memo[maximal] = _mask_homology(maximal)
+    return memo[maximal]
+
+
 def reduced_homology(cx):
     """Nonzero reduced rational homology, {degree: dimension}.
 
     Uses the augmented chain complex, so the irrelevant complex has a
     single class in degree -1 and the void complex has none at all.  Runs
-    the vertex-mask kernel of hochster_betti on the facets.
+    `_homology` on the facets.
     """
-    return _mask_homology(frozenset(_mask(f) for f in cx.facets))
+    return _homology(frozenset(_mask(f) for f in cx.facets), {})
 
 
 def hochster_betti(cx):
@@ -311,29 +323,19 @@ def hochster_betti(cx):
     beta_{i,j} for i >= 1 sums dim of reduced homology in degree j-i-1 of
     the restrictions to the j-element vertex sets; beta_{0,0} = 1 whenever
     the face ring is nonzero.  Returns a quotient-convention table.  Vertex
-    sets that are faces are skipped, since their restrictions are simplices,
-    and so are cones.  A restriction with a maximal face of 3 or more
-    vertices is reduced to its strong-collapse core (`_core`), which has the
-    same homology, and restrictions with the same core share one homology.
+    sets that are faces are skipped, since their restrictions are simplices.
+    Each other restriction's homology comes from `_homology`, so cones have
+    none and restrictions with the same strong-collapse core share one.
     """
-    n = cx.n
-    _check_n(n)
     entries = {} if cx.is_void() else {(0, 0): 1}
     facet_masks = [_mask(f) for f in cx.facets]
     homology = {}
-    for w in range(1, 1 << n):
+    for w in range(1, 1 << cx.n):
         cut = [fm & w for fm in facet_masks]
         if w in cut:
             continue
-        key = _maximal(cut)
-        if key and reduce(int.__and__, key):
-            continue
-        if any(m.bit_count() > 2 for m in key):
-            key = _core(key)
-        if key not in homology:
-            homology[key] = _mask_homology(key)
         j = w.bit_count()
-        for deg, dim in homology[key].items():
+        for deg, dim in _homology(_maximal(cut), homology).items():
             i = j - deg - 1
             if i >= 1:
                 entries[(i, j)] = entries.get((i, j), 0) + dim
@@ -364,9 +366,9 @@ def _skeleta_cm(cx):
     top-degree skeleton of a complex is CM when the complex has no homology
     below the top degree and the link of each vertex passes one degree down.
     Links alike up to relabelling are checked once, simplices pass at once,
-    cones have no homology, and any other link's is that of its core.
+    and link homology comes from `_homology`, one per strong-collapse core.
     """
-    passed = set()
+    passed, homology = set(), {}
 
     def passes(link, top):
         if top < 1 or len(link) == 1:
@@ -374,10 +376,8 @@ def _skeleta_cm(cx):
         link = _relabelled(link)
         if (link, top) in passed:
             return True
-        if not reduce(int.__and__, link):
-            core = _core(link) if any(m.bit_count() > 2 for m in link) else link
-            if min(_mask_homology(core), default=top) < top:
-                return False
+        if min(_homology(link, homology), default=top) < top:
+            return False
         rest = reduce(int.__or__, link)
         while rest:
             v = rest & -rest

@@ -97,7 +97,8 @@ class HilbertFunction:
     def __eq__(self, other):
         return (isinstance(other, HilbertFunction)
                 and self.window == other.window
-                and self.values == other.values)
+                and self.values == other.values
+                and self.tails == other.tails)
 
     def __repr__(self):
         return "HilbertFunction(%r, %r)" % (self.window, self.values)

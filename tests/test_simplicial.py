@@ -17,6 +17,7 @@ from seqcm.monomial import MonomialIdeal, default_cohomology_window, k_polynomia
 from seqcm.rings import Monomial
 from seqcm.simplicial import (
     SimplicialComplex,
+    _skeleta_cm,
     alexander_dual,
     betti_from_cohomology,
     betti_numbers_of_ideal,
@@ -34,6 +35,7 @@ from seqcm.simplicial import (
 from seqcm.tables import CohomologyTable, HilbertFunction
 from test_groebner import _cross_polytope
 from test_linalg import dense_rank, rank
+from test_oracles import _random_complex
 
 hollow_triangle = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
 two_points = SimplicialComplex(2, [(1,), (2,)])
@@ -301,7 +303,11 @@ def kernel_complexes():
                # cones: over a hollow triangle, and over two points
                SimplicialComplex(4, [(1, 2, 4), (1, 3, 4), (2, 3, 4)]),
                SimplicialComplex(3, [(1, 3), (2, 3)]),
-               SimplicialComplex(10, combinations(range(1, 11), 9))]
+               SimplicialComplex(10, combinations(range(1, 11), 9)),
+               # a hollow tetrahedron with a triangle hung at vertex 4:
+               # vertices 5 and 6 are dominated, so the core drops them
+               SimplicialComplex(6, list(combinations(range(1, 5), 3))
+                                 + [(4, 5, 6)])]
             + graphs + seeded_complexes())
 
 
@@ -381,6 +387,26 @@ def test_hochster_homology_calls_on_cross_polytopes(monkeypatch, k, dual,
     cx = _cross_polytope(k)
     hochster_betti(alexander_dual(cx) if dual else cx)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("cx, repeated", [
+    (SimplicialComplex(13, combinations(range(1, 14), 12)), False),
+    (_random_complex(2, 9), True)], ids=["sphere-12", "random-9"])
+def test_skeleta_computes_one_homology_per_core(monkeypatch, cx, repeated):
+    # In one _skeleta_cm call, the links that reach the homology entry and
+    # are not cones get one _mask_homology call per distinct core; on the
+    # random complex, some links share a core.
+    requests, counted = [], []
+    entry, homology = simplicial._homology, simplicial._mask_homology
+    monkeypatch.setattr(simplicial, "_homology", lambda maximal, memo:
+                        requests.append(maximal) or entry(maximal, memo))
+    monkeypatch.setattr(simplicial, "_mask_homology", lambda maximal:
+                        counted.append(maximal) or homology(maximal))
+    _skeleta_cm(cx)
+    cores = [simplicial._core(m) if any(f.bit_count() > 2 for f in m) else m
+             for m in requests if not reduce(int.__and__, m)]
+    assert counted and len(counted) == len(set(counted)) == len(set(cores))
+    assert (len(cores) > len(set(cores))) == repeated
 
 
 def f_vector_numerator(cx):

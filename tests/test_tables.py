@@ -48,6 +48,18 @@ def test_hilbert_json_is_pinned():
                                      "right": ["1", "3/2", "1/2"]}}
 
 
+def test_equality_reads_the_tails():
+    # Equal window values with different right tails (1 and 1 + d(d - 1))
+    # are different functions, as their JSON is, and so are their tables.
+    a = HilbertFunction((0, 1), {0: 1, 1: 1}, tails=(None, (1,)))
+    b = HilbertFunction((0, 1), {0: 1, 1: 1}, tails=(None, (1, -1, 1)))
+    assert a.to_json() != b.to_json() and a.value(2) != b.value(2)
+    assert a != b
+    assert a == HilbertFunction((0, 1), {0: 1, 1: 1}, tails=(None, (1,)))
+    assert CohomologyTable((0, 1), {0: a}) != CohomologyTable((0, 1), {0: b})
+    assert CohomologyTable((0, 1), {0: a}) == CohomologyTable((0, 1), {0: a})
+
+
 def test_hilbert_comparisons():
     a = HilbertFunction((0, 3), {0: 1, 1: 2})
     b = HilbertFunction((0, 3), {0: 1, 1: 2, 2: 1})
