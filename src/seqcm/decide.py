@@ -231,7 +231,7 @@ def main_theorem_check(ideal, seed, window=None):
     if monomial is not None:
         if monomial.is_unit():
             raise UndefinedInputError("main theorem check on the zero ring")
-        _check_cech_work(monomial)  # before gin, which may take long
+        _check_cech_work(monomial, "Cech")  # before gin, which may take long
     if ideal.is_zero():
         gin_ideal = MonomialIdeal.zero(ideal.n)  # gin of 0 is 0
     else:
@@ -258,7 +258,7 @@ def theorem41_check(cx, seed, window=None):
     """
     dual = alexander_dual(cx)
     ideal = dual_ideal(dual)
-    _check_cech_work(ideal)  # before gin, which may take long
+    _check_cech_work(ideal, "Cech")  # before gin, which may take long
     shifted = shifted_ideal(ideal, seed)
     report = _compare(
         ("cech face ring", "cech shifted face ring"), ideal,

@@ -16,14 +16,16 @@ are not pivots of d_(k+1) have the rank of d_k.  The rows left out are ones
 that would reduce to zero.  Cochain maps clear d^i by the pivots of d^(i-1).
 
 The complexes on vertex masks (Hochster's restrictions, the Koszul
-multidegrees and the Cech patterns) are ranked by `level_ranks`.  Their
-bases are levels of equal-size masks, and a mask f maps to the masks f ^ v
-of the next level with the sign (-1)^(vertices of f below v): one rule for
-both directions, the boundary downwards and its transpose upwards.  So the
-order of the levels sets each map's orientation and its clearing order.
-Hochster and Koszul pass their levels from the top down, Cech from the
-bottom up: both orders give the same ranks, and each site keeps the one
-that does less elimination on its own complexes.
+multidegrees and the Cech patterns) share three functions: `levels` sorts a
+basis of masks into levels of equal size, `level_homology` reads each
+level's homology off them, and `level_ranks`, the kernel under it, ranks
+the maps.  A mask f maps to the masks f ^ v of the next level with the sign
+(-1)^(vertices of f below v): one rule for both directions, the boundary
+downwards and its transpose upwards.  So the order of the levels sets each
+map's orientation and its clearing order.  Hochster and Koszul pass their
+levels from the top down, Cech from the bottom up: both orders give the
+same ranks, and each site keeps the one that does less elimination on its
+own complexes.
 """
 
 from fractions import Fraction
@@ -72,6 +74,24 @@ def pivots(rows):
                 if g > 1:
                     row = {c: x // g for c, x in row.items()}
     return set(pivot_rows)
+
+
+def levels(n, masks):
+    """The masks on n vertices sorted by size into {mask: index} dicts, one
+    per size 0..n, each indexing its masks in the given order."""
+    out = [{} for _ in range(n + 1)]
+    for mask in masks:
+        level = out[mask.bit_count()]
+        level[mask] = len(level)
+    return out
+
+
+def level_homology(n, levels):
+    """Each level's size minus the ranks of the maps into it and out of it
+    (`level_ranks`): the homology of the complex the levels span."""
+    ranks = level_ranks(n, levels)
+    return [len(level) - into - out
+            for level, into, out in zip(levels, [0, *ranks], [*ranks, 0])]
 
 
 def level_ranks(n, levels):

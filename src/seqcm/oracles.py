@@ -14,14 +14,18 @@ with its npos entries -1 and positive entries summing to fixed, h copies of
 its piece are the summand (fixed, npos, h) of `monomial._graded_sum`, which
 adds them up exactly on any window, with polynomial tails.
 
-The spots of a pattern a (the basis of its piece) are sets S of variables
-that hold its negative set neg, so only the supersets neg | sub are visited.
-With block_k the generators u with u_k > a_k, S is a spot when the blocks of
-the variables outside S cover every generator.  One pass fills these covers
-over the submasks of the free variables, one OR each, and a pattern whose
-neg alone is not covered has no spots.  Over all patterns the pass takes
-prod_k (1 + 2 rho_k) steps (3^n for a squarefree ideal), known before any
-work and bounded by CECH_MAX_WORK.
+Both monomial oracles find the basis of each piece, its spots, by one
+covering pass, `_covering`: over the submasks of the free variables, one OR
+each, it fills the union of their blocks of generators and keeps the
+submasks that cover every generator, none if all the free variables fall
+short (the early exit).  A Cech pattern a frees the variables outside its
+negative set neg, with block_k the generators u with u_k > a_k; its spots
+hold neg, and the free variables outside them cover.  A Koszul multidegree
+a frees supp(a), with block_k the generators u <= a with u_k = a_k; its
+spots cover, so they meet tight_u = {k : u_k = a_k} of every u <= a.  Over
+all patterns, or all multidegrees up to the exponent maxima rho_k, the pass
+takes prod_k (1 + 2 rho_k) steps (3^n for a squarefree ideal), known before
+any work and bounded by CECH_MAX_WORK.
 
 The Koszul route of a non-monomial ideal works in the engine's packed
 integers (see groebner): the standard monomials of each degree grow from
@@ -31,9 +35,10 @@ reduced basis divides them, and each normal form is the integer pair
 their scales, so its entries are integers.
 
 Every complex is reduced with clearing.  The multidegree pieces of the
-Koszul route and the pattern pieces of the Cech route are ranked by
-`linalg.level_ranks`; the linalg docstring holds their sign rule and
-clearing orders: Koszul from d_n down, Cech from d^0 up.
+Koszul route and the pattern pieces of the Cech route sort their spots with
+`linalg.levels` and read their homology with `linalg.level_homology`; the
+linalg docstring holds their sign rule and clearing orders: Koszul from d_n
+down, Cech from d^0 up.
 """
 
 from functools import reduce
@@ -54,7 +59,7 @@ from .groebner import (
     _leads,
     _remainder,
 )
-from .linalg import level_ranks, pivots
+from .linalg import level_homology, levels, pivots
 from .monomial import (
     MonomialIdeal,
     _graded_sum,
@@ -89,45 +94,46 @@ def brute_hilbert(ideal, window):
     return HilbertFunction((lo, hi), values)
 
 
-def _subsets_by_size(n):
-    by_size = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_size[bin(mask).count("1")].append(mask)
-    return by_size
+def _covering(free, blocks, every):
+    """The submasks of free, in increasing order, whose variables' blocks
+    (blocks[t] for the t-th lowest variable of free) cover every."""
+    if reduce(int.__or__, blocks, 0) != every:
+        return []
+    cover = [0]
+    for b in blocks:
+        cover += [c | b for c in cover]
+    out, sub = [], 0
+    for c in cover:
+        if c == every:
+            out.append(sub)
+        sub = (sub - free) & free
+    return out
 
 
-def _koszul_spots(gen_exps, a, subsets):
-    """spots[i] indexes the masks S of size i with e_S wedge x^(a-S) in the
-    Koszul complex of R/I: S lies in supp(a), and no generator u <= a has
-    tight_u = {k : u_k = a_k} disjoint from S."""
+def _koszul_spots(gen_exps, a):
+    """The levels of the masks S with e_S wedge x^(a-S) in the Koszul complex
+    of R/I: S lies in supp(a) and meets tight_u = {k : u_k = a_k} of every
+    generator u <= a."""
     n = len(a)
-    supp = sum(1 << k for k in range(n) if a[k] > 0)
-    tights = [sum(1 << k for k in range(n) if u[k] == a[k])
-              for u in gen_exps if all(u[k] <= a[k] for k in range(n))]
-    spots = [{} for _ in range(n + 2)]
-    for i in range(n + 1):
-        for mask in subsets[i]:
-            if mask & supp == mask and all(mask & t for t in tights):
-                spots[i][mask] = len(spots[i])
-    return spots
+    below = [u for u in gen_exps if all(map(int.__le__, u, a))]
+    blocks = [sum(1 << g for g, u in enumerate(below) if u[k] == a[k])
+              for k in range(n) if a[k]]
+    supp = sum(1 << k for k in range(n) if a[k])
+    return levels(n, _covering(supp, blocks, (1 << len(below)) - 1))
 
 
 def _koszul_monomial(ideal, bound):
-    n = ideal.n
-    gen_exps = [g.exponents for g in ideal.gens]
-    lcm_exps = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
     # Tor multidegrees divide the lcm of the generators (Taylor complex).
+    rho = _check_cech_work(ideal, "Koszul")
+    gen_exps = [g.exponents for g in ideal.gens]
     entries = {}
-    subsets = _subsets_by_size(n)
-    for a in product(*(range(e + 1) for e in lcm_exps)):
-        if sum(a) > bound:
-            continue
-        spots = _koszul_spots(gen_exps, a, subsets)
-        # d_i maps spots[i] to spots[i - 1]; ranks[i] is its rank
-        ranks = [0, *level_ranks(n, spots[n::-1])[::-1], 0]
+    for a in product(*(range(r + 1) for r in rho)):
         j = sum(a)
-        for i in range(n + 1):
-            h = len(spots[i]) - ranks[i] - ranks[i + 1]
+        if j > bound:
+            continue
+        # d_i maps size i to size i - 1: its levels go from the top down
+        spots = _koszul_spots(gen_exps, a)[::-1]
+        for i, h in enumerate(level_homology(ideal.n, spots)[::-1]):
             if h:
                 entries[(i, j)] = entries.get((i, j), 0) + h
     return entries
@@ -140,14 +146,14 @@ def _koszul_general(n, elements, lead_ideal, bound):
     std[d], the standard monomials of degree d, grows from std[d-1] by the
     packed steps, keeping what no lead divides (the guard test).  C_i in
     total degree j has the basis e_S wedge m, S of size i and m in
-    std[j-i], at position (rank of S among the subsets of its size) *
+    std[j-i], at position (index of S in its level of `linalg.levels`) *
     len(std[j-i]) + (index of m), the layout that clearing reads.  The
     normal form of x_k m is the integer pair (scale, r) of `_remainder`,
     cached by the product; a row multiplies each part by the lcm of its
     scales over the part's own, so `pivots` meets no denominator.  Nor
     does it meet a zero entry: the part of x_k m fills its own column
-    block, from rank_of[S minus k] * width, and `_remainder` keeps no zero
-    coefficient.
+    block, from the index of S minus k times width, and `_remainder` keeps
+    no zero coefficient.
     """
     if lead_ideal.is_unit():
         return {}
@@ -159,8 +165,7 @@ def _koszul_general(n, elements, lead_ideal, bound):
         std.append(sorted(m for m in grown
                           if all((m - lead) & guard for lead in leads)))
     where = [{m: t for t, m in enumerate(monos)} for monos in std]
-    subsets = _subsets_by_size(n)
-    rank_of = {mask: t for level in subsets for t, mask in enumerate(level)}
+    subsets = levels(n, range(1 << n))
     forms = {}
 
     def reduced(t):
@@ -183,7 +188,7 @@ def _koszul_general(n, elements, lead_ideal, bound):
             for k in range(n):
                 if mask >> k & 1:
                     scale, r = reduced(m + steps[k])
-                    parts.append((sign, rank_of[mask ^ 1 << k] * width,
+                    parts.append((sign, subsets[i - 1][mask ^ 1 << k] * width,
                                   scale, r))
                     sign = -sign
             mult = lcm(*(scale for _, _, scale, _ in parts))
@@ -280,62 +285,40 @@ def depth_and_dim(ideal):
     return ideal.n - pd, krull_dimension(lead)
 
 
-def _cech_blocks(n, gen_exps):
+def _cech_blocks(gen_exps, rho):
     """blocks[k][v] for v = 0..rho_k: the bitmask of the generators u with
     u_k > v; a value above rho_k reads as rho_k."""
-    rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
     return [[sum(1 << g for g, u in enumerate(gen_exps) if u[k] > v)
-             for v in range(rho[k] + 1)] for k in range(n)]
+             for v in range(r + 1)] for k, r in enumerate(rho)]
 
 
-def _cech_spots(n, gen_exps, a, blocks=None):
-    """spots[i] indexes the masks S of size i that hold every negative
-    entry of a and contain no need_u = {k : u_k > a_k} of a generator u,
-    that is, whose outside variables' blocks cover every generator."""
-    blocks = blocks or _cech_blocks(n, gen_exps)
+def _cech_spots(n, gen_exps, a, blocks):
+    """The levels of the masks S that hold every negative entry of a and
+    contain no need_u = {k : u_k > a_k} of a generator u, that is, whose
+    outside variables' blocks cover every generator."""
     neg = sum(1 << k for k in range(n) if a[k] < 0)
     free = ((1 << n) - 1) ^ neg
     free_blocks = [b[min(v, len(b) - 1)] for b, v in zip(blocks, a) if v >= 0]
-    every = (1 << len(gen_exps)) - 1
-    spots = [{} for _ in range(n + 1)]
-    if reduce(int.__or__, free_blocks, 0) != every:
-        return spots
-    # cover[t]: the generators blocked by the free variables in the t-th
-    # submask of free; reversed, it runs over the complements of neg | sub.
-    cover = [0]
-    for b in free_blocks:
-        cover += [c | b for c in cover]
-    sub = 0
-    for c in reversed(cover):
-        if c == every:
-            level = spots[(neg | sub).bit_count()]
-            level[neg | sub] = len(level)
-        sub = (sub - free) & free
-    return spots
+    covers = _covering(free, free_blocks, (1 << len(gen_exps)) - 1)
+    # the complements of the covers, reversed, run up from neg
+    return levels(n, [neg | free ^ c for c in reversed(covers)])
 
 
 def _cech_piece(n, gen_exps, a, blocks):
     """Cohomology dims (by spot size) of the degree-a piece of the Cech complex."""
-    spots = _cech_spots(n, gen_exps, a, blocks)
-    # d^i maps spots[i] to spots[i + 1]; ranks[i + 1] is its rank
-    ranks = [0, *level_ranks(n, spots), 0]
-    dims = {}
-    for i in range(n + 1):
-        h = len(spots[i]) - ranks[i + 1] - ranks[i]
-        if h:
-            dims[i] = h
-    return dims
+    homology = level_homology(n, _cech_spots(n, gen_exps, a, blocks))
+    return {i: h for i, h in enumerate(homology) if h}
 
 
-def _check_cech_work(ideal):
+def _check_cech_work(ideal, oracle):
     """The generators' exponent maxima rho_k of a monomial ideal, after
-    refusing with CapacityError a Cech spot pass of prod(1 + 2 rho_k) steps
-    over CECH_MAX_WORK."""
+    refusing with CapacityError the oracle's spot pass of prod(1 + 2 rho_k)
+    steps over CECH_MAX_WORK."""
     rho = [max((g.exponents[k] for g in ideal.gens), default=0)
            for k in range(ideal.n)]
     work = prod(1 + 2 * r for r in rho)
     if work > CECH_MAX_WORK:
-        raise CapacityError("Cech oracle work prod(1 + 2 rho_k)",
+        raise CapacityError("%s oracle work prod(1 + 2 rho_k)" % oracle,
                             CECH_MAX_WORK, work)
     return rho
 
@@ -350,10 +333,10 @@ def cech_local_cohomology(ideal, window=None):
     """
     if not isinstance(ideal, MonomialIdeal):
         raise UndefinedInputError("Cech route needs a monomial ideal")
-    rho = _check_cech_work(ideal)
+    rho = _check_cech_work(ideal, "Cech")
     n = ideal.n
     gen_exps = [g.exponents for g in ideal.gens]
-    blocks = _cech_blocks(n, gen_exps)
+    blocks = _cech_blocks(gen_exps, rho)
     if window is None:
         window = default_cohomology_window(ideal)
     lo, hi = window
@@ -395,7 +378,7 @@ def brute_cech_window(ideal, window, slack=0):
     if work > CECH_MAX_WORK:
         raise CapacityError("Cech oracle work (box size x 2^n)",
                             CECH_MAX_WORK, work)
-    blocks = _cech_blocks(n, gen_exps)
+    blocks = _cech_blocks(gen_exps, rho)
 
     def totals(extra):
         upper = [rho[k] - 1 + extra for k in range(n)]

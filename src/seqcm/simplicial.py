@@ -35,7 +35,7 @@ from .errors import (
     ShiftedViolationError,
 )
 from .groebner import gin
-from .linalg import invert, level_ranks
+from .linalg import invert, level_homology, levels
 from .monomial import (
     MonomialIdeal,
     _exchange_witness,
@@ -253,9 +253,10 @@ def _mask_homology(maximal):
     count minus the components, merged from maximal masks that meet.  A graph
     (no maximal face of 3 vertices) is read off its maximal masks: vertices,
     edges and components, with no face enumerated.  Higher faces are
-    submasks, handed by size from the top faces down to the edges to
-    `linalg.level_ranks` (the linalg docstring has the sign rule and the
-    clearing)."""
+    submasks, sorted by `linalg.levels` and handed from the top faces down
+    to the edges to `linalg.level_homology` (the linalg docstring has the
+    sign rule and the clearing); the edges' homology there still lacks the
+    rank into the vertices, which is subtracted here."""
     components = []
     for m in maximal:
         apart = []
@@ -267,10 +268,10 @@ def _mask_homology(maximal):
         apart.append(m)
         components = apart
     vertices = reduce(int.__or__, components).bit_count()
-    ranks = {1: min(vertices, 1), 2: vertices - len(components)}
+    rank1, rank2 = min(vertices, 1), vertices - len(components)
     top = max(map(int.bit_count, maximal))
     if top < 3:
-        sizes = [1, vertices, sum(m.bit_count() == 2 for m in maximal)]
+        upper = [sum(m.bit_count() == 2 for m in maximal)]
     else:
         faces = set()
         for m in maximal:
@@ -278,20 +279,10 @@ def _mask_homology(maximal):
             while sub:
                 faces.add(sub)
                 sub = (sub - 1) & m
-        by_card = {}
-        for f in faces:
-            level = by_card.setdefault(f.bit_count(), {})
-            level[f] = len(level)
-        sizes = [1] + [len(by_card[k]) for k in range(1, top + 1)]
-        ranks.update(zip(range(top, 2, -1), level_ranks(
-            max(maximal).bit_length(),
-            [by_card[k] for k in range(top, 1, -1)])))
-    out = {}
-    for k in range(top + 1):
-        h = sizes[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        if h:
-            out[k - 1] = h
-    return out
+        n = max(maximal).bit_length()
+        upper = level_homology(n, levels(n, faces)[top:1:-1])[::-1]
+    dims = [1 - rank1, vertices - rank1 - rank2, upper[0] - rank2, *upper[1:]]
+    return {k - 1: h for k, h in enumerate(dims[:top + 1]) if h}
 
 
 def _homology(maximal, memo):

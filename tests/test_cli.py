@@ -441,6 +441,16 @@ def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
     assert "error[capacity]: Cech oracle work" in err
 
 
+def test_koszul_over_the_work_cap_exits_three(capsys, tmp_path):
+    # 7^8 steps of the Koszul spot pass, refused before any multidegree.
+    path = write_json(tmp_path, "cubes.json", {"n": 8, "generators": [
+        "x%d^3" % i for i in range(1, 9)] + ["*".join(
+            "x%d" % i for i in range(1, 9))]})
+    code, out, err = run(capsys, "betti", path, "--oracle")
+    assert (code, out) == (3, "")
+    assert "error[capacity]: Koszul oracle work" in err
+
+
 def cofacets_of(tmp_path, n):
     """The complex with facets [n] - {k} for k = 4..n, whose face ideal has
     the one generator x4*...*xn, and the single facet {1, 2, 3}, its dual."""

@@ -8,7 +8,15 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm.linalg import det, invert, level_ranks, matmul, pivots
+from seqcm.linalg import (
+    det,
+    invert,
+    level_homology,
+    level_ranks,
+    levels,
+    matmul,
+    pivots,
+)
 
 
 def int_rows(matrix):
@@ -199,7 +207,8 @@ def test_level_ranks_match_the_dense_reference_in_both_orders():
     # masks under some of a few tops and over some of a few bottoms) is a
     # complex in both directions, so clearing keeps each map's rank, also
     # across a size that has no mask.  The reference ranks every map on
-    # its own, without clearing.
+    # its own, without clearing; each level's homology is its size minus
+    # the ranks into and out of it.
     rng = random.Random(21)
     gaps = 0
     for case in range(200):
@@ -218,12 +227,17 @@ def test_level_ranks_match_the_dense_reference_in_both_orders():
                  and any(m & b == b for b in bottoms)]
         if not masks:
             continue
-        levels = mask_levels(masks)
-        gaps += not all(levels)
-        for order in (levels, levels[::-1]):
+        by_size = mask_levels(masks)
+        lo = min(m.bit_count() for m in masks)
+        assert levels(n, masks)[lo:lo + len(by_size)] == by_size
+        gaps += not all(by_size)
+        for order in (by_size, by_size[::-1]):
             expected = [dense_rank(signed_map(n, a, b))
                         for a, b in zip(order, order[1:])]
             assert level_ranks(n, order) == expected, (n, tops, bottoms)
+            assert level_homology(n, order) == [
+                len(level) - into - out for level, into, out
+                in zip(order, [0, *expected], [*expected, 0])]
     assert gaps >= 40
 
 

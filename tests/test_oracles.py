@@ -42,7 +42,6 @@ from seqcm.oracles import (
     _koszul_general,
     _koszul_monomial,
     _koszul_spots,
-    _subsets_by_size,
     brute_cech_window,
     brute_hilbert,
     cech_local_cohomology,
@@ -275,6 +274,23 @@ def test_cech_capacity(monkeypatch):
     assert cech_local_cohomology(wide).indices() == [8]
 
 
+def test_koszul_monomial_capacity(monkeypatch):
+    # The monomial Koszul route's spot pass takes the same prod(1 + 2 rho_k)
+    # steps as Cech's, and is refused over CECH_MAX_WORK before any
+    # multidegree: (x1^3, ..., x8^3, x1*...*x8) takes 7^8 steps.
+    def no_spots(*args):
+        raise AssertionError("a multidegree was visited")
+
+    monkeypatch.setattr(oracles, "_koszul_spots", no_spots)
+    cubes = MonomialIdeal(8, [tuple(3 * (k == i) for k in range(8))
+                              for i in range(8)] + [(1,) * 8])
+    with pytest.raises(CapacityError, match="Koszul oracle work") as exc:
+        koszul_betti(cubes)
+    assert exc.value.requested == 7 ** 8
+    with pytest.raises(CapacityError, match="Koszul oracle work"):
+        depth_and_dim(cubes)
+
+
 def _cycle(n):
     return SimplicialComplex(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
@@ -358,30 +374,45 @@ def cech_spot_reference(n, gen_exps, a):
     return cech
 
 
+def rho_of(gen_exps, n):
+    return [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+
+
 def test_spot_masks_match_the_membership_predicates():
-    # The Cech and Koszul spots are mask tests; pin them to the plain
-    # predicates on non-squarefree ideals and on degrees with negative entries.
+    # The Cech and Koszul spots come from one covering pass; pin them to the
+    # plain predicates on non-squarefree ideals and on degrees with negative
+    # entries.  A Koszul multidegree has no spots early when a generator
+    # u <= a lies strictly below a on supp(a), so that all of supp(a)
+    # misses its tight set.
     rng = random.Random(11)
+    koszul_exits = 0
     for _ in range(80):
         n = rng.randint(1, 5)
         gens = [tuple(rng.randint(0, 3) for _ in range(n))
                 for _ in range(rng.randint(0, 5))]
         ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
         gen_exps = [g.exponents for g in ideal.gens]
-        subsets = _subsets_by_size(n)
+        blocks = _cech_blocks(gen_exps, rho_of(gen_exps, n))
         for _ in range(8):
             a = tuple(rng.randint(-2, 3) for _ in range(n))
             cech = cech_spot_reference(n, gen_exps, a)
-            assert [set(level) for level in _cech_spots(n, gen_exps, a)] == cech
+            spots = _cech_spots(n, gen_exps, a, blocks)
+            assert [set(level) for level in spots] == cech
 
             b = tuple(max(v, 0) for v in a)
-            koszul = [set() for _ in range(n + 2)]
+            koszul = [set() for _ in range(n + 1)]
             for mask in range(1 << n):
                 rest = tuple(b[k] - (mask >> k & 1) for k in range(n))
                 if min(rest, default=0) >= 0 and not ideal.contains(Monomial(rest)):
                     koszul[bin(mask).count("1")].add(mask)
-            got = _koszul_spots(gen_exps, b, subsets)
+            got = _koszul_spots(gen_exps, b)
             assert [set(level) for level in got] == koszul
+            if any(all(u[k] <= b[k] for k in range(n))
+                   and all(u[k] < b[k] for k in range(n) if b[k])
+                   for u in gen_exps):
+                koszul_exits += 1
+                assert not any(got)
+    assert koszul_exits > 50
 
     # Squarefree patterns: a is 0/-1, and a pattern whose negative set is a
     # nonface (holds a generator's support) has no spots, the early exit.
@@ -392,10 +423,12 @@ def test_spot_masks_match_the_membership_predicates():
                 for _ in range(rng.randint(0, 5))]
         ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
         gen_exps = [g.exponents for g in ideal.gens]
+        blocks = _cech_blocks(gen_exps, rho_of(gen_exps, n))
         for _ in range(8):
             a = tuple(-rng.randint(0, 1) for _ in range(n))
             neg = tuple(int(v < 0) for v in a)
-            spots = [set(level) for level in _cech_spots(n, gen_exps, a)]
+            spots = [set(level)
+                     for level in _cech_spots(n, gen_exps, a, blocks)]
             assert spots == cech_spot_reference(n, gen_exps, a)
             if ideal.contains(Monomial(neg)):
                 exits += 1
@@ -407,16 +440,29 @@ def test_spot_masks_match_the_membership_predicates():
 # rank with all of its rows.
 
 
+def subsets_by_size(n):
+    by_size = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_size[bin(mask).count("1")].append(mask)
+    return by_size
+
+
 def all_rows_koszul_monomial(ideal, bound):
+    # Spots by the plain predicate: S in supp(a), x^(a-S) outside the ideal.
     n = ideal.n
     gen_exps = [g.exponents for g in ideal.gens]
-    lcm_exps = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
     entries = {}
-    subsets = _subsets_by_size(n)
-    for a in product(*(range(e + 1) for e in lcm_exps)):
+    subsets = subsets_by_size(n)
+    for a in product(*(range(r + 1) for r in rho_of(gen_exps, n))):
         if sum(a) > bound:
             continue
-        spots = _koszul_spots(gen_exps, a, subsets)
+        spots = []
+        for level in subsets:
+            spots.append({})
+            for mask in level:
+                rest = tuple(a[k] - (mask >> k & 1) for k in range(n))
+                if min(rest) >= 0 and not ideal.contains(Monomial(rest)):
+                    spots[-1][mask] = len(spots[-1])
         ranks = [0] * (n + 2)
         for i in range(1, n + 1):
             rows = []
@@ -442,7 +488,7 @@ def all_rows_koszul_general(n, elements, lead_ideal, bound):
         return {}
     std = {d: [_pack(m.exponents) for m in monomials_of_degree(n, d)
                if not lead_ideal.contains(m)] for d in range(bound + 1)}
-    subsets = _subsets_by_size(n)
+    subsets = subsets_by_size(n)
 
     def basis(i, j):
         if i < 0 or i > n or j - i < 0 or j - i > bound:
@@ -544,11 +590,11 @@ def test_cleared_sites_match_the_all_rows_references():
         n = ideal.n
         if isinstance(ideal, MonomialIdeal):
             gen_exps = [g.exponents for g in ideal.gens]
-            rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+            rho = rho_of(gen_exps, n)
             bound = sum(rho) + 2
             assert (_koszul_monomial(ideal, bound)
                     == all_rows_koszul_monomial(ideal, bound)), ideal
-            blocks = _cech_blocks(n, gen_exps)
+            blocks = _cech_blocks(gen_exps, rho)
             degrees = list(product(*(range(-1, r) for r in rho)))
             degrees += [tuple(rng.randint(-2, 3) for _ in range(n))
                         for _ in range(10)]
@@ -617,8 +663,8 @@ def test_each_site_keeps_its_clearing_direction(monkeypatch):
     counts.clear()
     ideal = stanley_reisner_ideal(_cross_polytope(4))
     gen_exps = [g.exponents for g in ideal.gens]
-    assert _cech_piece(8, gen_exps, (0,) * 8, _cech_blocks(8, gen_exps)) \
-        == {4: 1}
+    blocks = _cech_blocks(gen_exps, [1] * 8)
+    assert _cech_piece(8, gen_exps, (0,) * 8, blocks) == {4: 1}
     assert counts == [1, 7, 17, 15]
 
 
