@@ -19,6 +19,10 @@ the shifted face ideal that the Cech side of Theorem 4.1 computes anyway.
 A gin of I_{D^v}, whose generators are the facets' complements and of high
 degree, repeats that work and is taken only when cheaper.  The verdict
 stays independently checked by a route with no gin, `_skeleta_cm`.
+Theorem 4.1's check also compares tables, not only verdicts: the inverse
+of the face-ring formula, `simplicial.betti_from_cohomology`, recovers the
+Betti tables of I_{D^v} and I_{(D^s)^v} from the two Cech tables, and each
+must equal the one the decider computed.
 
 Tables are compared exactly, not on a sample of degrees.  Both routes make
 each H^i exact on its window and attach polynomial tails once the window
@@ -41,6 +45,7 @@ from .simplicial import (
     _dual_complex,
     _skeleta_cm,
     alexander_dual,
+    betti_from_cohomology,
     betti_numbers_of_ideal,
     complex_of,
     dual_ideal,
@@ -254,7 +259,10 @@ def theorem41_check(cx, seed, window=None):
     dim H^i(K[cx])_j <= dim H^i(K[cx^s])_j in every degree.  The verdict
     is then cross-checked against the sequential Cohen-Macaulay decider on
     the dual of the same shift, and that against the skeleta route: the
-    three must agree, and a mismatch raises InconsistencyError.
+    three must agree.  Last, `betti_from_cohomology` recovers the dual
+    Betti table from each Cech table, read on degrees -n..0, and each must
+    equal the Betti table the decider computed on that side.  A mismatch
+    anywhere raises InconsistencyError.
     """
     dual = alexander_dual(cx)
     ideal = dual_ideal(dual)
@@ -269,4 +277,15 @@ def theorem41_check(cx, seed, window=None):
         raise InconsistencyError(
             "cohomology comparison says %s but the shifting decider says %s"
             % (report.verdict, verdict.value))
+    n = cx.n
+    for side, table, betti in (("left", report.left, verdict.details.left),
+                               ("right", report.right, verdict.details.right)):
+        recovered = betti_from_cohomology(
+            [[table.value(i, -j) for j in range(n + 1)] for i in range(n + 1)],
+            n)
+        if not recovered.same_entries(betti):
+            raise InconsistencyError(
+                "the %s Cech table gives the dual Betti table %s but the "
+                "shifting decider has %s" % (side, recovered.entries,
+                                             betti.entries))
     return report, verdict

@@ -4,9 +4,8 @@ Everything here is deterministic and exact.  Ranks come from fraction-free
 elimination on sparse integer rows, {column: int} dicts with no zero entry
 that the elimination consumes: each row is reduced against the stored pivot
 row of its lowest column, and the pivot columns are returned; every caller
-builds its rows fresh, in integers.  Determinants go through Bareiss
-elimination on integer rows, inverses through Gauss-Jordan on Fractions.
-No floating point anywhere; rank decisions are never numerical.
+builds its rows fresh, in integers.  No floating point anywhere; rank
+decisions are never numerical.
 
 Chain complexes use the pivots for clearing (Chen-Kerber's twist).  With
 rows indexed by the basis of C_k, a pivot sigma of d_(k+1) is the lowest
@@ -28,19 +27,7 @@ same ranks, and each site keeps the one that does less elimination on its
 own complexes.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
-
-
-def _int_rows(matrix):
-    """Int or Fraction rows, each scaled by the lcm of its denominators, and
-    the product of those multipliers (det divides by it)."""
-    out, scale = [], 1
-    for row in matrix:
-        mult = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (mult // x.denominator) for x in row])
-        scale *= mult
-    return out, scale
+from math import gcd
 
 
 def pivots(rows):
@@ -127,76 +114,3 @@ def level_ranks(n, levels):
         cleared = pivots(rows)
         ranks.append(len(cleared))
     return ranks
-
-
-def det(matrix):
-    """Exact determinant (Fraction) via Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m, scale = _int_rows(matrix)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division by the previous pivot is exact.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
-
-
-def invert(matrix):
-    """Exact inverse of a square Fraction matrix (Gauss-Jordan).
-
-    Raises ValueError on a singular input; callers that want a typed error
-    should check det first or wrap.
-    """
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i == col or not aug[i][col]:
-                continue
-            a = aug[i][col]
-            aug[i] = [x - a * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def matmul(a, b):
-    """Matrix product with Fraction entries."""
-    if not a:
-        return []
-    inner = len(b)
-    ncols = len(b[0]) if b else 0
-    return [
-        [
-            sum((Fraction(row[k]) * b[k][j] for k in range(inner)), Fraction(0))
-            for j in range(ncols)
-        ]
-        for row in a
-    ]

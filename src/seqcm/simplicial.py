@@ -19,9 +19,13 @@ none, and any other complex has that of its strong-collapse core, computed
 once per core in the caller's memo.  Hochster's Betti numbers,
 `reduced_homology` and the skeleta route's links call it.  Local cohomology
 of a face ring is a graded sum over the Betti numbers of the dual ideal.
+The same formula runs backwards: its matrix, `build_A_matrix`, is unit
+lower triangular over the integers, so `betti_from_cohomology` recovers
+the dual ideal's Betti table from a cohomology table by forward
+substitution, and `decide.theorem41_check` holds both of its Cech tables
+to the Betti tables of its decider that way.
 """
 
-from fractions import Fraction
 from functools import reduce
 from math import comb
 
@@ -35,7 +39,7 @@ from .errors import (
     ShiftedViolationError,
 )
 from .groebner import gin
-from .linalg import invert, level_homology, levels
+from .linalg import level_homology, levels
 from .monomial import (
     MonomialIdeal,
     _exchange_witness,
@@ -462,7 +466,9 @@ def local_cohomology_face_ring(cx, window=None):
     strictly negative exponent vectors of total degree -j on h fixed
     variables.  Degrees e > 0 carry nothing.  Each beta_{p,j} is the part
     (0, n - j, beta) of H^{p+n-j}, summed by `monomial._graded_sum`, which
-    also attaches the tails, as on the Cech and filtration routes.
+    also attaches the tails, as on the Cech and filtration routes.  The
+    inverse, `betti_from_cohomology`, reads the Betti numbers back off the
+    degrees -n..0; `theorem41_check` runs it on its Cech tables.
     """
     return _face_ring_cohomology(alexander_dual(cx), window)
 
@@ -481,53 +487,43 @@ def _face_ring_cohomology(dual, window=None):
 
 
 def build_A_matrix(n):
-    """(n+1) x (n+1) matrix of weak composition counts, A[j][h] = C(h+j-1, j).
+    """(n+1) x (n+1) matrix of the face-ring formula, A[j][h] = c_h(j).
 
-    Row j, column h counts the ways to write j as an ordered sum of h
-    nonnegative parts; the j >= 1 entries of column 0 vanish.
+    c_0(j) is 1 exactly at j = 0 and c_h(j) = C(j-1, h-1) counts the
+    compositions of j into h positive parts, so A is unit lower triangular
+    over the integers.
     """
-    rows = []
-    for j in range(n + 1):
-        row = []
-        for h in range(n + 1):
-            if h == 0:
-                row.append(Fraction(1 if j == 0 else 0))
-            else:
-                row.append(Fraction(comb(h + j - 1, j)))
-        rows.append(row)
-    return rows
+    return [[comb(j - 1, h - 1) if 0 < h <= j else int(h == j)
+             for h in range(n + 1)] for j in range(n + 1)]
 
 
 def betti_from_cohomology(h_matrix, n, raw=False):
-    """Invert the printed cohomology formula back to a quotient Betti table.
+    """The Betti table of the dual ideal behind a face ring's cohomology.
 
     Input is the (n+1) x (n+1) matrix with H[i][j] = dim H^i in degree -j.
-    Solving A * M = H^T gives M[h][i] = C(n,h) * beta_{i-h+1, n-h}; entries
-    must come out nonnegative integers or the table is inconsistent.  With
-    ``raw`` the solved matrix M is returned as is, before any extraction.
+    The face-ring formula reads H^T = A * B with A = `build_A_matrix(n)`
+    and B[h][i] = beta_{i-h, n-h}(dual ideal), and A is unit lower
+    triangular, so forward substitution solves it in integers.  With
+    ``raw`` the solved B is returned as is.  Otherwise B must be
+    nonnegative and vanish below the diagonal (i < h), or the table is
+    inconsistent, and the ideal-convention table is returned.
     """
     if len(h_matrix) != n + 1 or any(len(r) != n + 1 for r in h_matrix):
         raise InconsistencyError("cohomology matrix must be (n+1) x (n+1)")
     a = build_A_matrix(n)
-    a_inv = invert(a)
-    h_t = [[Fraction(h_matrix[i][j]) for i in range(n + 1)]
-           for j in range(n + 1)]
-    b = [[sum(a_inv[r][k] * h_t[k][c] for k in range(n + 1))
-          for c in range(n + 1)] for r in range(n + 1)]
+    b = []
+    for j in range(n + 1):
+        b.append([h_matrix[i][j] - sum(a[j][h] * b[h][i] for h in range(j))
+                  for i in range(n + 1)])
     if raw:
         return b
     entries = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            denom = comb(n, n - j)
-            row, col = n - j, i + n - j - 1
-            if col < 0 or col > n:
-                continue
-            val = b[row][col] / denom
-            if val.denominator != 1 or val < 0:
+    for h, row in enumerate(b):
+        for i, v in enumerate(row):
+            if v < 0 or (v and i < h):
                 raise InconsistencyError(
-                    "recovered beta_{%d,%d} = %s is not a nonnegative integer"
-                    % (i, j, val))
-            if val:
-                entries[(i, j)] = int(val)
-    return BettiTable("quotient", entries)
+                    "recovered beta_{%d,%d} = %d is not a Betti number"
+                    % (i - h, n - h, v))
+            if v:
+                entries[(i - h, n - h)] = v
+    return BettiTable("ideal", entries)

@@ -3,7 +3,7 @@
 Twelve numbered criteria, one test each, covering the full pipeline: generic
 initial ideals, the dimension filtration, both local cohomology routes, the
 Hochster and Koszul Betti oracles, algebraic shifting, the closed cohomology
-formula with its matrix inversion, and the command line reconciliation runs.
+formula with its integer inverse, and the command line reconciliation runs.
 Each test prints a single pass/fail line (visible under pytest -s)."""
 
 import functools
@@ -15,7 +15,6 @@ from seqcm.cli import main as cli_main
 from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal, write_corpus
 from seqcm.decide import main_theorem_check, is_sequentially_cm, theorem41_check
 from seqcm.groebner import PolynomialIdeal, gin, initial_ideal, saturation
-from seqcm.linalg import det, matmul
 from seqcm.monomial import (
     MonomialIdeal,
     default_cohomology_window,
@@ -35,6 +34,7 @@ from seqcm.simplicial import (
     shifted_complex,
     stanley_reisner_ideal,
 )
+from test_linalg import det, matmul
 
 SEED = 11
 SECOND_SEED = 97

@@ -23,6 +23,7 @@ from test_decide import (
     direct_dual_verdict,
     flip_the_skeleta,
     lower_the_shifted_side,
+    raise_a_hochster_entry,
 )
 from test_oracles import _random_complex
 
@@ -798,6 +799,14 @@ def test_verify_thm41_exits_four_when_left_exceeds_right(
     code, out, err = run(capsys, "verify", "thm41", edges_complex, "--seed", "7")
     assert (code, out) == (4, "")
     assert "error[inconsistency]: cohomology of cech face ring exceeds" in err
+
+
+def test_verify_thm41_exits_four_when_a_betti_table_is_off(
+        capsys, edges_complex, monkeypatch):
+    raise_a_hochster_entry(monkeypatch)
+    code, out, err = run(capsys, "verify", "thm41", edges_complex, "--seed", "7")
+    assert (code, out) == (4, "")
+    assert "error[inconsistency]: the left Cech table gives" in err
 
 
 def test_verify_far_window_is_capacity_error(capsys):

@@ -179,6 +179,33 @@ def test_theorem41_bound_is_asserted(monkeypatch):
         theorem41_check(disjoint_edges, seed=11)
 
 
+def raise_a_hochster_entry(monkeypatch, key=(0, 2)):
+    # Both Betti tables of the decider gain 1 at the same entry, so their
+    # comparison, and the verdict, stay as they were.
+    real = decide.betti_numbers_of_ideal
+
+    def patched(cx):
+        table = real(cx)
+        return BettiTable(table.module,
+                          {**table.entries, key: table.value(*key) + 1})
+
+    monkeypatch.setattr(decide, "betti_numbers_of_ideal", patched)
+
+
+def test_theorem41_checks_the_recovered_betti_tables(monkeypatch):
+    # One verdict of each kind; only the tables recovered from the Cech
+    # side can object.
+    verdicts = {cx: theorem41_check(cx, seed=11)[1].value
+                for cx in (hollow_triangle, disjoint_edges)}
+    assert sorted(verdicts.values()) == [False, True]
+    raise_a_hochster_entry(monkeypatch)
+    for cx in verdicts:
+        assert is_sequentially_cm(cx, seed=11).value == verdicts[cx]
+        with pytest.raises(InconsistencyError,
+                           match="left Cech table gives the dual Betti table"):
+            theorem41_check(cx, seed=11)
+
+
 def random_complex(seed):
     rng = random.Random(seed)
     n = 3 + seed % 5

@@ -21,7 +21,6 @@ from seqcm.errors import (
     ParseError,
     UndefinedInputError,
 )
-from seqcm.linalg import det
 from seqcm.groebner import (
     GIN_MAX_TERMS,
     GIN_RETRY_BUDGET,
@@ -54,6 +53,7 @@ from seqcm.simplicial import (
     shifted_complex,
     stanley_reisner_ideal,
 )
+from test_linalg import det
 
 
 def ideal(n, *texts):

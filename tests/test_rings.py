@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from seqcm import groebner
 from seqcm.errors import AmbientMismatchError, ParseError
-from seqcm.linalg import det, matmul
 from seqcm.rings import (
     RANDOM_ENTRY_BOUND,
     Monomial,
@@ -19,6 +18,7 @@ from seqcm.rings import (
     random_unipotent,
     unipotent_inverse,
 )
+from test_linalg import det, matmul
 
 
 def mono(*exps):

@@ -12,8 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcm import simplicial
-from seqcm.errors import AmbientGrowthError, NotSquarefreeError
+from seqcm.corpus import COMPLEXES, corpus_complex
+from seqcm.errors import (
+    AmbientGrowthError,
+    InconsistencyError,
+    NotSquarefreeError,
+)
 from seqcm.monomial import MonomialIdeal, default_cohomology_window, k_polynomial
+from seqcm.oracles import cech_local_cohomology
 from seqcm.rings import Monomial
 from seqcm.simplicial import (
     SimplicialComplex,
@@ -543,8 +549,8 @@ def local_cohomology_face_ring_printed(cx, window=None):
 
     with C(-1, 0) taken to be 1.  It disagrees with the checked route on
     some complexes (the irrelevant complex already shows a spurious class),
-    so only these tests read it: the quarantine test below, and the Betti
-    round trip through `betti_from_cohomology`.
+    so only the quarantine test below reads it.  `build_A_matrix` and
+    `betti_from_cohomology` run the checked formula, not this one.
     """
     n = cx.n
     dual = alexander_dual(cx)
@@ -574,20 +580,6 @@ def local_cohomology_face_ring_printed(cx, window=None):
     return CohomologyTable((lo, hi), funcs)
 
 
-
-
-def cohomology_matrix_printed(cx):
-    """(n+1) x (n+1) matrix H[i][j] = printed-formula dim of H^i in degree -j."""
-    n = cx.n
-    table = local_cohomology_face_ring_printed(cx, window=(-n, 0))
-    rows = []
-    for i in range(n + 1):
-        f = table.functions.get(i)
-        rows.append([int(f.values.get(-j, 0)) if f else 0
-                     for j in range(n + 1)])
-    return rows
-
-
 def test_printed_variant_is_quarantined():
     # The verbatim printed formula manufactures cohomology for the field.
     table = local_cohomology_face_ring_printed(SimplicialComplex.irrelevant(3),
@@ -597,19 +589,44 @@ def test_printed_variant_is_quarantined():
         {-4: 15, -3: 10, -2: 6, -1: 3, 0: 1}
 
 
+def cohomology_matrix(table, n):
+    # H[i][j] = dim H^i in degree -j, as betti_from_cohomology reads it.
+    return [[table.value(i, -j) for j in range(n + 1)] for i in range(n + 1)]
+
+
 def test_build_A_matrix():
-    a = build_A_matrix(3)
-    assert [[int(x) for x in row] for row in a] == [
-        [1, 1, 1, 1],
-        [0, 1, 2, 3],
-        [0, 1, 3, 6],
-        [0, 1, 4, 10],
+    # c_h(j) counts the compositions of j into h positive parts.
+    assert build_A_matrix(3) == [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 1, 1, 0],
+        [0, 1, 2, 1],
     ]
 
 
 def test_betti_recovery_roundtrip():
-    # Inverting the printed formula recovers the Betti numbers of the dual.
-    for cx in (hollow_triangle, disjoint_edges, two_points,
-               SimplicialComplex.irrelevant(3)):
-        got = betti_from_cohomology(cohomology_matrix_printed(cx), cx.n)
-        assert got.entries == hochster_betti(alexander_dual(cx)).entries
+    # Back-substitution on either route's table gives the Betti table of
+    # the dual ideal.
+    cxs = [corpus_complex(name) for name in sorted(COMPLEXES)]
+    cxs += [_random_complex(seed, n) for seed in (1, 2) for n in range(5, 10)]
+    cxs += [make(4) for make in (SimplicialComplex.void,
+                                 SimplicialComplex.irrelevant,
+                                 SimplicialComplex.full)]
+    for cx in cxs:
+        n, window = cx.n, (-cx.n - 2, 2)
+        expected = betti_numbers_of_ideal(alexander_dual(cx))
+        for table in (cech_local_cohomology(stanley_reisner_ideal(cx), window),
+                      local_cohomology_face_ring(cx, window)):
+            got = betti_from_cohomology(cohomology_matrix(table, n), n)
+            assert got == expected, cx
+
+
+def test_betti_recovery_refuses_what_no_face_ring_gives():
+    # n = 2: H^2 = 1 in degree -1 alone solves to beta_{0,0} = -1, and
+    # H^0 = 1 there to an entry at i < h.
+    with pytest.raises(InconsistencyError, match=r"beta_\{0,0\} = -1"):
+        betti_from_cohomology([[0, 0, 0], [0, 0, 0], [0, 1, 0]], 2)
+    with pytest.raises(InconsistencyError, match=r"beta_\{-1,1\} = 1"):
+        betti_from_cohomology([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 2)
+    with pytest.raises(InconsistencyError, match="must be"):
+        betti_from_cohomology([[0, 0, 0], [0, 0, 0]], 2)
