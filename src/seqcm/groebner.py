@@ -659,15 +659,16 @@ def gin(ideal, seed, cache=None):
     if ideal.is_zero():
         raise UndefinedInputError("gin of the zero ideal is undefined here")
     cache = GinCache() if cache is None else cache
-    hit = cache.get(ideal, seed)
+    key = ideal_content_hash(ideal)
+    hit = cache.get(ideal, seed, _key=key)
     if hit is not None:
         return hit
-    terms = gin_terms(ideal)
+    n, gens = ideal.n, _generators(ideal)
+    terms = sum(_image_terms(n, p) for p in gens)
     if terms > GIN_MAX_TERMS:
         raise CapacityError("gin coordinate-change terms", GIN_MAX_TERMS, terms)
     # HF(R/u.I) = HF(R/I): a monomial I is its own Hilbert target, and any
     # other I takes the lead ideal of its first full-pair run.
-    n, gens = ideal.n, _generators(ideal)
     target = (_HilbertTarget(n, _leads(n, [(min(p), p) for p in gens]))
               if all(len(p) == 1 for p in gens) else None)
     for t in range(GIN_RETRY_BUDGET):
@@ -686,7 +687,7 @@ def gin(ideal, seed, cache=None):
             if not ok:
                 raise StrongStabilityViolationError(
                     "gin candidate %s fails the exchange test" % result, witness)
-            cache.put(ideal, seed, result)
+            cache.put(ideal, seed, result, _key=key)
             return result
     raise GenericityError(
         "gin candidates disagreed across %d seed pairs" % GIN_RETRY_BUDGET)
@@ -702,7 +703,8 @@ class GinCache:
     ideal has a non-monomial generator or is not strongly stable, and so
     cannot be a gin in characteristic zero, is a miss that the map serves,
     writing the file back, if it can.
-    `put` writes the map and the file.
+    `put` writes the map and the file.  Both take the ideal's hash as
+    `_key` when the caller holds it, so that `gin` hashes once per call.
     """
 
     _memory = {}
@@ -710,20 +712,20 @@ class GinCache:
     def __init__(self, directory=None):
         self.directory = directory or None
 
-    def _path(self, ideal, seed):
-        key = hashlib.sha256(json.dumps(
-            {"ideal": ideal_content_hash(ideal), "seed": int(seed),
-             "version": __version__},
+    def _path(self, key, seed):
+        name = hashlib.sha256(json.dumps(
+            {"ideal": key, "seed": int(seed), "version": __version__},
             sort_keys=True).encode()).hexdigest()
-        return os.path.join(self.directory, key + ".json")
+        return os.path.join(self.directory, name + ".json")
 
-    def get(self, ideal, seed):
+    def get(self, ideal, seed, *, _key=None):
         """The stored gin, or None."""
-        held = self._memory.get((ideal_content_hash(ideal), int(seed)))
+        key = _key or ideal_content_hash(ideal)
+        held = self._memory.get((key, int(seed)))
         if self.directory is None:
             return held
         try:
-            with open(self._path(ideal, seed)) as fh:
+            with open(self._path(key, seed)) as fh:
                 data = json.load(fh)
             gin_data = data["gin"]
             if (data["version"] != __version__ or data["seed"] != int(seed)
@@ -739,18 +741,19 @@ class GinCache:
         if result is not None and is_strongly_stable(result)[0]:
             return result
         if held is not None:
-            self.put(ideal, seed, held)
+            self.put(ideal, seed, held, _key=key)
         return held
 
-    def put(self, ideal, seed, result):
-        key = (ideal_content_hash(ideal), int(seed))
-        if key not in self._memory and len(self._memory) >= GIN_MEMO_CAP:
+    def put(self, ideal, seed, result, *, _key=None):
+        key = _key or ideal_content_hash(ideal)
+        slot = (key, int(seed))
+        if slot not in self._memory and len(self._memory) >= GIN_MEMO_CAP:
             del self._memory[next(iter(self._memory))]
-        self._memory[key] = result
+        self._memory[slot] = result
         if self.directory is None:
             return
         os.makedirs(self.directory, exist_ok=True)
-        path = self._path(ideal, seed)
+        path = self._path(key, seed)
         payload = {
             "ideal": ideal.to_json(),
             "seed": int(seed),

@@ -11,7 +11,7 @@ with strictly increasing layer dimensions.
 
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import le
 
 from .errors import (
@@ -140,15 +140,25 @@ def m_of(mono):
 def _exchange_witness(ideal, squarefree=False):
     """(generator u, i, j) when x_j * u / x_i leaves the ideal for some x_i
     dividing u and j < i, else None; with squarefree, only the x_j that do
-    not divide u are tried."""
-    var = [Monomial.variable(i, ideal.n) for i in range(1, ideal.n + 1)]
-    for u in ideal.gens:
-        for i in u.support():
-            for j in range(1, i):
-                if squarefree and u.exponent(j):
+    not divide u are tried.  The exchanged monomial is an exponent list,
+    in the ideal when some generator's exponent tuple is <= it in every
+    entry."""
+    gens = [u.exponents for u in ideal.gens]
+    for u, g in zip(ideal.gens, gens):
+        v = list(g)
+        for i in range(len(g)):
+            if not g[i]:
+                continue
+            v[i] -= 1
+            for j in range(i):
+                if squarefree and g[j]:
                     continue
-                if not ideal.contains(u / var[i - 1] * var[j - 1]):
-                    return u, i, j
+                v[j] += 1
+                inside = any(all(map(le, k, v)) for k in gens)
+                v[j] -= 1
+                if not inside:
+                    return u, i + 1, j + 1
+            v[i] += 1
     return None
 
 
@@ -235,9 +245,10 @@ def hilbert_function(ideal, window=(0, 10)):
     values = {d: _quotient_dim(n, numerator, d) for d in range(lo, hi + 1)}
     right = None
     if hi - 1 >= max(numerator) - n + 1:
-        # C(n - 1 + d - a, n - 1) is C((n - a) - e - 1, n - 1) at e = -d.
-        tail = _graded_tail([(n - a, n, c) for a, c in numerator.items()])
-        right = tuple((-1) ** k * c for k, c in enumerate(tail))
+        # C(n - 1 + d - a, n - 1) = (-1)^(n - 1) C(a - d - 1, n - 1): the
+        # part (a, n, +-c) read at e = d.
+        sign = (-1) ** (n - 1)
+        right = _graded_tail([(a, n, sign * c) for a, c in numerator.items()])
     left = () if lo + 1 < 0 else None
     return HilbertFunction((lo, hi), values, (left, right))
 
@@ -393,32 +404,23 @@ def local_cohomology_strongly_stable(ideal, window=None):
         for layer in dimension_filtration(ideal).layers})
 
 
-def _binomial_in_minus_d(shift, k):
-    """Coefficients of the polynomial e -> C(shift - e - 1, k)."""
-    coeffs = [Fraction(1)]
-    for t in range(1, k + 1):
-        # multiply by (shift - e - t) / t handled at the end
-        shifted = [Fraction(0)] + coeffs          # e * coeffs
-        scaled = [Fraction(shift - t) * a for a in coeffs] + [Fraction(0)]
-        coeffs = [b - a for a, b in zip(shifted, scaled)]
-    f = Fraction(1, factorial(k))
-    return tuple(f * a for a in coeffs)
-
-
 def _graded_values(window, parts):
     """{e: value} on the window, zeros omitted, of the sum of the parts
     (a, m, h): h * C(a - e - 1, m - 1), the vectors in Z^m with entries <= -1
     summing to e - a, for e <= a - m (h in degree a alone for m = 0).  Parts
-    with hi <= a - max(m, 1) are a polynomial on the window (`_graded_tail`);
-    m rounds of suffix sums turn h in degree a into each other part."""
+    with hi <= a - max(m, 1) are a polynomial on the window, evaluated in
+    integers from `_tail_numerators`; m rounds of suffix sums turn h in
+    degree a into each other part."""
     lo, hi = window
     high = [p for p in parts if hi <= p[0] - max(p[1], 1)]
     parts = [p for p in parts if hi > p[0] - max(p[1], 1) and p[0] >= lo]
-    tail = _graded_tail(high)
-    den = lcm(*(c.denominator for c in tail))
-    tail = [int(c * den) for c in tail]
-    total = [sum(c * e ** k for k, c in enumerate(tail)) // den
-             for e in range(lo, hi + 1)]
+    tail, den = _tail_numerators(high)
+    total = []
+    for e in range(lo, hi + 1):
+        v = 0
+        for c in reversed(tail):
+            v = v * e + c
+        total.append(v // den)
     for m in {m for _, m, _ in parts}:
         f = [0] * (hi - lo + 1 + m)
         for a, k, h in parts:
@@ -430,25 +432,48 @@ def _graded_values(window, parts):
     return {lo + k: v for k, v in enumerate(total) if v}
 
 
-def _graded_tail(parts):
-    """Coefficients of the sum of the parts with m > 0 as a polynomial in
-    e, of length the largest m (0 for none): the sum below every part."""
-    poly = [Fraction(0)] * max((m for _, m, _ in parts), default=0)
+def _tail_numerators(parts):
+    """(numerators, D): the sum of the parts with m > 0 as a polynomial in e,
+    its coefficients the numerators over D = (M - 1)!, M the largest m.  The
+    part (a, m, h) adds its falling product prod_{t=1}^{m-1} (a - t - e),
+    which is (m - 1)! * C(a - e - 1, m - 1), times h * D / (m - 1)!."""
+    top = max((m for _, m, _ in parts), default=0)
+    den = factorial(max(top - 1, 0))
+    total = [0] * top
     for a, m, h in parts:
         if m:
-            for k, coef in enumerate(_binomial_in_minus_d(a, m - 1)):
-                poly[k] += h * coef
-    return tuple(poly)
+            poly = [h * den // factorial(m - 1)]
+            for t in range(1, m):
+                # poly * (a - t - e): each coefficient takes the one below.
+                poly = [(a - t) * c - b
+                        for c, b in zip(poly + [0], [0] + poly)]
+            for k, c in enumerate(poly):
+                total[k] += c
+    return total, den
+
+
+def _graded_tail(parts):
+    """Coefficients of the sum of the parts with m > 0 as a polynomial in
+    e, of length the largest m (0 for none): the sum below every part.
+    Summed as integers (`_tail_numerators`); each coefficient becomes a
+    Fraction once, here."""
+    total, den = _tail_numerators(parts)
+    return tuple(Fraction(c, den) for c in total)
 
 
 def _graded_sum(window, parts):
     """The HilbertFunction of the summed parts (see `_graded_values`), in
     which all three cohomology routes end (Cech, the dimension filtration
     and the face-ring formula): a part is h copies of the top local
-    cohomology of a polynomial ring in m variables, shifted by a.  The left
-    tail is attached iff lo + 1 <= a - max(m, 1) for every part, the right
-    tail () iff hi - 1 > a - m for every part."""
+    cohomology of a polynomial ring in m variables, shifted by a.  Parts
+    with equal (a, m) are merged first.  The left tail is attached iff
+    lo + 1 <= a - max(m, 1) for every part, the right tail () iff
+    hi - 1 > a - m for every part."""
     lo, hi = window
+    merged = {}
+    for a, m, h in parts:
+        merged[a, m] = merged.get((a, m), 0) + h
+    parts = [(a, m, h) for (a, m), h in merged.items()]
     left = (_graded_tail(parts)
             if all(lo + 1 <= a - max(m, 1) for a, m, _ in parts) else None)
     right = () if all(hi - 1 > a - m for a, m, _ in parts) else None

@@ -14,16 +14,27 @@ exists to prevent.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InconsistencyError
 from .rings import _fraction_str
 
 
 def _eval_poly(coeffs, d):
-    total = Fraction(0)
-    for k, c in enumerate(coeffs):
-        total += Fraction(c) * d**k
-    return total
+    """The Fraction coefficients' polynomial at d, summed in integers over
+    the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    total = 0
+    for c in reversed(coeffs):
+        total = total * d + c.numerator * (den // c.denominator)
+    return Fraction(total, den)
+
+
+def _fractions(tail):
+    """A tail as a tuple of Fractions; Fraction coefficients are kept."""
+    if tail is None:
+        return None
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in tail)
 
 
 def _same_polynomial(p, q):
@@ -51,8 +62,7 @@ class HilbertFunction:
             if v:
                 vals[d] = v
         left, right = tails
-        left = None if left is None else tuple(Fraction(c) for c in left)
-        right = None if right is None else tuple(Fraction(c) for c in right)
+        left, right = _fractions(left), _fractions(right)
         object.__setattr__(self, "window", (lo, hi))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tails", (left, right))

@@ -515,6 +515,26 @@ def test_gin_cache_file_miss_is_served_from_the_map(monkeypatch, tmp_path):
     assert GinCache(str(tmp_path)).get(base, 5) == result
 
 
+def test_gin_cache_file_that_is_not_strongly_stable_is_a_miss(
+        monkeypatch, tmp_path):
+    # gin(x1*x2) = (x1^2); a file holding (x2^2) fails the exchange test.
+    monkeypatch.setattr(GinCache, "_memory", {})
+    base = ideal(2, "x1*x2")
+    cache = GinCache(str(tmp_path))
+    result = gin(base, 5, cache=cache)
+    (entry,) = os.listdir(tmp_path)
+    data = json.loads((tmp_path / entry).read_text())
+    data["gin"]["generators"] = ["x2^2"]
+    (tmp_path / entry).write_text(json.dumps(data))
+    held = dict(GinCache._memory)
+    monkeypatch.setattr(GinCache, "_memory", {})
+    assert cache.get(base, 5) is None
+    # With the map holding the gin, it is served and the file rewritten.
+    monkeypatch.setattr(GinCache, "_memory", held)
+    assert cache.get(base, 5) == result
+    assert json.loads((tmp_path / entry).read_text())["gin"] == result.to_json()
+
+
 def test_gin_of_monomial_ideal_keys_like_its_polynomial_ideal(tmp_path):
     m = MonomialIdeal(3, [(1, 1, 0), (0, 0, 2)])
     poly = PolynomialIdeal.from_monomial_ideal(m)

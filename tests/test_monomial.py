@@ -1,8 +1,9 @@
 """Monomial ideals: Hilbert functions, the dimension filtration, and local
 cohomology of strongly stable quotients."""
 
+from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from seqcm.errors import NotStronglyStableError, UndefinedInputError
 from seqcm.groebner import gin, initial_ideal
 from seqcm.monomial import (
     MonomialIdeal,
+    _exchange_witness,
     _graded_tail,
     _graded_values,
     colon_saturate_variable,
@@ -26,6 +28,7 @@ from seqcm.monomial import (
     m_of,
     monomials_of_degree,
 )
+from seqcm.oracles import brute_hilbert
 from seqcm.rings import Monomial
 from seqcm.simplicial import stanley_reisner_ideal
 
@@ -349,3 +352,125 @@ def test_graded_count_matches_lattice_points():
         for e in range(below - 4, below + 1):
             assert sum(c * e ** k for k, c in enumerate(tail)) == count(e), \
                 (parts, e)
+
+
+def binomial_in_minus_d(shift, k):
+    """Coefficients of the polynomial e -> C(shift - e - 1, k), in Fractions:
+    the reference for the integer tails of `_graded_tail`."""
+    coeffs = [Fraction(1)]
+    for t in range(1, k + 1):
+        # multiply by (shift - e - t) / t handled at the end
+        shifted = [Fraction(0)] + coeffs          # e * coeffs
+        scaled = [Fraction(shift - t) * a for a in coeffs] + [Fraction(0)]
+        coeffs = [b - a for a, b in zip(shifted, scaled)]
+    f = Fraction(1, factorial(k))
+    return tuple(f * a for a in coeffs)
+
+
+def fraction_tail(parts):
+    poly = [Fraction(0)] * max((m for _, m, _ in parts), default=0)
+    for a, m, h in parts:
+        if m:
+            for k, coef in enumerate(binomial_in_minus_d(a, m - 1)):
+                poly[k] += h * coef
+    return tuple(poly)
+
+
+def test_integer_tails_match_the_fraction_reference():
+    # Up to six parts with m up to 14, so the tail's denominator reaches
+    # 13!; each value is read off the Fraction polynomial of its part.
+    assert _graded_tail([]) == fraction_tail([]) == ()
+    rng = random.Random(27)
+    for _ in range(300):
+        parts = [(rng.randint(-20, 20), rng.randint(0, 14), rng.randint(1, 50))
+                 for _ in range(rng.randint(1, 6))]
+        tail = _graded_tail(parts)
+        assert tail == fraction_tail(parts), parts
+        assert all(type(c) is Fraction for c in tail)
+        lo = rng.randint(-40, 20)
+        window = (lo, lo + rng.randint(0, 12))
+
+        def value(e):
+            total = 0
+            for a, m, h in parts:
+                if m and e <= a - m:
+                    poly = binomial_in_minus_d(a, m - 1)
+                    total += h * sum(c * e ** k for k, c in enumerate(poly))
+                elif not m and e == a:
+                    total += h
+            return total
+
+        assert _graded_values(window, parts) == {
+            e: value(e) for e in range(lo, window[1] + 1) if value(e)}, parts
+
+
+def test_right_tails_match_brute_counts_up_to_8_variables():
+    # The right tail of R/I in n variables has denominator (n - 1)!, 7! at
+    # n = 8; from deg N - n + 1 on it gives the standard monomial count.
+    assert hilbert_function(MonomialIdeal.zero(8), (0, 1)).tails[1][-1] \
+        == Fraction(1, factorial(7))
+    rng = random.Random(28)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        gens = [tuple(rng.randint(0, 2) if rng.random() < 0.4 else 0
+                      for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
+        start = max(k_polynomial(n, exponents(ideal))) - n + 1
+        hi = max(start + 1, 1)
+        right = hilbert_function(ideal, (0, hi)).tails[1]
+        assert right is not None, ideal
+        brute = brute_hilbert(ideal, (0, hi + 2))
+        for d in range(max(start, 0), hi + 3):
+            assert sum(c * d ** k for k, c in enumerate(right)) == \
+                brute.value(d), (ideal, d)
+
+
+def exchange_witness_by_division(ideal, squarefree=False):
+    """`_exchange_witness` with Monomial division and membership: the
+    reference for its exponent-list test."""
+    var = [Monomial.variable(i, ideal.n) for i in range(1, ideal.n + 1)]
+    for u in ideal.gens:
+        for i in u.support():
+            for j in range(1, i):
+                if squarefree and u.exponent(j):
+                    continue
+                if not ideal.contains(u / var[i - 1] * var[j - 1]):
+                    return u, i, j
+    return None
+
+
+def exchange_closure(n, gens, squarefree):
+    # Close the generators under the exchanges the test tries, so that
+    # some ideals pass it.
+    todo, seen = list(gens), set(gens)
+    while todo:
+        u = todo.pop()
+        for i in range(n):
+            for j in range(i):
+                if u[i] and not (squarefree and u[j]):
+                    v = list(u)
+                    v[i] -= 1
+                    v[j] += 1
+                    if tuple(v) not in seen:
+                        seen.add(tuple(v))
+                        todo.append(tuple(v))
+    return seen
+
+
+def test_exchange_witness_matches_monomial_division():
+    rng = random.Random(29)
+    found = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        top = 1 if rng.random() < 0.5 else 3
+        gens = {tuple(rng.randint(0, top) if rng.random() < 0.5 else 0
+                      for _ in range(n)) for _ in range(rng.randint(1, 5))}
+        gens.discard((0,) * n)
+        squarefree = rng.random() < 0.5
+        if rng.random() < 0.4 and max(map(sum, gens), default=0) <= 4:
+            gens = exchange_closure(n, gens, squarefree)
+        ideal = MonomialIdeal(n, gens)
+        witness = _exchange_witness(ideal, squarefree=squarefree)
+        assert witness == exchange_witness_by_division(ideal, squarefree), ideal
+        found[witness is None] += 1
+    assert min(found.values()) >= 40, found

@@ -34,6 +34,27 @@ def test_hilbert_tails():
     assert h.value(5) == 1
 
 
+def test_tail_checks_keep_their_strength():
+    # The left tail gives 1/3 at degree 0, where the window says 1.
+    with pytest.raises(InconsistencyError):
+        HilbertFunction((0, 2), {0: 1}, ((Fraction(1, 3), Fraction(2, 3)), None))
+    # 1/2 - 3/4 d + 1/4 d^2 is 0 at degrees 1 and 2, so the window accepts
+    # it, but it is 1/2 at degree 3 and 3/2 at degree 4: not dimensions.
+    h = HilbertFunction((0, 2), {}, (None, (Fraction(1, 2), Fraction(-3, 4),
+                                            Fraction(1, 4))))
+    for d in (3, 4):
+        with pytest.raises(InconsistencyError):
+            h.value(d)
+    # 1 - d is 0 at degree 1 and -1 at degree 2: a negative dimension.
+    h = HilbertFunction((0, 1), {0: 1}, (None, (1, -1)))
+    with pytest.raises(InconsistencyError):
+        h.value(2)
+    # Mixed denominators: 1 + 3/2 d + 1/2 d^2 is dim K[x1, x2, x3]_d.
+    h = HilbertFunction((0, 1), {0: 1, 1: 3},
+                        (None, (1, Fraction(3, 2), Fraction(1, 2))))
+    assert [h.value(d) for d in range(2, 6)] == [6, 10, 15, 21]
+
+
 def test_hilbert_json_is_pinned():
     h = HilbertFunction((-3, 2), {-3: 2, -2: 1},
                         tails=((Fraction(-1), Fraction(-1)), ()))
