@@ -22,10 +22,14 @@ short (the early exit).  A Cech pattern a frees the variables outside its
 negative set neg, with block_k the generators u with u_k > a_k; its spots
 hold neg, and the free variables outside them cover.  A Koszul multidegree
 a frees supp(a), with block_k the generators u <= a with u_k = a_k; its
-spots cover, so they meet tight_u = {k : u_k = a_k} of every u <= a.  Over
-all patterns, or all multidegrees up to the exponent maxima rho_k, the pass
-takes prod_k (1 + 2 rho_k) steps (3^n for a squarefree ideal), known before
-any work and bounded by CECH_MAX_WORK.
+spots cover, so they meet tight_u = {k : u_k = a_k} of every u <= a.  The
+Cech route walks only the live patterns, those whose free blocks cover
+every generator (`_cech_walk`); on a face ideal these are the faces, -1 on
+a face and 0 elsewhere (Hochster).  Over all patterns, or all multidegrees
+up to the exponent maxima rho_k, the pass takes prod_k (1 + 2 rho_k) steps
+(3^n for a squarefree ideal): the Koszul pass takes them all, the Cech
+walk at most that many.  The product is a bound known before any work, and
+CECH_MAX_WORK caps it.
 
 The Koszul route of a non-monomial ideal works in the engine's packed
 integers (see groebner): the standard monomials of each degree grow from
@@ -73,10 +77,11 @@ KOSZUL_MAX_N = 10
 # Largest supplied Koszul degree bound (corpus and benchmark defaults reach
 # 10); the general route enumerates every degree up to the bound.
 KOSZUL_MAX_BOUND = 32
-# Steps of the Cech spot pass, prod(1 + 2 rho_k).  On a 2-CPU host one took
-# 4.6-6.1 us when every pattern feeds elimination (one generator of full
-# support in 10-12 variables) and 0.1 us on the 12-cycle's face ideal (3^12
-# steps, 0.04-0.09 s), where most exit.
+# Cap on prod(1 + 2 rho_k), the steps of the Koszul spot pass and a bound on
+# those of the Cech walk, known before any work.  The walk reaches the bound
+# only when every pattern is live (one generator of full support), where a
+# step took 4.6-6.1 us on a 2-CPU host in 10-12 variables; the 12-cycle's
+# face ideal (bound 3^12) walks its 25 faces, 40,960 steps, in 0.005 s.
 CECH_MAX_WORK = 10 ** 6
 
 
@@ -292,28 +297,66 @@ def _cech_blocks(gen_exps, rho):
              for v in range(r + 1)] for k, r in enumerate(rho)]
 
 
-def _cech_spots(n, gen_exps, a, blocks):
-    """The levels of the masks S that hold every negative entry of a and
-    contain no need_u = {k : u_k > a_k} of a generator u, that is, whose
-    outside variables' blocks cover every generator."""
-    neg = sum(1 << k for k in range(n) if a[k] < 0)
+def _cech_pattern(a, blocks):
+    """(neg, free blocks) of the degree a: the mask of its negative entries,
+    and blocks[k][a_k] for each other variable k, in order."""
+    neg = sum(1 << k for k, v in enumerate(a) if v < 0)
+    return neg, [b[min(v, len(b) - 1)] for b, v in zip(blocks, a) if v >= 0]
+
+
+def _cech_spots(n, neg, free_blocks, every):
+    """The levels of the masks S that hold neg, the negative entries of a
+    degree a, and contain no need_u = {k : u_k > a_k} of a generator u, that
+    is, whose outside variables' free blocks cover every generator."""
     free = ((1 << n) - 1) ^ neg
-    free_blocks = [b[min(v, len(b) - 1)] for b, v in zip(blocks, a) if v >= 0]
-    covers = _covering(free, free_blocks, (1 << len(gen_exps)) - 1)
+    covers = _covering(free, free_blocks, every)
     # the complements of the covers, reversed, run up from neg
     return levels(n, [neg | free ^ c for c in reversed(covers)])
 
 
-def _cech_piece(n, gen_exps, a, blocks):
-    """Cohomology dims (by spot size) of the degree-a piece of the Cech complex."""
-    homology = level_homology(n, _cech_spots(n, gen_exps, a, blocks))
+def _cech_piece(n, neg, free_blocks, every):
+    """Cohomology dims (by spot size) of one piece of the Cech complex."""
+    homology = level_homology(n, _cech_spots(n, neg, free_blocks, every))
     return {i: h for i, h in enumerate(homology) if h}
+
+
+def _cech_walk(rho, blocks, every):
+    """The clamped patterns c in prod_k [-1, rho_k - 1] whose free blocks
+    cover every, in product order, as (c, *_cech_pattern(c, blocks)).  A
+    prefix is dropped once its blocks and reach[k + 1], the OR of the
+    value-0 (largest) blocks of the variables after it, fall short; blocks
+    shrink as the value grows, so a variable's values stop at the first.
+
+    >>> rho = [1, 1]  # (x1*x2) in two variables: 3 live patterns of 4
+    >>> [c for c, _, _ in _cech_walk(rho, _cech_blocks([(1, 1)], rho), 1)]
+    [(-1, 0), (0, -1), (0, 0)]
+    """
+    n = len(rho)
+    values = [b[:r] for b, r in zip(blocks, rho)]
+    reach = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        reach[k] = reach[k + 1] | blocks[k][0]
+
+    def walk(k, c, neg, acc, free_blocks):
+        if k == n:
+            yield c, neg, free_blocks
+            return
+        rest = reach[k + 1]
+        if acc | rest == every:
+            yield from walk(k + 1, c + (-1,), neg | 1 << k, acc, free_blocks)
+        for v, b in enumerate(values[k]):
+            if acc | b | rest != every:
+                break
+            yield from walk(k + 1, c + (v,), neg, acc | b, free_blocks + [b])
+
+    if reach[0] == every:
+        yield from walk(0, (), 0, 0, [])
 
 
 def _check_cech_work(ideal, oracle):
     """The generators' exponent maxima rho_k of a monomial ideal, after
-    refusing with CapacityError the oracle's spot pass of prod(1 + 2 rho_k)
-    steps over CECH_MAX_WORK."""
+    refusing with CapacityError the oracle's spot pass, of at most
+    prod(1 + 2 rho_k) steps, over CECH_MAX_WORK."""
     rho = [max((g.exponents[k] for g in ideal.gens), default=0)
            for k in range(ideal.n)]
     work = prod(1 + 2 * r for r in rho)
@@ -326,10 +369,11 @@ def _check_cech_work(ideal, oracle):
 def cech_local_cohomology(ideal, window=None):
     """Local cohomology Hilbert functions of R/I from the Cech complex.
 
-    Exact on any window: the finitely many clamped sign patterns are
-    enumerated, each contributes binomially many multidegrees per total
-    degree, and degrees below every pattern become polynomial (left tails).
-    Work over CECH_MAX_WORK is refused with CapacityError before any pattern.
+    Exact on any window: the finitely many live clamped patterns are
+    walked (`_cech_walk`), each contributes binomially many multidegrees per
+    total degree, and degrees below every pattern become polynomial (left
+    tails).  Work over CECH_MAX_WORK is refused with CapacityError before
+    any pattern.
     """
     if not isinstance(ideal, MonomialIdeal):
         raise UndefinedInputError("Cech route needs a monomial ideal")
@@ -341,11 +385,13 @@ def cech_local_cohomology(ideal, window=None):
         window = default_cohomology_window(ideal)
     lo, hi = window
     # Pieces vanish unless a_k <= rho_k - 1, so clamped patterns with
-    # entries in [-1, rho_k - 1] cover everything.  Per cohomological index:
-    # the summands (fixed degree, negative count, dim).
+    # entries in [-1, rho_k - 1] cover everything, and unless the free
+    # blocks cover every generator, so the walk skips the rest.  Per
+    # cohomological index: the summands (fixed degree, negative count, dim).
     contributions = {}
-    for c in product(*(range(-1, r) for r in rho)):
-        dims = _cech_piece(n, gen_exps, c, blocks)
+    every = (1 << len(gen_exps)) - 1
+    for c, neg, free_blocks in _cech_walk(rho, blocks, every):
+        dims = _cech_piece(n, neg, free_blocks, every)
         if not dims:
             continue
         fixed = sum(v for v in c if v > 0)
@@ -379,6 +425,7 @@ def brute_cech_window(ideal, window, slack=0):
         raise CapacityError("Cech oracle work (box size x 2^n)",
                             CECH_MAX_WORK, work)
     blocks = _cech_blocks(gen_exps, rho)
+    every = (1 << len(gen_exps)) - 1
 
     def totals(extra):
         upper = [rho[k] - 1 + extra for k in range(n)]
@@ -389,7 +436,8 @@ def brute_cech_window(ideal, window, slack=0):
             j = sum(a)
             if not lo <= j <= hi:
                 continue
-            for i, h in _cech_piece(n, gen_exps, a, blocks).items():
+            for i, h in _cech_piece(n, *_cech_pattern(a, blocks),
+                                    every).items():
                 out[(i, j)] = out.get((i, j), 0) + h
         return out
 

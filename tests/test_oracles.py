@@ -6,6 +6,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -29,6 +30,8 @@ from seqcm.groebner import (
 from seqcm.linalg import pivots
 from seqcm.monomial import (
     MonomialIdeal,
+    _graded_sum,
+    default_cohomology_window,
     dimension_filtration,
     hilbert_function,
     local_cohomology_strongly_stable,
@@ -37,8 +40,10 @@ from seqcm.monomial import (
 from seqcm.oracles import (
     CECH_MAX_WORK,
     _cech_blocks,
+    _cech_pattern,
     _cech_piece,
     _cech_spots,
+    _cech_walk,
     _koszul_general,
     _koszul_monomial,
     _koszul_spots,
@@ -49,6 +54,7 @@ from seqcm.oracles import (
     koszul_betti,
 )
 from seqcm.rings import Monomial, random_unipotent
+from seqcm.tables import CohomologyTable
 from seqcm.simplicial import (
     SimplicialComplex,
     _face_ring_cohomology,
@@ -257,11 +263,15 @@ def test_brute_cech_matches_patterns():
 
 def test_cech_capacity(monkeypatch):
     # The cap bounds the spot pass's step count prod(1 + 2 rho_k), not the
-    # variables, and is checked before any pattern is enumerated.
+    # variables, and is checked before any pattern is enumerated.  Every
+    # live pattern of the walk goes through _cech_piece, so the patch sees
+    # the first one: x1*x2 under the cap reaches it.
     def no_pattern(*args):
         raise AssertionError("a pattern was enumerated")
 
     monkeypatch.setattr(oracles, "_cech_piece", no_pattern)
+    with pytest.raises(AssertionError, match="a pattern was enumerated"):
+        cech_local_cohomology(MonomialIdeal(2, [(1, 1)]))
     for ideal in (MonomialIdeal(13, [(1,) * 13]),          # 3^13 steps
                   MonomialIdeal(1, [(CECH_MAX_WORK // 2 + 1,)])):
         with pytest.raises(CapacityError, match="Cech oracle work"):
@@ -272,6 +282,103 @@ def test_cech_capacity(monkeypatch):
     monkeypatch.undo()
     wide = MonomialIdeal(9, [tuple(1 if i < 2 else 0 for i in range(9))])
     assert cech_local_cohomology(wide).indices() == [8]
+
+
+def test_cech_walk_yields_the_covering_patterns_in_product_order():
+    # The walk drops a prefix once its free blocks, with the value-0 blocks
+    # of the variables after it, cannot cover every generator.  It must
+    # yield exactly the product-order patterns whose free blocks cover, in
+    # that order, with their (neg, free blocks).
+    rng = random.Random(28)
+    ideals = [MonomialIdeal.zero(n) for n in (1, 3)]
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        top = rng.choice((1, 2, 3))
+        gens = [tuple(rng.randint(0, top) if rng.random() < 0.6 else 0
+                      for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        ideals.append(MonomialIdeal(n, [g for g in gens if sum(g)]))
+    kinds = {"squarefree": 0, "not squarefree": 0, "rho_k = 0": 0}
+    for ideal in ideals:
+        n = ideal.n
+        gen_exps = [g.exponents for g in ideal.gens]
+        rho = rho_of(gen_exps, n)
+        blocks = _cech_blocks(gen_exps, rho)
+        every = (1 << len(gen_exps)) - 1
+        expected = []
+        for c in product(*(range(-1, r) for r in rho)):
+            neg, free_blocks = _cech_pattern(c, blocks)
+            if reduce(int.__or__, free_blocks, 0) == every:
+                expected.append((c, neg, free_blocks))
+        assert list(_cech_walk(rho, blocks, every)) == expected, ideal
+        kinds["squarefree" if max(rho) <= 1 else "not squarefree"] += 1
+        kinds["rho_k = 0"] += 0 in rho
+    assert min(kinds.values()) >= 30, kinds
+    # On a face ideal the live patterns are -1 on a face and 0 elsewhere,
+    # one per face: 25 on the 12-cycle, 81 on the boundary of cross4.
+    for cx, faces in ((_cycle(12), 25), (_cross_polytope(4), 81)):
+        ideal = stanley_reisner_ideal(cx)
+        gen_exps = [g.exponents for g in ideal.gens]
+        rho = rho_of(gen_exps, cx.n)
+        live = list(_cech_walk(rho, _cech_blocks(gen_exps, rho),
+                               (1 << len(gen_exps)) - 1))
+        assert len(live) == faces
+        for c, _, _ in live:
+            assert not ideal.contains(Monomial(tuple(-v for v in c))), c
+
+
+def cech_all_patterns(ideal, window):
+    """The Cech table summed over every clamped pattern, covering or not:
+    the product loop that the walk replaced."""
+    n = ideal.n
+    gen_exps = [g.exponents for g in ideal.gens]
+    rho = rho_of(gen_exps, n)
+    blocks = _cech_blocks(gen_exps, rho)
+    contributions = {}
+    for c in product(*(range(-1, r) for r in rho)):
+        for i, h in degree_piece(n, gen_exps, c, blocks).items():
+            contributions.setdefault(i, []).append(
+                (sum(v for v in c if v > 0), c.count(-1), h))
+    return CohomologyTable(window, {
+        i: _graded_sum(window, parts)
+        for i, parts in sorted(contributions.items())})
+
+
+def test_the_walk_gives_the_tables_of_every_pattern(monkeypatch):
+    ideals = [gin(corpus_ideal(name), 7) for name in sorted(IDEALS)]
+    ideals += [corpus_ideal(name).as_monomial_ideal() for name in sorted(IDEALS)
+               if corpus_ideal(name).is_monomial()]
+    ideals += [stanley_reisner_ideal(corpus_complex(name))
+               for name in sorted(COMPLEXES)]
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        top = rng.choice((1, 2))
+        gens = [tuple(rng.randint(0, top) for _ in range(n))
+                for _ in range(rng.randint(0, 4))]
+        ideals.append(MonomialIdeal(n, [g for g in gens if sum(g)]))
+    for ideal in ideals:
+        lo, hi = default_cohomology_window(ideal)
+        for window in ((lo, hi), (lo - 3, hi + 2)):
+            assert (cech_local_cohomology(ideal, window).to_json()
+                    == cech_all_patterns(ideal, window).to_json()), \
+                (ideal, window)
+
+    # Dead patterns had empty pieces, so elimination sees the same calls
+    # and rows as over every pattern: 108 calls and 272 rows on cross4's
+    # face ideal, 14 and 24 on the 12-cycle's.
+    counts = []
+
+    def counted(rows):
+        rows = list(rows)
+        counts.append(len(rows))
+        return pivots(rows)
+
+    monkeypatch.setattr(linalg, "pivots", counted)
+    for cx, calls, rows in ((_cross_polytope(4), 108, 272),
+                            (_cycle(12), 14, 24)):
+        counts.clear()
+        cech_local_cohomology(stanley_reisner_ideal(cx))
+        assert (len(counts), sum(counts)) == (calls, rows)
 
 
 def test_koszul_monomial_capacity(monkeypatch):
@@ -363,6 +470,15 @@ def test_alternating_sum_recovers_hilbert_polynomial():
             assert value - evaluate_tail(tail, e) == alternating, (ideal, e)
 
 
+def degree_spots(n, gen_exps, a, blocks):
+    """The Cech spots of any degree a, through its (neg, free blocks)."""
+    return _cech_spots(n, *_cech_pattern(a, blocks), (1 << len(gen_exps)) - 1)
+
+
+def degree_piece(n, gen_exps, a, blocks):
+    return _cech_piece(n, *_cech_pattern(a, blocks), (1 << len(gen_exps)) - 1)
+
+
 def cech_spot_reference(n, gen_exps, a):
     cech = [set() for _ in range(n + 1)]
     for mask in range(1 << n):
@@ -396,7 +512,7 @@ def test_spot_masks_match_the_membership_predicates():
         for _ in range(8):
             a = tuple(rng.randint(-2, 3) for _ in range(n))
             cech = cech_spot_reference(n, gen_exps, a)
-            spots = _cech_spots(n, gen_exps, a, blocks)
+            spots = degree_spots(n, gen_exps, a, blocks)
             assert [set(level) for level in spots] == cech
 
             b = tuple(max(v, 0) for v in a)
@@ -428,7 +544,7 @@ def test_spot_masks_match_the_membership_predicates():
             a = tuple(-rng.randint(0, 1) for _ in range(n))
             neg = tuple(int(v < 0) for v in a)
             spots = [set(level)
-                     for level in _cech_spots(n, gen_exps, a, blocks)]
+                     for level in degree_spots(n, gen_exps, a, blocks)]
             assert spots == cech_spot_reference(n, gen_exps, a)
             if ideal.contains(Monomial(neg)):
                 exits += 1
@@ -521,8 +637,8 @@ def all_rows_koszul_general(n, elements, lead_ideal, bound):
     return entries
 
 
-def all_rows_cech_piece(n, gen_exps, a, blocks):
-    spots = _cech_spots(n, gen_exps, a, blocks)
+def all_rowsdegree_piece(n, gen_exps, a, blocks):
+    spots = degree_spots(n, gen_exps, a, blocks)
     ranks = [0] * (n + 2)
     for i in range(n):
         rows = []
@@ -599,8 +715,8 @@ def test_cleared_sites_match_the_all_rows_references():
             degrees += [tuple(rng.randint(-2, 3) for _ in range(n))
                         for _ in range(10)]
             for a in degrees:
-                assert (_cech_piece(n, gen_exps, a, blocks)
-                        == all_rows_cech_piece(n, gen_exps, a, blocks)), \
+                assert (degree_piece(n, gen_exps, a, blocks)
+                        == all_rowsdegree_piece(n, gen_exps, a, blocks)), \
                     (ideal, a)
         else:
             elements = _groebner(n, _generators(ideal))
@@ -664,7 +780,7 @@ def test_each_site_keeps_its_clearing_direction(monkeypatch):
     ideal = stanley_reisner_ideal(_cross_polytope(4))
     gen_exps = [g.exponents for g in ideal.gens]
     blocks = _cech_blocks(gen_exps, [1] * 8)
-    assert _cech_piece(8, gen_exps, (0,) * 8, blocks) == {4: 1}
+    assert degree_piece(8, gen_exps, (0,) * 8, blocks) == {4: 1}
     assert counts == [1, 7, 17, 15]
 
 
