@@ -71,13 +71,16 @@ def _load_json(path):
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ParseError("%s: invalid JSON: %s" % (path, exc.msg),
                          exc.lineno, exc.colno)
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer past int()'s digit limit
+        raise ParseError("%s: invalid JSON: %s" % (path, exc))
 
 
 def _sniff(data, path):

@@ -112,12 +112,6 @@ class BoundTooSmallError(SeqcmError):
     code = "bound-too-small"
 
 
-class BoxInstabilityError(SeqcmError):
-    """Widening the Cech summation box changed a reported value."""
-
-    code = "box-instability"
-
-
 class InconsistencyError(SeqcmError):
     """Two routes that must agree did not; always a bug, never a verdict."""
 

@@ -96,6 +96,7 @@ from .rings import (
     MAX_VARIABLES,
     Monomial,
     Polynomial,
+    _Value,
     _check_ambient,
     parse_polynomial,
     random_unipotent,
@@ -112,7 +113,7 @@ GIN_MEMO_CAP = 256
 GIN_MAX_TERMS = 10 ** 6
 
 
-class PolynomialIdeal:
+class PolynomialIdeal(_Value):
     """A homogeneous ideal presented by nonzero homogeneous generators."""
 
     __slots__ = ("n", "generators")
@@ -132,9 +133,6 @@ class PolynomialIdeal:
                 raise NotHomogeneousError("generator %s is not homogeneous" % g)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolynomialIdeal is immutable")
 
     @classmethod
     def from_strings(cls, n, texts):

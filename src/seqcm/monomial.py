@@ -20,7 +20,7 @@ from .errors import (
     NotStronglyStableError,
     UndefinedInputError,
 )
-from .rings import Monomial, degrevlex_key
+from .rings import Monomial, _Value, degrevlex_key
 from .tables import CohomologyTable, HilbertFunction
 
 
@@ -45,7 +45,7 @@ def minimalize(n, monomials):
                         key=degrevlex_key))
 
 
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """A monomial ideal stored by its (unique) minimal generators."""
 
     __slots__ = ("n", "gens")
@@ -55,9 +55,6 @@ class MonomialIdeal:
         gens = [g if isinstance(g, Monomial) else Monomial(tuple(g))
                 for g in generators]
         object.__setattr__(self, "gens", minimalize(n, gens))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
     def zero(cls, n):
@@ -270,7 +267,7 @@ def krull_dimension(ideal):
     raise InconsistencyError("no variable cover found")  # unreachable
 
 
-class FiltrationLayer:
+class FiltrationLayer(_Value):
     """One step of the dimension filtration.
 
     ``ideal`` is I_{k-1}, ``next_ideal`` its x_s-saturation I_k, ``s`` the
@@ -288,9 +285,6 @@ class FiltrationLayer:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "socle", socle)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiltrationLayer is immutable")
-
     def hilbert_as_module(self, window):
         """Hilbert function of the layer as an R-module: the socle Hilbert
         convolved with that of K[x_{s+1}..x_n]."""
@@ -302,7 +296,7 @@ class FiltrationLayer:
         return HilbertFunction(window, {-e: v for e, v in values.items()})
 
 
-class DimensionFiltration:
+class DimensionFiltration(_Value):
     """Chain I = I_0 < I_1 < ... < (1) with one layer record per step."""
 
     __slots__ = ("n", "layers")
@@ -310,9 +304,6 @@ class DimensionFiltration:
     def __init__(self, n, layers):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "layers", tuple(layers))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DimensionFiltration is immutable")
 
     def chain(self):
         ideals = [self.layers[0].ideal] if self.layers else []

@@ -51,7 +51,6 @@ from math import lcm, prod
 
 from .errors import (
     BoundTooSmallError,
-    BoxInstabilityError,
     CapacityError,
     UndefinedInputError,
 )
@@ -297,13 +296,6 @@ def _cech_blocks(gen_exps, rho):
              for v in range(r + 1)] for k, r in enumerate(rho)]
 
 
-def _cech_pattern(a, blocks):
-    """(neg, free blocks) of the degree a: the mask of its negative entries,
-    and blocks[k][a_k] for each other variable k, in order."""
-    neg = sum(1 << k for k, v in enumerate(a) if v < 0)
-    return neg, [b[min(v, len(b) - 1)] for b, v in zip(blocks, a) if v >= 0]
-
-
 def _cech_spots(n, neg, free_blocks, every):
     """The levels of the masks S that hold neg, the negative entries of a
     degree a, and contain no need_u = {k : u_k > a_k} of a generator u, that
@@ -322,10 +314,12 @@ def _cech_piece(n, neg, free_blocks, every):
 
 def _cech_walk(rho, blocks, every):
     """The clamped patterns c in prod_k [-1, rho_k - 1] whose free blocks
-    cover every, in product order, as (c, *_cech_pattern(c, blocks)).  A
-    prefix is dropped once its blocks and reach[k + 1], the OR of the
-    value-0 (largest) blocks of the variables after it, fall short; blocks
-    shrink as the value grows, so a variable's values stop at the first.
+    cover every, in product order, as (c, neg, free blocks): the mask of
+    c's negative entries, and blocks[k][c_k] for each other variable k in
+    order.  A prefix is dropped once its blocks and reach[k + 1], the OR
+    of the value-0 (largest) blocks of the variables after it, fall short;
+    blocks shrink as the value grows, so a variable's values stop at the
+    first.
 
     >>> rho = [1, 1]  # (x1*x2) in two variables: 3 live patterns of 4
     >>> [c for c, _, _ in _cech_walk(rho, _cech_blocks([(1, 1)], rho), 1)]
@@ -401,54 +395,3 @@ def cech_local_cohomology(ideal, window=None):
     return CohomologyTable((lo, hi), {
         i: _graded_sum((lo, hi), parts)
         for i, parts in sorted(contributions.items())})
-
-
-def brute_cech_window(ideal, window, slack=0):
-    """Windowed Cech cohomology by raw multidegree enumeration in a box.
-
-    Independent of the pattern bookkeeping in cech_local_cohomology: every
-    multidegree in a provably sufficient box is evaluated on the nose.
-    The box is then widened by one on every side and the totals must not
-    move, else BoxInstabilityError; ``slack`` widens the starting box.
-    The widened box's size times 2^n is held to CECH_MAX_WORK.
-    """
-    if not isinstance(ideal, MonomialIdeal):
-        raise UndefinedInputError("Cech route needs a monomial ideal")
-    n = ideal.n
-    lo, hi = window
-    gen_exps = [g.exponents for g in ideal.gens]
-    rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
-    # Every axis of the widened box spans sum(rho) + n*slack - lo + slack + 2
-    # values, and each multidegree visits at most 2^n spots.
-    work = max(0, sum(rho) + (n + 1) * slack - lo + 2) ** n << n
-    if work > CECH_MAX_WORK:
-        raise CapacityError("Cech oracle work (box size x 2^n)",
-                            CECH_MAX_WORK, work)
-    blocks = _cech_blocks(gen_exps, rho)
-    every = (1 << len(gen_exps)) - 1
-
-    def totals(extra):
-        upper = [rho[k] - 1 + extra for k in range(n)]
-        lower = [lo - sum(upper[t] for t in range(n) if t != k) - extra
-                 for k in range(n)]
-        out = {}
-        for a in product(*(range(lower[k], upper[k] + 1) for k in range(n))):
-            j = sum(a)
-            if not lo <= j <= hi:
-                continue
-            for i, h in _cech_piece(n, *_cech_pattern(a, blocks),
-                                    every).items():
-                out[(i, j)] = out.get((i, j), 0) + h
-        return out
-
-    first = totals(slack)
-    widened = totals(slack + 1)
-    if first != widened:
-        raise BoxInstabilityError(
-            "windowed Cech totals changed when the box was widened")
-    funcs = {}
-    for (i, j), h in sorted(first.items()):
-        funcs.setdefault(i, {})[j] = h
-    return CohomologyTable(
-        (lo, hi),
-        {i: HilbertFunction((lo, hi), vals) for i, vals in funcs.items()})

@@ -32,6 +32,10 @@ MAX_VARIABLES = 16
 # Entry range below the diagonal of random unipotent coordinate changes.
 RANDOM_ENTRY_BOUND = 10**4
 
+# Longest integer the parser reads: int()'s default limit on a string
+# since 3.11, held on every supported Python.
+MAX_DIGITS = 4300
+
 
 def _check_ambient(n):
     if not 1 <= n <= MAX_VARIABLES:
@@ -40,7 +44,20 @@ def _check_ambient(n):
         )
 
 
-class Monomial:
+class _Value:
+    """Base of the immutable value types: assigning or deleting an
+    attribute raises; constructors set their slots by object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Monomial(_Value):
     """An exponent vector; the ambient size is len(exponents)."""
 
     __slots__ = ("exponents", "degree")
@@ -51,9 +68,6 @@ class Monomial:
             raise ValueError("negative exponent in %r" % (exponents,))
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "degree", sum(exponents))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
 
     @classmethod
     def one(cls, n):
@@ -142,7 +156,7 @@ def degrevlex_key(monomial):
     return (monomial.degree, tuple(-e for e in reversed(monomial.exponents)))
 
 
-class Polynomial:
+class Polynomial(_Value):
     """Map monomial -> nonzero Fraction; the zero polynomial has no terms."""
 
     __slots__ = ("n", "_coeffs")
@@ -167,9 +181,6 @@ class Polynomial:
                     del clean[mono]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, n):
@@ -302,6 +313,7 @@ def _fraction_str(c):
 #   term   := coef ('*' factor)* | factor ('*' factor)*
 #   coef   := int ['/' int]
 #   factor := 'x' int ['^' int]
+#   int    := one to MAX_DIGITS of the ASCII digits 0-9
 
 class _Tokenizer:
     def __init__(self, text):
@@ -334,10 +346,12 @@ class _Tokenizer:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
+        if self.pos - start > MAX_DIGITS:
+            self.error("integer of more than %d digits" % MAX_DIGITS, start)
         return int(self.text[start:self.pos])
 
 
@@ -379,7 +393,7 @@ def _parse_term(tok, n, sign):
     exps = [0] * n
     saw_factor = False
     ch = tok.peek()
-    if ch.isdigit():
+    if "0" <= ch <= "9":
         num = tok.integer()
         if tok.take("/"):
             den_pos = tok.pos

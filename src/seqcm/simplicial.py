@@ -46,7 +46,7 @@ from .monomial import (
     _graded_sum,
     default_cohomology_window,
 )
-from .rings import Monomial
+from .rings import Monomial, _Value
 from .tables import BettiTable, CohomologyTable
 
 # Subset enumeration over 1..n backs most routines here.
@@ -71,7 +71,7 @@ def _mask(face):
     return sum(1 << (v - 1) for v in face)
 
 
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """Finite simplicial complex on the vertex set 1..n, stored by facets."""
 
     __slots__ = ("n", "facets")
@@ -83,9 +83,6 @@ class SimplicialComplex:
                    for m in _maximal(_mask(_as_face(f, n)) for f in facets)]
         object.__setattr__(self, "facets", tuple(
             sorted(maximal, key=lambda f: (len(f), f))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
 
     @classmethod
     def void(cls, n):

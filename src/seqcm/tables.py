@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InconsistencyError
-from .rings import _fraction_str
+from .rings import _Value, _fraction_str
 
 
 def _eval_poly(coeffs, d):
@@ -42,7 +42,7 @@ def _same_polynomial(p, q):
     return p + (0,) * (pad - len(p)) == q + (0,) * (pad - len(q))
 
 
-class HilbertFunction:
+class HilbertFunction(_Value):
     """Degree -> nonnegative dimension on [lo, hi], zeros omitted."""
 
     __slots__ = ("window", "values", "tails")
@@ -79,9 +79,6 @@ class HilbertFunction:
                     raise InconsistencyError(
                         "right tail gives %s at degree %d, window says %d"
                         % (_eval_poly(right, d), d, vals.get(d, 0)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HilbertFunction is immutable")
 
     def value(self, d):
         """Exact value at d; uses a tail beyond the window when present."""
@@ -125,7 +122,7 @@ class HilbertFunction:
         }
 
 
-class BettiTable:
+class BettiTable(_Value):
     """Graded Betti numbers beta_{i,j}; ``module`` is "quotient" or "ideal"."""
 
     __slots__ = ("module", "entries")
@@ -144,9 +141,6 @@ class BettiTable:
                 clean[(i, j)] = v
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiTable is immutable")
 
     def value(self, i, j):
         return self.entries.get((i, j), 0)
@@ -202,7 +196,7 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-class CohomologyTable:
+class CohomologyTable(_Value):
     """Hilbert functions of the local cohomology modules H^i, i = 0..n."""
 
     __slots__ = ("window", "functions")
@@ -221,9 +215,6 @@ class CohomologyTable:
                 funcs[i] = hf
         object.__setattr__(self, "window", (lo, hi))
         object.__setattr__(self, "functions", funcs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohomologyTable is immutable")
 
     def value(self, i, d):
         hf = self.functions.get(i)

@@ -855,6 +855,30 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "hilbert", path)
     assert code == 2
     assert "error[parse-error]" in err
+    # Only ASCII digits are digits, an integer may have at most 4,300 of
+    # them, in polynomial text or as a JSON literal, and a file must be
+    # UTF-8; a JSON error names the file, in `verify corpus` too.
+    for text, message in (("x1^\u00b2", "column 4: expected an integer"),
+                          ("\u00b2*x1", "column 1: "),
+                          (_LONG + "*x1", "column 1: integer of more than")):
+        path = write_json(tmp_path, "digits.json", {"n": 2, "generators": [text]})
+        code, out, err = run(capsys, "hilbert", path)
+        assert (code, out) == (2, "") and message in err, text
+        assert err.startswith("error[parse-error]: line 1, ")
+    (tmp_path / "latin").mkdir()
+    latin = tmp_path / "latin" / "latin.json"
+    latin.write_bytes('{"n": 2, "generators": ["x1"], "by": "M\u00fcller"}'
+                      .encode("latin-1"))
+    literal = tmp_path / "literal.json"
+    literal.write_text('{"n": 2, "generators": [%s]}' % _LONG)
+    for argv, name in ((("hilbert", str(literal)), "literal.json"),
+                       (("hilbert", str(latin)), "latin.json"),
+                       (("verify", "corpus", str(latin.parent), "--seed", "7"),
+                        "latin.json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error[parse-error]: ")
+        assert name + ": invalid JSON: " in err, err
 
 
 def test_not_homogeneous_exit_two(capsys, tmp_path):
@@ -882,9 +906,11 @@ _QUADRICS = st.lists(
     st.tuples(st.sampled_from(["", "2*", "-3*", "1/2*"]),
               st.sampled_from(["x1^2", "x1*x2", "x2^2", "x1*x3", "x3^2"])
               ).map("".join), min_size=1, max_size=3).map(" - ".join)
+_LONG = "9" * 4301  # one digit past int()'s limit on a string
 _TERMS = st.tuples(
-    st.sampled_from(["", "0*", "1/0*", "x", "2", "2*"]),
-    st.sampled_from(["x0", "x9", "y", "1", "x1", "x1^-1", "x2^", "x1*", "x3^3"])
+    st.sampled_from(["", "0*", "1/0*", "x", "2", "2*", "\u00b2*", _LONG + "*"]),
+    st.sampled_from(["x0", "x9", "y", "1", "x1", "x1^-1", "x2^", "x1*", "x3^3",
+                     "x1^\u00b2"])
 ).map("".join)
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 20),
                      st.floats(allow_nan=False, allow_infinity=False),
@@ -912,7 +938,12 @@ _DOCUMENTS = st.one_of(
     st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=2)
                  | st.dictionaries(st.sampled_from(["n", "facets", "x"]), kids,
                                    max_size=2)).map(json.dumps),
-    st.text(max_size=12))
+    st.text(max_size=12),
+    st.sampled_from(['{"n": %s, "generators": ["x1"]}' % _LONG,
+                     '{"n": 3, "facets": [[%s]]}' % _LONG]),
+    # bytes that are not UTF-8, written as they are
+    st.tuples(st.text(max_size=6), st.sampled_from([b"\xff", b"\xc3", b"\x80"])
+              ).map(lambda t: t[0].encode() + t[1]))
 _WINDOWS = st.one_of(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map("%d..%d".__mod__),
     st.just("0..%d" % MAX_WINDOW_WIDTH),
@@ -930,7 +961,10 @@ def test_cli_fuzz_exits_with_typed_errors(capsys, tmp_path, command, document,
     # Malformed files, options and windows end in exit 0, 2 or 3, and every
     # failure is one error[code] line on stderr, never a traceback.
     path = tmp_path / "input.json"
-    path.write_text(document)
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(document, encoding="utf-8")
     verify = command.startswith("verify ")
     argv = command.split() + [str(path), "--format",
                               data.draw(st.sampled_from(["json", "tsv"]))]

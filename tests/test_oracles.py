@@ -40,21 +40,19 @@ from seqcm.monomial import (
 from seqcm.oracles import (
     CECH_MAX_WORK,
     _cech_blocks,
-    _cech_pattern,
     _cech_piece,
     _cech_spots,
     _cech_walk,
     _koszul_general,
     _koszul_monomial,
     _koszul_spots,
-    brute_cech_window,
     brute_hilbert,
     cech_local_cohomology,
     depth_and_dim,
     koszul_betti,
 )
 from seqcm.rings import Monomial, random_unipotent
-from seqcm.tables import CohomologyTable
+from seqcm.tables import CohomologyTable, HilbertFunction
 from seqcm.simplicial import (
     SimplicialComplex,
     _face_ring_cohomology,
@@ -249,6 +247,62 @@ def test_cohomology_and_hilbert_json_on_a_pinned_grid():
             out.append([layer.hilbert_as_module(w).to_json() for layer in layers])
     blob = json.dumps(out, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_GRID_DIGEST
+
+
+def _cech_pattern(a, blocks):
+    """(neg, free blocks) of the degree a: the mask of its negative entries,
+    and blocks[k][a_k] for each other variable k, in order."""
+    neg = sum(1 << k for k, v in enumerate(a) if v < 0)
+    return neg, [b[min(v, len(b) - 1)] for b, v in zip(blocks, a) if v >= 0]
+
+
+def brute_cech_window(ideal, window, slack=0):
+    """Windowed Cech cohomology by raw multidegree enumeration in a box.
+
+    Independent of the pattern bookkeeping in cech_local_cohomology: every
+    multidegree in a provably sufficient box is evaluated on the nose.
+    The box is then widened by one on every side and the totals must not
+    move; ``slack`` widens the starting box.  The widened box's size times
+    2^n is held to CECH_MAX_WORK.
+    """
+    if not isinstance(ideal, MonomialIdeal):
+        raise UndefinedInputError("Cech route needs a monomial ideal")
+    n = ideal.n
+    lo, hi = window
+    gen_exps = [g.exponents for g in ideal.gens]
+    rho = [max((u[k] for u in gen_exps), default=0) for k in range(n)]
+    # Every axis of the widened box spans sum(rho) + n*slack - lo + slack + 2
+    # values, and each multidegree visits at most 2^n spots.
+    work = max(0, sum(rho) + (n + 1) * slack - lo + 2) ** n << n
+    if work > CECH_MAX_WORK:
+        raise CapacityError("Cech oracle work (box size x 2^n)",
+                            CECH_MAX_WORK, work)
+    blocks = _cech_blocks(gen_exps, rho)
+    every = (1 << len(gen_exps)) - 1
+
+    def totals(extra):
+        upper = [rho[k] - 1 + extra for k in range(n)]
+        lower = [lo - sum(upper[t] for t in range(n) if t != k) - extra
+                 for k in range(n)]
+        out = {}
+        for a in product(*(range(lower[k], upper[k] + 1) for k in range(n))):
+            j = sum(a)
+            if not lo <= j <= hi:
+                continue
+            for i, h in _cech_piece(n, *_cech_pattern(a, blocks),
+                                    every).items():
+                out[(i, j)] = out.get((i, j), 0) + h
+        return out
+
+    first = totals(slack)
+    assert first == totals(slack + 1), \
+        "windowed Cech totals changed when the box was widened"
+    funcs = {}
+    for (i, j), h in sorted(first.items()):
+        funcs.setdefault(i, {})[j] = h
+    return CohomologyTable(
+        (lo, hi),
+        {i: HilbertFunction((lo, hi), vals) for i, vals in funcs.items()})
 
 
 def test_brute_cech_matches_patterns():

@@ -9,15 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from seqcm import groebner
 from seqcm.errors import AmbientMismatchError, ParseError
+from seqcm.groebner import PolynomialIdeal
+from seqcm.monomial import MonomialIdeal, dimension_filtration
 from seqcm.rings import (
     RANDOM_ENTRY_BOUND,
     Monomial,
     Polynomial,
+    _Value,
     degrevlex_key,
     parse_polynomial,
     random_unipotent,
     unipotent_inverse,
 )
+from seqcm.simplicial import SimplicialComplex
+from seqcm.tables import BettiTable, CohomologyTable, HilbertFunction
 from test_linalg import det, matmul
 
 
@@ -140,11 +145,49 @@ def test_parse_error_positions():
         ("2x1", 1, 2),
         ("", 1, 1),
         ("x1 +\n * x2", 2, 2),
+        # only the ASCII digits 0-9 are digits
+        ("x1^\u00b2", 1, 4),
+        ("\u00b2*x1", 1, 1),
+        ("x\u0661", 1, 2),
+        ("\u0663*x1", 1, 1),
+        # an integer of more than 4,300 digits, at its first digit
+        ("1" * 5000 + "*x1", 1, 1),
+        ("x2 + x1^" + "1" * 4301, 1, 9),
+        ("1/" + "1" * 4301, 1, 3),
     ]
     for text, line, column in cases:
         with pytest.raises(ParseError) as exc:
             parse_polynomial(text, 3)
         assert (exc.value.line, exc.value.column) == (line, column)
+    # the bound is inclusive
+    assert parse_polynomial("1" * 4300 + "*x1", 3).degree() == 1
+
+
+def test_value_types_refuse_assignment_and_deletion():
+    # The ten value types share one guard: assigning or deleting any slot,
+    # or adding an attribute, raises and leaves the value as it was.
+    hilbert = HilbertFunction((0, 2), {0: 1, 1: 2, 2: 3}, (None, (1, 1)))
+    filtration = dimension_filtration(MonomialIdeal(2, [(2, 0), (1, 1)]))
+    values = [mono(1, 2), parse_polynomial("x1 - 2*x2", 2),
+              PolynomialIdeal.from_strings(2, ["x1*x2"]),
+              MonomialIdeal(2, [(1, 1)]), filtration.layers[0], filtration,
+              SimplicialComplex(3, [[1, 2], [3]]), hilbert,
+              BettiTable("quotient", {(0, 0): 1}),
+              CohomologyTable((0, 2), {1: hilbert})]
+    assert sorted(type(v).__name__ for v in values) == sorted(
+        klass.__name__ for klass in _Value.__subclasses__())
+    for value in values:
+        name = type(value).__name__
+        slots = [slot for klass in type(value).__mro__
+                 for slot in getattr(klass, "__slots__", ())]
+        assert slots, name
+        before = {slot: getattr(value, slot) for slot in slots}
+        for slot in slots + ["extra"]:
+            with pytest.raises(AttributeError, match=name + " is immutable"):
+                setattr(value, slot, None)
+            with pytest.raises(AttributeError, match=name + " is immutable"):
+                delattr(value, slot)
+        assert all(getattr(value, slot) is before[slot] for slot in slots)
 
 
 def test_leading_data():
