@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import secrets
 import sys
 
@@ -28,6 +29,7 @@ from .monomial import (
     local_cohomology_strongly_stable,
 )
 from .oracles import cech_local_cohomology, koszul_betti
+from .rings import MAX_DIGITS
 from .simplicial import (
     SimplicialComplex,
     _face_ring_cohomology,
@@ -74,50 +76,55 @@ def _load_json(path):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc))
+        raise ParseError("cannot read: %s" % (exc.strerror or exc))
     except json.JSONDecodeError as exc:
-        raise ParseError("%s: invalid JSON: %s" % (path, exc.msg),
-                         exc.lineno, exc.colno)
+        raise ParseError("invalid JSON: %s" % exc.msg, exc.lineno, exc.colno)
     except ValueError as exc:
         # bytes that are not UTF-8, or an integer past int()'s digit limit
-        raise ParseError("%s: invalid JSON: %s" % (path, exc))
+        raise ParseError("invalid JSON: %s" % exc)
 
 
-def _sniff(data, path):
+def _sniff(data):
     if not isinstance(data, dict) or "n" not in data:
-        raise ParseError("%s: expected an object with an \"n\" key" % path)
-    if type(data["n"]) is not int:
-        raise ParseError("%s: \"n\" must be an integer, got %r"
-                         % (path, data["n"]))
+        raise ParseError("expected an object with an \"n\" key")
     if "generators" in data and "facets" in data:
-        raise ParseError("%s: both \"generators\" and \"facets\"; an input "
-                         "is an ideal or a complex, not both" % path)
+        raise ParseError("both \"generators\" and \"facets\"; an input is an "
+                         "ideal or a complex, not both")
     if "generators" in data:
         return "ideal"
     if "facets" in data:
         return "complex"
-    raise ParseError("%s: need \"generators\" or \"facets\"" % path)
+    raise ParseError("need \"generators\" or \"facets\"")
 
 
 def _load(path, kind=None):
     """The ideal or complex in the JSON at path ("-" is stdin), read once;
-    kind, "ideal" or "complex", is the only kind accepted when given."""
-    data = _load_json(path)
-    found = _sniff(data, path)
-    if kind is not None and found != kind:
-        raise ParseError("%s: expected %s file"
-                         % (path, "an ideal" if kind == "ideal" else "a complex"))
-    if found == "complex":
-        return SimplicialComplex.from_json(data)
-    return PolynomialIdeal.from_json(data)
+    kind, "ideal" or "complex", is the only kind accepted when given.  Every
+    parse error names the path, and keeps its line and column."""
+    try:
+        data = _load_json(path)
+        found = _sniff(data)
+        if kind is not None and found != kind:
+            raise ParseError("expected %s file"
+                             % ("an ideal" if kind == "ideal" else "a complex"))
+        if found == "complex":
+            return SimplicialComplex.from_json(data)
+        return PolynomialIdeal.from_json(data)
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (path, exc.message),
+                         exc.line, exc.column) from None
+
+
+# Each bound is ASCII digits, at most MAX_DIGITS of them, as in polynomial text.
+_WINDOW = re.compile(r"(-?[0-9]{1,%d})\.\.(-?[0-9]{1,%d})"
+                     % (MAX_DIGITS, MAX_DIGITS))
 
 
 def _parse_window(text):
-    try:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    except ValueError:
+    match = _WINDOW.fullmatch(text)
+    if match is None:
         raise ParseError("window must look like -8..4, got %r" % text)
+    lo, hi = int(match[1]), int(match[2])
     if lo > hi:
         raise ParseError("window %r is empty: %d > %d" % (text, lo, hi))
     return checked_window(lo, hi, "window width")
@@ -173,13 +180,11 @@ def _cmd_betti(args):
 
 
 def _cmd_localcoh(args):
-    obj = _load(args.input)
+    obj = _load(args.input, "ideal" if args.route == "filtration" else None)
     window = _parse_window(args.window) if args.window else None
     payload = {"command": "localcoh", "route": args.route}
     if args.route in ("filtration", "cech"):
         if isinstance(obj, SimplicialComplex):
-            if args.route == "filtration":
-                raise ParseError("filtration route expects an ideal file")
             monomial = stanley_reisner_ideal(obj)
         else:
             monomial = obj.as_monomial_ideal()

@@ -111,7 +111,7 @@ class BettiComparison:
         self.right_label = right_label
         self.left = left
         self.right = right
-        self.equal = left.same_entries(right)
+        self.equal = left == right
         self.first_difference = None if self.equal else left.first_difference(right)
 
     def to_json(self):
@@ -283,7 +283,7 @@ def theorem41_check(cx, seed, window=None):
         recovered = betti_from_cohomology(
             [[table.value(i, -j) for j in range(n + 1)] for i in range(n + 1)],
             n)
-        if not recovered.same_entries(betti):
+        if recovered != betti:
             raise InconsistencyError(
                 "the %s Cech table gives the dual Betti table %s but the "
                 "shifting decider has %s" % (side, recovered.entries,

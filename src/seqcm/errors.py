@@ -31,12 +31,16 @@ class NotHomogeneousError(SeqcmError):
 
 
 class ParseError(SeqcmError):
-    """Text input rejected; cites 1-based line and column."""
+    """Text input rejected; cites the 1-based line and column when the input
+    has them.  ``message`` is the text without the position, so a caller can
+    add context (a file, a generator) and raise it again."""
 
     code = "parse-error"
 
-    def __init__(self, message, line=1, column=1):
-        super().__init__("line %d, column %d: %s" % (line, column, message))
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message if line is None else
+                         "line %d, column %d: %s" % (line, column, message))
+        self.message = message
         self.line = line
         self.column = column
 

@@ -136,7 +136,15 @@ class PolynomialIdeal(_Value):
 
     @classmethod
     def from_strings(cls, n, texts):
-        return cls(n, [parse_polynomial(t, n) for t in texts])
+        """A parse error names the 1-based index of its generator."""
+        gens = []
+        for index, text in enumerate(texts, 1):
+            try:
+                gens.append(parse_polynomial(text, n))
+            except ParseError as exc:
+                raise ParseError("generator %d: %s" % (index, exc.message),
+                                 exc.line, exc.column) from None
+        return cls(n, gens)
 
     @classmethod
     def from_monomial_ideal(cls, ideal):

@@ -1,9 +1,12 @@
-"""Slow, independent reference computations.
+"""Independent routes for Hilbert functions, Betti numbers and local cohomology.
 
-Everything here prefers transparency over speed and is used to cross-check
-the main routes: standard-monomial counting for Hilbert functions, the
-Koszul complex for graded Betti numbers, and the Cech complex on the
-variables for local cohomology of monomial quotients.
+Two are references, written for transparency over speed to cross-check
+the main routes: standard-monomial counting for Hilbert functions
+(brute_hilbert) and the Koszul complex for graded Betti numbers (also
+`betti`'s route where Hochster's formula does not apply).  The third, the
+Cech complex on the variables for local cohomology of monomial quotients,
+is a product route: the left side of both theorem checks and the default
+route of `localcoh`, it walks only the live patterns (below).
 
 The Cech route sums one small subcomplex per "pattern": the degree-a piece
 of the localized quotient only depends on the signs of the entries of a

@@ -167,9 +167,6 @@ class BettiTable(_Value):
                 return (i, j)
         return None
 
-    def same_entries(self, other):
-        return self.entries == other.entries
-
     def __eq__(self, other):
         return (isinstance(other, BettiTable)
                 and self.module == other.module

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from seqcm.cli import main as cli_main
-from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal, write_corpus
 from seqcm.decide import main_theorem_check, is_sequentially_cm, theorem41_check
 from seqcm.groebner import PolynomialIdeal, gin, initial_ideal, saturation
 from seqcm.monomial import (
@@ -34,6 +33,7 @@ from seqcm.simplicial import (
     shifted_complex,
     stanley_reisner_ideal,
 )
+from corpus_entries import COMPLEXES, IDEALS, PATHS, corpus_complex, corpus_ideal
 from test_linalg import det, matmul
 
 SEED = 11
@@ -233,12 +233,10 @@ def test_criterion_10_matrix_machinery():
 
 
 @criterion(11, "closed formula reconciles with the Cech route end to end")
-def test_criterion_11_formula_reconciliation(tmp_path, capsys):
-    write_corpus(str(tmp_path))
+def test_criterion_11_formula_reconciliation(capsys):
     ran = 0
     for name in sorted(COMPLEXES):
-        code = cli_main(["localcoh", str(tmp_path / (name + ".json")),
-                         "--route", "enrico"])
+        code = cli_main(["localcoh", PATHS[name], "--route", "enrico"])
         out, _ = capsys.readouterr()
         assert code == 0, name
         assert json.loads(out)["cech_diff"] == [], name
@@ -248,8 +246,7 @@ def test_criterion_11_formula_reconciliation(tmp_path, capsys):
         if not (ideal.is_monomial()
                 and ideal.as_monomial_ideal().is_squarefree()):
             continue
-        code = cli_main(["localcoh", str(tmp_path / (name + ".json")),
-                         "--route", "enrico"])
+        code = cli_main(["localcoh", PATHS[name], "--route", "enrico"])
         out, _ = capsys.readouterr()
         assert code == 0, name
         assert json.loads(out)["cech_diff"] == [], name

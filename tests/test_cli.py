@@ -280,9 +280,13 @@ def test_window_separate_token_with_dash_is_rejected_by_argparse(edge_ideal):
 
 
 def test_bad_window_text(capsys, edge_ideal):
-    code, _, err = run(capsys, "hilbert", edge_ideal, "--window=oops")
-    assert code == 2
-    assert "error[parse-error]" in err
+    # A bound is ASCII digits with an optional minus sign, as in polynomial
+    # text: no other digits, no underscores and no spaces.
+    for window in ("oops", "\u0660..\u0663", "1_0..1_2", " 0 .. 3 ",
+                   "0..%s" % ("9" * 4301)):
+        code, out, err = run(capsys, "hilbert", edge_ideal, "--window=" + window)
+        assert (code, out) == (2, ""), window
+        assert err.startswith("error[parse-error]: window must look like")
 
 
 def test_empty_window_is_parse_error(capsys, edge_ideal):
@@ -560,7 +564,8 @@ def test_localcoh_far_below_window_is_the_left_tail(capsys, tmp_path, route):
 def test_localcoh_filtration_rejects_complex(capsys, hollow_complex):
     code, _, err = run(capsys, "localcoh", hollow_complex, "--route", "filtration")
     assert code == 2
-    assert "error[parse-error]" in err
+    assert err == ("error[parse-error]: %s: expected an ideal file\n"
+                   % hollow_complex)
 
 
 def test_localcoh_filtration_rejects_unstable(capsys, edge_ideal):
@@ -858,13 +863,24 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     # Only ASCII digits are digits, an integer may have at most 4,300 of
     # them, in polynomial text or as a JSON literal, and a file must be
     # UTF-8; a JSON error names the file, in `verify corpus` too.
-    for text, message in (("x1^\u00b2", "column 4: expected an integer"),
-                          ("\u00b2*x1", "column 1: "),
-                          (_LONG + "*x1", "column 1: integer of more than")):
+    digits = str(tmp_path / "digits.json")
+    for text, message in (
+            ("x1^\u00b2",
+             "column 4: %s: generator 1: expected an integer" % digits),
+            ("\u00b2*x1", "column 1: "),
+            (_LONG + "*x1",
+             "column 1: %s: generator 1: integer of more than" % digits)):
         path = write_json(tmp_path, "digits.json", {"n": 2, "generators": [text]})
         code, out, err = run(capsys, "hilbert", path)
         assert (code, out) == (2, "") and message in err, text
         assert err.startswith("error[parse-error]: line 1, ")
+    # the error names the generator it is in, after the file
+    path = write_json(tmp_path, "f.json",
+                      {"n": 2, "generators": ["x1*x2", "x1^"]})
+    code, out, err = run(capsys, "hilbert", path)
+    assert (code, out) == (2, "")
+    assert err == ("error[parse-error]: line 1, column 4: %s: generator 2: "
+                   "expected an integer\n" % path)
     (tmp_path / "latin").mkdir()
     latin = tmp_path / "latin" / "latin.json"
     latin.write_bytes('{"n": 2, "generators": ["x1"], "by": "M\u00fcller"}'
@@ -879,6 +895,28 @@ def test_parse_errors_exit_two(capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error[parse-error]: ")
         assert name + ": invalid JSON: " in err, err
+
+
+def test_parse_error_without_a_position_cites_none(capsys, tmp_path,
+                                                  edge_ideal):
+    # Only polynomial text and JSON text have lines and columns.
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"n": 2, "generators": ["M\u00fcller"]}'.encode("latin-1"))
+    both = write_json(tmp_path, "both.json",
+                      {"n": 2, "generators": ["x1"], "facets": [[1]]})
+    (tmp_path / "none").mkdir()
+    missing = str(tmp_path / "missing.json")
+    for argv, start in (
+            (("hilbert", missing), missing + ": cannot read: "),
+            (("hilbert", str(latin)), str(latin) + ": invalid JSON: "),
+            (("hilbert", both), both + ": both "),
+            (("hilbert", edge_ideal, "--window=0..x"), "window must look like "),
+            (("verify", "corpus", str(tmp_path / "none"), "--seed", "1"),
+             "no .json files under ")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error[parse-error]: " + start), err
+        assert not re.search(r"line \d+, column \d+", err), err
 
 
 def test_not_homogeneous_exit_two(capsys, tmp_path):

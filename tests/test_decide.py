@@ -6,7 +6,6 @@ import random
 import pytest
 
 from seqcm import decide, simplicial
-from seqcm.corpus import COMPLEXES, corpus_complex
 from seqcm.decide import (
     BettiComparison,
     is_componentwise_linear,
@@ -37,6 +36,7 @@ from seqcm.simplicial import (
     stanley_reisner_ideal,
 )
 from seqcm.tables import BettiTable, CohomologyTable, HilbertFunction
+from corpus_entries import COMPLEXES, corpus_complex
 
 hollow_triangle = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
 disjoint_edges = SimplicialComplex(4, [(1, 2), (3, 4)])

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from seqcm import groebner, oracles
 from seqcm.cli import main as cli_main
-from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.errors import (
     CapacityError,
     CertificationError,
@@ -53,6 +52,7 @@ from seqcm.simplicial import (
     shifted_complex,
     stanley_reisner_ideal,
 )
+from corpus_entries import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from test_linalg import det
 
 
@@ -559,6 +559,17 @@ def test_from_json_reads_generators_as_the_cli_does():
     assert got == ideal(3, "x1*x2 - x3^2")
     with pytest.raises(ParseError):
         PolynomialIdeal.from_json({"n": 2, "generators": "x1"})
+
+
+def test_from_strings_names_the_generator_and_keeps_its_position():
+    with pytest.raises(ParseError) as exc:
+        PolynomialIdeal.from_strings(2, ["x1*x2", "x1 +\n x9"])
+    assert exc.value.message == ("generator 2: variable x9 outside ambient "
+                                 "Q[x1..x2]")
+    assert (exc.value.line, exc.value.column) == (2, 2)
+    assert str(exc.value).startswith("line 2, column 2: generator 2: ")
+    # a ParseError given no position cites none
+    assert str(ParseError("no position")) == "no position"
 
 
 SCALED_CASES = [

@@ -9,7 +9,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.errors import NotStronglyStableError, UndefinedInputError
 from seqcm.groebner import gin, initial_ideal
 from seqcm.monomial import (
@@ -31,6 +30,7 @@ from seqcm.monomial import (
 from seqcm.oracles import brute_hilbert
 from seqcm.rings import Monomial
 from seqcm.simplicial import stanley_reisner_ideal
+from corpus_entries import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 
 
 def count_outside(ideal, d):

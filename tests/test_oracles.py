@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from seqcm import groebner, linalg, monomial, oracles, simplicial
 from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
-from seqcm.corpus import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from seqcm.groebner import (
     _STEPS,
     PolynomialIdeal,
@@ -64,6 +63,7 @@ from seqcm.simplicial import (
     shifted_complex,
     stanley_reisner_ideal,
 )
+from corpus_entries import COMPLEXES, IDEALS, corpus_complex, corpus_ideal
 from test_groebner import _cross_polytope
 from test_linalg import rank
 

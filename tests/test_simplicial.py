@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcm import simplicial
-from seqcm.corpus import COMPLEXES, corpus_complex
 from seqcm.errors import (
     AmbientGrowthError,
     InconsistencyError,
@@ -39,6 +38,7 @@ from seqcm.simplicial import (
     stanley_reisner_ideal,
 )
 from seqcm.tables import CohomologyTable, HilbertFunction
+from corpus_entries import COMPLEXES, corpus_complex
 from test_groebner import _cross_polytope
 from test_linalg import dense_rank, rank
 from test_oracles import _random_complex
