@@ -4,7 +4,9 @@ JSON on stdout, diagnostics on stderr.  Identical inputs and seeds give
 byte-identical stdout: objects are serialized with sorted keys and fixed
 separators.  Math-level "no" verdicts (not sequentially CM, tables differ)
 still exit 0; nonzero exits are reserved for usage errors (2), capacity or
-certification limits (3), and internal cross-check failures (4).
+certification limits (3), and internal cross-check failures (4), each read
+off the error class (see `errors`).  Each command returns its payload and
+its tsv text, None for a command with no tsv form; `main` alone writes.
 """
 
 import argparse
@@ -41,33 +43,6 @@ from .simplicial import (
     stanley_reisner_ideal,
 )
 from .version import __version__
-
-_USAGE_CODES = {
-    "parse-error", "undefined-input", "not-homogeneous", "not-squarefree",
-    "ambient-mismatch", "ambient-growth", "not-strongly-stable",
-    "bound-too-small",
-}
-_CAPACITY_CODES = {"capacity", "genericity-failure", "certification-failure"}
-
-
-def _exit_code(exc):
-    if exc.code in _USAGE_CODES:
-        return 2
-    if exc.code in _CAPACITY_CODES:
-        return 3
-    return 4
-
-
-def _emit(payload, fmt, tsv_text=None):
-    if fmt == "tsv":
-        if tsv_text is None:
-            raise ParseError("this command has no tsv form; use --format json")
-        sys.stdout.write(tsv_text)
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-    return 0
-
 
 def _load_json(path):
     try:
@@ -147,7 +122,7 @@ def _cmd_gin(args):
     payload = {"command": "gin", "seed": seed,
                "input": poly.to_json(), "gin": result.to_json()}
     tsv = "".join(str(g) + "\n" for g in result.gens)
-    return _emit(payload, args.format, tsv)
+    return payload, tsv
 
 
 def _cmd_hilbert(args):
@@ -160,7 +135,7 @@ def _cmd_hilbert(args):
                "hilbert": hf.to_json()}
     tsv = "".join("%d\t%d\n" % (d, hf.values.get(d, 0))
                   for d in range(window[0], window[1] + 1))
-    return _emit(payload, args.format, tsv)
+    return payload, tsv
 
 
 def _cmd_betti(args):
@@ -176,7 +151,7 @@ def _cmd_betti(args):
         route = "hochster"
         table = hochster_betti(complex_of(monomial))
     payload = {"command": "betti", "route": route, "betti": table.to_json()}
-    return _emit(payload, args.format, table.to_tsv())
+    return payload, table.to_tsv()
 
 
 def _cmd_localcoh(args):
@@ -208,7 +183,7 @@ def _cmd_localcoh(args):
         payload["cech_diff"] = []
     payload["window"] = list(table.window)
     payload["table"] = table.to_json()
-    return _emit(payload, args.format, table.to_tsv())
+    return payload, table.to_tsv()
 
 
 def _cmd_dual(args):
@@ -217,7 +192,7 @@ def _cmd_dual(args):
     payload = {"command": "dual", "complex": cx.to_json(),
                "dual": dual.to_json()}
     tsv = "".join("\t".join(str(v) for v in f) + "\n" for f in dual.facets)
-    return _emit(payload, args.format, tsv)
+    return payload, tsv
 
 
 def _cmd_shift(args):
@@ -227,7 +202,7 @@ def _cmd_shift(args):
     payload = {"command": "shift", "seed": seed, "complex": cx.to_json(),
                "shifted": shifted.to_json()}
     tsv = "".join("\t".join(str(v) for v in f) + "\n" for f in shifted.facets)
-    return _emit(payload, args.format, tsv)
+    return payload, tsv
 
 
 def _cmd_seqcm(args):
@@ -238,51 +213,54 @@ def _cmd_seqcm(args):
     verdict = is_sequentially_cm(obj, seed)
     payload = {"command": "seqcm", "seed": seed, "complex": obj.to_json(),
                "verdict": verdict.to_json()}
-    return _emit(payload, args.format)
+    return payload, None
+
+
+def _check(obj, seed, window):
+    """(report, verdict): Theorem 4.1's check of a complex with its
+    sequentially CM verdict, or the main theorem's check of an ideal with
+    None."""
+    if isinstance(obj, SimplicialComplex):
+        return theorem41_check(obj, seed, window)
+    return main_theorem_check(obj, seed, window), None
 
 
 def _cmd_verify(args):
     seed = _resolve_seed(args)
     window = _parse_window(args.window) if args.window else None
-    if args.what == "main-theorem":
-        poly = _load(args.target, "ideal")
-        report = main_theorem_check(poly, seed, window)
-        payload = {"command": "verify", "what": "main-theorem", "seed": seed,
-                   "report": report.to_json()}
-    elif args.what == "thm41":
-        cx = _load(args.target, "complex")
-        report, verdict = theorem41_check(cx, seed, window)
-        payload = {"command": "verify", "what": "thm41", "seed": seed,
-                   "report": report.to_json(), "seqcm": verdict.to_json()}
-    else:
-        payload = _verify_corpus(args.target, seed, window)
-    return _emit(payload, args.format)
+    if args.what == "corpus":
+        return _verify_corpus(args.target, seed, window), None
+    kind = "ideal" if args.what == "main-theorem" else "complex"
+    report, verdict = _check(_load(args.target, kind), seed, window)
+    payload = {"command": "verify", "what": args.what, "seed": seed,
+               "report": report.to_json()}
+    if verdict is not None:
+        payload["seqcm"] = verdict.to_json()
+    return payload, None
 
 
 def _verify_corpus(directory, seed, window):
     try:
         names = sorted(f for f in os.listdir(directory) if f.endswith(".json"))
     except OSError as exc:
-        raise ParseError("cannot list %s: %s" % (directory, exc))
+        raise ParseError("%s: cannot list: %s" % (directory,
+                                                  exc.strerror or exc))
     if not names:
         raise ParseError("no .json files under %s" % directory)
     results = {}
     counts = {"ideals": 0, "complexes": 0, "equal": 0,
               "unequal": 0, "left-skipped": 0}
     for name in names:
-        path = os.path.join(directory, name)
-        obj = _load(path)
-        if isinstance(obj, SimplicialComplex):
-            report, verdict = theorem41_check(obj, seed, window)
+        report, verdict = _check(_load(os.path.join(directory, name)),
+                                 seed, window)
+        counts[report.verdict] += 1
+        if verdict is None:
+            counts["ideals"] += 1
+            results[name] = {"kind": "ideal", "verdict": report.verdict}
+        else:
             counts["complexes"] += 1
-            counts[report.verdict] += 1
             results[name] = {"kind": "complex", "verdict": report.verdict,
                              "sequentially_cm": verdict.value}
-        else:
-            report = main_theorem_check(obj, seed, window)
-            counts["ideals"] += 1
-            counts[report.verdict] += 1
-            results[name] = {"kind": "ideal", "verdict": report.verdict}
     return {"command": "verify", "what": "corpus", "seed": seed,
             "results": results, "summary": counts}
 
@@ -296,8 +274,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, window=False, cache=False, bound=False):
+    def common(p, seed=False, window=False, cache=False, bound=False,
+               tsv=True):
         p.add_argument("--format", choices=("json", "tsv"), default="json")
+        p.set_defaults(tsv=tsv)
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="integer seed; chosen from entropy if absent")
@@ -347,13 +327,13 @@ def build_parser():
 
     p = sub.add_parser("seqcm", help="sequential Cohen-Macaulay verdict")
     p.add_argument("input")
-    common(p, seed=True)
+    common(p, seed=True, tsv=False)
     p.set_defaults(func=_cmd_seqcm)
 
     p = sub.add_parser("verify", help="cross-route theorem checks")
     p.add_argument("what", choices=("main-theorem", "thm41", "corpus"))
     p.add_argument("target")
-    common(p, seed=True, window=True)
+    common(p, seed=True, window=True, tsv=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -362,10 +342,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.format == "tsv" and not args.tsv:
+            raise ParseError("this command has no tsv form; use --format json")
+        payload, tsv = args.func(args)
     except SeqcmError as exc:
         print("error[%s]: %s" % (exc.code, exc), file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_status
+    sys.stdout.write(tsv if args.format == "tsv" else json.dumps(
+        payload, sort_keys=True, separators=(",", ":")) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Error hierarchy.
 
 Every raisable condition carries a stable machine-readable ``code`` so that
-callers (and the command line front end) can dispatch without string-matching
-human prose.  Exit-status policy lives in the CLI, not here; the only contract
-at this level is the code string and the payload attributes documented per
-class.
+callers can dispatch without string-matching human prose, and the
+``exit_status`` the command line front end returns for it, which the CLI
+only reads: 2 for a usage error, 3 for a capacity or certification limit,
+4 (the default) for an internal cross-check failure.  The payload attributes
+are documented per class.
 """
 
 
@@ -12,22 +13,26 @@ class SeqcmError(Exception):
     """Base class; ``code`` is stable across releases."""
 
     code = "internal-error"
+    exit_status = 4
 
 
 class AmbientMismatchError(SeqcmError):
     """Operands live in polynomial rings with different variable counts."""
 
     code = "ambient-mismatch"
+    exit_status = 2
 
 
 class UndefinedInputError(SeqcmError):
     """Operation applied to an input it is not defined for (e.g. m_of(1))."""
 
     code = "undefined-input"
+    exit_status = 2
 
 
 class NotHomogeneousError(SeqcmError):
     code = "not-homogeneous"
+    exit_status = 2
 
 
 class ParseError(SeqcmError):
@@ -36,6 +41,7 @@ class ParseError(SeqcmError):
     add context (a file, a generator) and raise it again."""
 
     code = "parse-error"
+    exit_status = 2
 
     def __init__(self, message, line=None, column=None):
         super().__init__(message if line is None else
@@ -49,6 +55,7 @@ class CapacityError(SeqcmError):
     """A configured size cap was exceeded; deliberate, never silent."""
 
     code = "capacity"
+    exit_status = 3
 
     def __init__(self, what, limit, requested):
         super().__init__(
@@ -63,12 +70,14 @@ class GenericityError(SeqcmError):
     """Random coordinate changes kept disagreeing within the retry budget."""
 
     code = "genericity-failure"
+    exit_status = 3
 
 
 class CertificationError(SeqcmError):
     """A two-seed cross-check failed after the retry budget."""
 
     code = "certification-failure"
+    exit_status = 3
 
 
 class _WitnessedError(SeqcmError):
@@ -86,6 +95,7 @@ class NotStronglyStableError(_WitnessedError):
     """
 
     code = "not-strongly-stable"
+    exit_status = 2
 
 
 class StrongStabilityViolationError(_WitnessedError):
@@ -96,12 +106,14 @@ class StrongStabilityViolationError(_WitnessedError):
 
 class NotSquarefreeError(SeqcmError):
     code = "not-squarefree"
+    exit_status = 2
 
 
 class AmbientGrowthError(SeqcmError):
     """A shifted generator needs a variable index beyond the ambient ring."""
 
     code = "ambient-growth"
+    exit_status = 2
 
 
 class ShiftedViolationError(_WitnessedError):
@@ -114,6 +126,7 @@ class BoundTooSmallError(SeqcmError):
     """A swept degree bound ended before the stabilization check passed."""
 
     code = "bound-too-small"
+    exit_status = 2
 
 
 class InconsistencyError(SeqcmError):

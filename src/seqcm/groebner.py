@@ -65,6 +65,7 @@ in-process map shared by every instance, plus one JSON file per entry when
 the instance has a directory.
 """
 
+import contextlib
 from fractions import Fraction
 import hashlib
 import heapq
@@ -711,12 +712,26 @@ class GinCache:
     writing the file back, if it can.
     `put` writes the map and the file.  Both take the ideal's hash as
     `_key` when the caller holds it, so that `gin` hashes once per call.
+    The directory is made when the cache is, so one that cannot hold the
+    files is refused before any gin work; an OSError from it is a
+    ParseError.
     """
 
     _memory = {}
 
     def __init__(self, directory=None):
         self.directory = directory or None
+        if self.directory is not None:
+            with self._refusing():
+                os.makedirs(self.directory, exist_ok=True)
+
+    @contextlib.contextmanager
+    def _refusing(self):
+        try:
+            yield
+        except OSError as exc:
+            raise ParseError("%s: cannot use as the gin cache: %s"
+                             % (self.directory, exc.strerror or exc)) from None
 
     def _path(self, key, seed):
         name = hashlib.sha256(json.dumps(
@@ -758,7 +773,6 @@ class GinCache:
         self._memory[slot] = result
         if self.directory is None:
             return
-        os.makedirs(self.directory, exist_ok=True)
         path = self._path(key, seed)
         payload = {
             "ideal": ideal.to_json(),
@@ -766,11 +780,12 @@ class GinCache:
             "version": __version__,
             "gin": result.to_json(),
         }
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=self.directory)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with self._refusing():
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=self.directory)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(payload, fh, sort_keys=True, indent=1)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise

@@ -409,8 +409,6 @@ def _parse_term(tok, n, sign):
     while True:
         ch = tok.peek()
         if ch != "x":
-            if saw_factor and not ch:
-                break
             tok.error("expected a variable like x2" if saw_factor or ch else
                       "expected a coefficient or variable")
         at = tok.pos

@@ -8,12 +8,13 @@ from math import comb
 import os
 import re
 import sys
+import tempfile
 import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from seqcm import cli, simplicial
+from seqcm import cli, errors, groebner, simplicial
 from seqcm.cli import _load, build_parser, main
 from seqcm.decide import MAX_WINDOW_WIDTH, widen_window
 from seqcm.groebner import GinCache, PolynomialIdeal
@@ -25,6 +26,7 @@ from test_decide import (
     lower_the_shifted_side,
     raise_a_hochster_entry,
 )
+from test_groebner import counted_engine_runs
 from test_oracles import _random_complex
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -148,6 +150,48 @@ def test_gin_cache_entry_that_is_not_strongly_stable_is_rewritten(
                             "--cache-dir", str(cache))
     assert code == 0 and second == first and err == ""
     assert json.loads((cache / entry).read_text())["gin"]["generators"] == ["x1^2"]
+
+
+@pytest.mark.parametrize("field", ["version", "seed", "n"])
+def test_gin_cache_entry_of_another_version_seed_or_n_is_rewritten(
+        capsys, monkeypatch, edge_ideal, tmp_path, field):
+    # An entry at the right path that names another version, seed or n is
+    # a miss: the gin is recomputed and the entry rewritten.
+    cache = tmp_path / "cache"
+    code, first, _ = run(capsys, "gin", edge_ideal, "--seed", "5",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    (entry,) = os.listdir(cache)
+    written = (cache / entry).read_text()
+    data = json.loads(written)
+    if field == "n":
+        data["gin"]["n"] = 3
+    else:
+        data[field] = {"version": "0.0.0", "seed": 6}[field]
+    (cache / entry).write_text(json.dumps(data))
+    monkeypatch.setattr(GinCache, "_memory", {})
+    runs = counted_engine_runs(monkeypatch)
+    code, second, err = run(capsys, "gin", edge_ideal, "--seed", "5",
+                            "--cache-dir", str(cache))
+    assert (code, second, err) == (0, first, "")
+    assert runs and (cache / entry).read_text() == written
+
+
+def test_gin_cache_dir_that_cannot_be_made_is_refused_before_any_gin(
+        capsys, monkeypatch, edge_ideal, tmp_path):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("gin ran")
+
+    monkeypatch.setattr(GinCache, "_memory", {})
+    monkeypatch.setattr(groebner, "_groebner", no_engine)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for cache in (blocker, blocker / "below"):
+        code, out, err = run(capsys, "gin", edge_ideal, "--seed", "5",
+                             "--cache-dir", str(cache))
+        assert (code, out) == (2, "")
+        assert err.startswith("error[parse-error]: %s: cannot use as the gin "
+                              "cache: " % cache), err
 
 
 def test_one_parser_and_no_state_between_calls(capsys, edge_ideal):
@@ -446,6 +490,16 @@ def test_cech_over_the_work_cap_exits_three(capsys, tmp_path):
     assert "error[capacity]: Cech oracle work" in err
 
 
+def test_koszul_over_the_basis_cap_exits_three(capsys, tmp_path):
+    # 8.1 * 10^10 basis elements up to degree 32, refused before any.
+    path = write_json(tmp_path, "k10.json", {"n": 10, "generators": [
+        "x1^2 + x2*x3", "x4*x5 - x6^2"]})
+    code, out, err = run(capsys, "betti", path, "--bound", "32")
+    assert (code, out) == (3, "")
+    assert err == ("error[capacity]: Koszul complex basis elements exceeds "
+                   "cap: requested 81311391216, limit 1000000\n")
+
+
 def test_koszul_over_the_work_cap_exits_three(capsys, tmp_path):
     # 7^8 steps of the Koszul spot pass, refused before any multidegree.
     path = write_json(tmp_path, "cubes.json", {"n": 8, "generators": [
@@ -712,11 +766,31 @@ def test_hilbert_of_a_non_monomial_ideal_reads_its_initial_ideal(capsys,
     assert outputs[0] == outputs[1]
 
 
-def test_seqcm_has_no_tsv_form(capsys, hollow_complex):
-    code, _, err = run(capsys, "seqcm", hollow_complex, "--seed", "11",
-                       "--format", "tsv")
-    assert code == 2
-    assert "error[parse-error]" in err
+def refuse_loading(monkeypatch):
+    def no_load(*args):
+        raise AssertionError("the input was loaded")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+
+
+def test_seqcm_has_no_tsv_form(capsys, monkeypatch, hollow_complex):
+    # Refused before the input is read, so before any work.
+    refuse_loading(monkeypatch)
+    code, out, err = run(capsys, "seqcm", hollow_complex, "--seed", "11",
+                         "--format", "tsv")
+    assert (code, out) == (2, "")
+    assert err == ("error[parse-error]: this command has no tsv form; use "
+                   "--format json\n")
+
+
+@pytest.mark.parametrize("what", ["main-theorem", "thm41", "corpus"])
+def test_verify_has_no_tsv_form(capsys, monkeypatch, tmp_path, what):
+    refuse_loading(monkeypatch)
+    code, out, err = run(capsys, "verify", what, str(tmp_path), "--seed", "7",
+                         "--format", "tsv")
+    assert (code, out) == (2, "")
+    assert err == ("error[parse-error]: this command has no tsv form; use "
+                   "--format json\n")
 
 
 def test_verify_main_theorem(capsys, tmp_path):
@@ -874,13 +948,16 @@ def test_parse_errors_exit_two(capsys, tmp_path):
         code, out, err = run(capsys, "hilbert", path)
         assert (code, out) == (2, "") and message in err, text
         assert err.startswith("error[parse-error]: line 1, ")
-    # the error names the generator it is in, after the file
-    path = write_json(tmp_path, "f.json",
-                      {"n": 2, "generators": ["x1*x2", "x1^"]})
-    code, out, err = run(capsys, "hilbert", path)
-    assert (code, out) == (2, "")
-    assert err == ("error[parse-error]: line 1, column 4: %s: generator 2: "
-                   "expected an integer\n" % path)
+    # the error names the generator it is in, after the file; a "*" must
+    # be followed by a factor
+    for generators, where, message in (
+            (["x1*x2", "x1^"], "column 4: %s: generator 2", "an integer"),
+            (["x1*x2*"], "column 7: %s: generator 1", "a variable like x2")):
+        path = write_json(tmp_path, "f.json", {"n": 2, "generators": generators})
+        code, out, err = run(capsys, "hilbert", path)
+        assert (code, out) == (2, "")
+        assert err == ("error[parse-error]: line 1, %s: expected %s\n"
+                       % (where % path, message))
     (tmp_path / "latin").mkdir()
     latin = tmp_path / "latin" / "latin.json"
     latin.write_bytes('{"n": 2, "generators": ["x1"], "by": "M\u00fcller"}'
@@ -912,11 +989,34 @@ def test_parse_error_without_a_position_cites_none(capsys, tmp_path,
             (("hilbert", both), both + ": both "),
             (("hilbert", edge_ideal, "--window=0..x"), "window must look like "),
             (("verify", "corpus", str(tmp_path / "none"), "--seed", "1"),
-             "no .json files under ")):
+             "no .json files under "),
+            (("verify", "corpus", missing, "--seed", "1"),
+             missing + ": cannot list: No such file or directory\n")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error[parse-error]: " + start), err
         assert not re.search(r"line \d+, column \d+", err), err
+
+
+def test_each_error_class_carries_its_exit_status():
+    # The README's rule: 2 for usage errors, 3 for capacity or certification
+    # limits, 4 for internal cross-check failures.
+    statuses = {
+        "SeqcmError": 4, "_WitnessedError": 4, "InconsistencyError": 4,
+        "StrongStabilityViolationError": 4, "ShiftedViolationError": 4,
+        "ParseError": 2, "UndefinedInputError": 2, "NotHomogeneousError": 2,
+        "NotSquarefreeError": 2, "AmbientMismatchError": 2,
+        "AmbientGrowthError": 2, "NotStronglyStableError": 2,
+        "BoundTooSmallError": 2,
+        "CapacityError": 3, "GenericityError": 3, "CertificationError": 3,
+    }
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert {name: cls.exit_status for name, cls in classes.items()} == statuses
+    # Each concrete class names its own code; only the base is abstract.
+    concrete = [cls for name, cls in classes.items() if name[0] != "_"]
+    assert all("code" in vars(cls) for cls in concrete)
+    assert len({cls.code for cls in concrete}) == len(concrete) == 15
 
 
 def test_not_homogeneous_exit_two(capsys, tmp_path):
@@ -1008,6 +1108,12 @@ def test_cli_fuzz_exits_with_typed_errors(capsys, tmp_path, command, document,
                               data.draw(st.sampled_from(["json", "tsv"]))]
     if verify or command in ("gin", "shift", "seqcm"):
         argv += ["--seed", str(data.draw(st.integers(0, 9)))]
+    if command == "gin":
+        # absent, a fresh directory, or a regular file
+        cache = data.draw(st.sampled_from([None, "fresh", "file"]))
+        if cache is not None:
+            argv += ["--cache-dir", str(path) if cache == "file"
+                     else tempfile.mkdtemp(dir=tmp_path)]
     if (verify or command in ("hilbert", "localcoh")) and data.draw(st.booleans()):
         argv.append("--window=" + data.draw(_WINDOWS))
     if command == "localcoh":

@@ -535,6 +535,19 @@ def test_gin_cache_file_that_is_not_strongly_stable_is_a_miss(
     assert json.loads((tmp_path / entry).read_text())["gin"] == result.to_json()
 
 
+def test_gin_cache_directory_errors_are_parse_errors(tmp_path):
+    # The directory is made with the cache; one that is gone when an entry
+    # is written is refused as a ParseError that names it, not an OSError.
+    base = ideal(2, "x1*x2")
+    gone = tmp_path / "gone"
+    cache = GinCache(str(gone))
+    assert gone.is_dir()
+    gone.rmdir()
+    with pytest.raises(ParseError, match="gone: cannot use as the gin cache: "):
+        cache.put(base, 5, gin(base, 5))
+    assert not gone.exists()
+
+
 def test_gin_of_monomial_ideal_keys_like_its_polynomial_ideal(tmp_path):
     m = MonomialIdeal(3, [(1, 1, 0), (0, 0, 2)])
     poly = PolynomialIdeal.from_monomial_ideal(m)

@@ -38,6 +38,8 @@ from seqcm.monomial import (
 )
 from seqcm.oracles import (
     CECH_MAX_WORK,
+    KOSZUL_MAX_BASIS,
+    KOSZUL_MAX_BOUND,
     _cech_blocks,
     _cech_piece,
     _cech_spots,
@@ -450,6 +452,33 @@ def test_koszul_monomial_capacity(monkeypatch):
     assert exc.value.requested == 7 ** 8
     with pytest.raises(CapacityError, match="Koszul oracle work"):
         depth_and_dim(cubes)
+
+
+def test_koszul_general_capacity(monkeypatch):
+    # The general route counts its basis up to the bound, sum over j and i
+    # of C(n, i) HF(R/in I)(j - i), from the K-polynomial of the lead ideal,
+    # and is refused over KOSZUL_MAX_BASIS before any standard monomial.
+    def no_complex(*args):
+        raise AssertionError("the Koszul complex was built")
+
+    monkeypatch.setattr(oracles, "_koszul_general", no_complex)
+    pair = PolynomialIdeal.from_strings(10, ["x1^2 + x2*x3", "x4*x5 - x6^2"])
+    with pytest.raises(CapacityError, match="Koszul complex basis") as exc:
+        koszul_betti(pair, bound=KOSZUL_MAX_BOUND)
+    assert (exc.value.requested, exc.value.limit) == (
+        81_311_391_216, KOSZUL_MAX_BASIS)
+    # Bound 8 is admitted, bound 9 is not.
+    monkeypatch.setattr(oracles, "KOSZUL_MAX_BASIS", 0)
+    for bound, size in ((6, 117_744), (8, 996_336), (9, 2_486_000)):
+        with pytest.raises(CapacityError) as exc:
+            koszul_betti(pair, bound=bound)
+        assert exc.value.requested == size
+        assert (size > KOSZUL_MAX_BASIS) == (bound == 9)
+    # depth_and_dim takes the same path at the default bound.
+    cubic = PolynomialIdeal.from_strings(
+        4, ["x1*x3 - x2^2", "x2*x4 - x3^2", "x1*x4 - x2*x3"])
+    with pytest.raises(CapacityError, match="Koszul complex basis"):
+        depth_and_dim(cubic)
 
 
 def _cycle(n):

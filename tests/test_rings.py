@@ -154,6 +154,11 @@ def test_parse_error_positions():
         ("1" * 5000 + "*x1", 1, 1),
         ("x2 + x1^" + "1" * 4301, 1, 9),
         ("1/" + "1" * 4301, 1, 3),
+        # a "*" must be followed by a factor
+        ("2*", 1, 3),
+        ("x1*", 1, 4),
+        ("x1 + 2*", 1, 8),
+        ("1/0*x1", 1, 3),
     ]
     for text, line, column in cases:
         with pytest.raises(ParseError) as exc:
