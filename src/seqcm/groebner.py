@@ -14,10 +14,10 @@ by `_primitive`.  The packed dict is the one form from the input to the
 leads: `_generators` packs each generator once, denominators cleared;
 `_substitute` applies the integer rows of a coordinate change to packed
 dicts, multiplying by x_j as adding a packed step; `_groebner` takes such
-dicts and returns elements; saturation lowers the x_n field; and `_divide`
-returns packed remainders.  Exponent tuples come back only for leads
-(`_leads`, read by gin, `initial_ideal`, the Hilbert target and the Koszul
-oracle) and for the Polynomials of the public entry points.
+dicts and returns elements; saturation lowers the x_n field; and
+`_remainder` returns packed remainders.  Exponent tuples come back only for
+leads (`_leads`, read by gin, `initial_ideal`, the Hilbert target and the
+Koszul oracle) and for the Polynomials of the public entry points.
 
 The engine is Hilbert-driven when given a `_HilbertTarget`, the Hilbert
 series of the ideal it works on (Traverso, J. Symbolic Comput. 22, 1996).
@@ -33,28 +33,29 @@ that the run's lead ideal contradicts; one that a skipping run happens to
 match would pass, so the engine is given only targets that are exact.
 gin's are: HF(R/u.I) = HF(R/I) for every change u, so a monomial I is its
 own target, and any other I takes the lead ideal of its first candidate,
-run with all pairs.  gin reads only leads, so its runs stop at a minimal
-basis (same leads, tails unreduced) instead of interreducing; `buchberger`,
-saturation and the Koszul oracle keep the reduced basis and run every pair.
+run with all pairs.  gin reads only leads, so its runs stop when the pair
+loop does (same lead ideal, tails unreduced, leads possibly redundant)
+instead of interreducing, and `MonomialIdeal` keeps the minimal leads;
+`buchberger`, saturation and the Koszul oracle keep the reduced basis and
+run every pair.
 
 Reduction, `_remainder`, is ordered and fraction-free: the working
 polynomial's monomials sit in a min-heap of ints, so each step pops the
 next term instead of searching for it, and scales by lc/gcd(c, lc) while a
 running integer scale is kept.  Every engine run is certified: each input
 must reduce to zero against the output, its leads found anew, independent
-of the Buchberger bookkeeping.  `_divide`, the rational division behind
-`normal_form`, divides by the scale once at the end, so a zero remainder
-never builds a Fraction; `normal_form` finds its divisors' leads anew
-(`_divisors`).  The Koszul oracle reads the integer pairs of `_remainder`
-itself.  Fraction-coefficient Polynomials appear only at the public entry
-points.
+of the Buchberger bookkeeping.  `normal_form` clears denominators, finds
+its divisors' leads anew, runs `_remainder` and divides by the scale once
+at the end, so a zero remainder never builds a Fraction.  The Koszul oracle
+reads the integer pairs of `_remainder` itself.  Fraction-coefficient
+Polynomials appear only at the public entry points.
 
 Randomized operations (saturation by a generic coordinate change, gin) are
-certified: the computation runs under two seeds derived deterministically from
-the caller's seed and must agree, with a bounded retry budget before a
-genericity failure is raised.  The changes are unipotent,
-x_i -> x_i + sum_{j<i} a_ij x_j: a generic g factors as such a u times an
-upper triangular matrix that leaves initial ideals alone, so
+certified by one loop, `_two_seeds`: the computation runs under two seeds
+derived deterministically from the caller's seed and must agree, with a
+bounded retry budget before the caller's error is raised.  The changes are
+unipotent, x_i -> x_i + sum_{j<i} a_ij x_j: a generic g factors as such a
+u times an upper triangular matrix that leaves initial ideals alone, so
 gin(I) = in(u . I) (Galligo; Bayer-Stillman, Invent. Math. 87, 1987), and
 u needs no singular redraw and has an integral inverse.  Gin outputs
 additionally must pass the strong stability test; in characteristic zero a
@@ -436,23 +437,6 @@ def _push_pairs(n, pairs, basis, t):
         heapq.heappush(pairs, (-_lcm(n, basis[k][0], lt), k, t))
 
 
-def _divisors(basis):
-    """Packed dicts with int or Fraction coefficients as elements, for
-    `_divide`: denominators cleared and leads found anew; scaling a divisor
-    leaves every remainder unchanged."""
-    return [_primitive(q, min(q)) for q in (_scaled(p)[1] for p in basis)]
-
-
-def _divide(n, p, divisors):
-    """Remainder of the packed dict p on rational division by engine
-    elements, as a packed dict with Fraction coefficients: denominators
-    cleared first, divided by the running scale once at the end, so a zero
-    remainder builds no Fraction."""
-    mult, q = _scaled(p)
-    scale, r = _remainder(n, q, divisors, mult)
-    return {m: Fraction(v, scale) for m, v in r.items()}
-
-
 class _HilbertTarget:
     """The Hilbert series of R/J for a monomial ideal J given by its
     generators: its K-polynomial and the dimensions dim_K J_d read off it."""
@@ -492,20 +476,11 @@ def _filled(part, target, d):
     return len(part) == dim
 
 
-def _minimal(n, basis):
-    """The elements whose leads no other lead divides, sorted by lead: a
-    minimal Groebner basis with the same lead ideal."""
-    guard = _GUARD[n]
-    leads = [lead for lead, _ in basis]
-    kept = [e for e in basis
-            if not any(o != e[0] and not (e[0] - o) & guard for o in leads)]
-    return sorted(kept, key=lambda e: -e[0])
-
-
-def _groebner(n, gens, target=None, minimal=False):
+def _groebner(n, gens, target=None, reduced=True):
     """Degrevlex Groebner basis of a list of nonzero packed integer dicts
-    in n variables, as elements sorted by increasing lead: the reduced
-    basis, or with `minimal` a minimal one (same leads, tails not reduced).
+    in n variables, as elements: the reduced basis, sorted by increasing
+    lead, or without `reduced` the basis the pair loop ends with, unsorted
+    and possibly with redundant leads (same lead ideal, tails not reduced).
 
     Normal selection (smallest pair lcm in the order first, ties by pair
     index); a pair is dropped when its leading monomials are coprime or when
@@ -551,7 +526,8 @@ def _groebner(n, gens, target=None, minimal=False):
                 if target is not None:
                     part.add(r[0])
                     filled = _filled(part, target, degree)
-    basis = _minimal(n, basis) if minimal else _interreduce(n, basis)
+    if reduced:
+        basis = _interreduce(n, basis)
     if target is not None and not target.matches(_leads(n, basis)):
         raise CertificationError(
             "lead ideal's Hilbert series differs from its target's")
@@ -582,9 +558,13 @@ def normal_form(f, basis):
     for b in elements:
         if b.n != f.n:
             raise AmbientMismatchError("polynomial and basis ambient differ")
-    remainder = _divide(
-        f.n, _terms(f), _divisors(_terms(b) for b in elements if b))
-    return _to_polynomial(f.n, remainder)
+    # Divisors are scaled to integers, which leaves every remainder
+    # unchanged, and their leads are found anew.
+    divisors = [(min(q), q) for q in
+                (_scaled(_terms(b))[1] for b in elements if b)]
+    mult, p = _scaled(_terms(f))
+    scale, r = _remainder(f.n, p, divisors, mult)
+    return _to_polynomial(f.n, r, scale)
 
 
 def initial_ideal(ideal):
@@ -606,8 +586,21 @@ def _saturate_last(n, gens):
     return divided
 
 
-def _derive_seed(seed, k):
-    return (int(seed) * 1000003 + 10007 * k + 17) % (1 << 64)
+def _two_seeds(n, gens, seed, run, error, what):
+    """The value of run(changed, rows) that both changes of an attempt
+    agree on.  Attempt t draws rows = random_unipotent(n, s_j) for the
+    seeds s_j derived from `seed`, j = 2t and 2t + 1, and runs on the packed
+    generators changed by rows; after GIN_RETRY_BUDGET attempts without
+    agreement, `error` is raised, naming `what` disagreed."""
+    for t in range(GIN_RETRY_BUDGET):
+        pair = []
+        for j in (2 * t, 2 * t + 1):
+            rows = random_unipotent(
+                n, (int(seed) * 1000003 + 10007 * j + 17) % (1 << 64))
+            pair.append(run([_substitute(n, p, rows) for p in gens], rows))
+        if pair[0] == pair[1]:
+            return pair[0]
+    raise error("%s disagreed across %d seed pairs" % (what, GIN_RETRY_BUDGET))
 
 
 def saturation(ideal, seed):
@@ -620,18 +613,16 @@ def saturation(ideal, seed):
     """
     if ideal.is_zero():
         return ideal
-    n, gens = ideal.n, _generators(ideal)
-    for t in range(GIN_RETRY_BUDGET):
-        pair = []
-        for k in (0, 1):
-            rows = random_unipotent(n, _derive_seed(seed, 2 * t + k))
-            sat = _saturate_last(n, [_substitute(n, p, rows) for p in gens])
-            back = unipotent_inverse(rows)
-            pair.append(_groebner(n, [_substitute(n, p, back) for p in sat]))
-        if pair[0] == pair[1]:
-            return PolynomialIdeal(ideal.n, _polynomials(ideal.n, pair[0]))
-    raise CertificationError(
-        "saturation results disagreed across %d seed pairs" % GIN_RETRY_BUDGET)
+    n = ideal.n
+
+    def run(changed, rows):
+        back = unipotent_inverse(rows)
+        return _groebner(n, [_substitute(n, p, back)
+                             for p in _saturate_last(n, changed)])
+
+    basis = _two_seeds(n, _generators(ideal), seed, run, CertificationError,
+                       "saturation results")
+    return PolynomialIdeal(n, _polynomials(n, basis))
 
 
 def gin_terms(ideal):
@@ -642,7 +633,7 @@ def gin_terms(ideal):
 
 def ideal_content_hash(ideal):
     """Stable hash of the presented ideal (sorted canonical generators); a
-    MonomialIdeal and its PolynomialIdeal hash alike."""
+    MonomialIdeal hashes like the PolynomialIdeal of its minimal generators."""
     payload = {"n": ideal.n,
                "generators": sorted(ideal.to_json()["generators"])}
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -678,26 +669,21 @@ def gin(ideal, seed, cache=None):
     # other I takes the lead ideal of its first full-pair run.
     target = (_HilbertTarget(n, _leads(n, [(min(p), p) for p in gens]))
               if all(len(p) == 1 for p in gens) else None)
-    for t in range(GIN_RETRY_BUDGET):
-        candidates = []
-        for k in (0, 1):
-            rows = random_unipotent(n, _derive_seed(seed, 2 * t + k))
-            basis = _groebner(n, [_substitute(n, p, rows) for p in gens],
-                              target, minimal=True)
-            leads = _leads(n, basis)
-            if target is None:
-                target = _HilbertTarget(n, leads)
-            candidates.append(MonomialIdeal(n, leads))
-        if candidates[0] == candidates[1]:
-            result = candidates[0]
-            ok, witness = is_strongly_stable(result)
-            if not ok:
-                raise StrongStabilityViolationError(
-                    "gin candidate %s fails the exchange test" % result, witness)
-            cache.put(ideal, seed, result, _key=key)
-            return result
-    raise GenericityError(
-        "gin candidates disagreed across %d seed pairs" % GIN_RETRY_BUDGET)
+
+    def run(changed, rows):
+        nonlocal target
+        leads = _leads(n, _groebner(n, changed, target, reduced=False))
+        if target is None:
+            target = _HilbertTarget(n, leads)
+        return MonomialIdeal(n, leads)
+
+    result = _two_seeds(n, gens, seed, run, GenericityError, "gin candidates")
+    ok, witness = is_strongly_stable(result)
+    if not ok:
+        raise StrongStabilityViolationError(
+            "gin candidate %s fails the exchange test" % result, witness)
+    cache.put(ideal, seed, result, _key=key)
+    return result
 
 
 class GinCache:
@@ -706,10 +692,10 @@ class GinCache:
     Every instance shares one in-process map, bounded by GIN_MEMO_CAP (the
     oldest entry goes first).  With a directory there is also one JSON file
     per entry, named by the hash of (ideal hash, seed, version).  `get`
-    reads that file; an absent, unreadable or mismatched file, or one whose
-    ideal has a non-monomial generator or is not strongly stable, and so
-    cannot be a gin in characteristic zero, is a miss that the map serves,
-    writing the file back, if it can.
+    reads that file, and a hit fills the map too; an absent, unreadable or
+    mismatched file, or one whose ideal has a non-monomial generator or is
+    not strongly stable, and so cannot be a gin in characteristic zero, is
+    a miss that the map serves, writing the file back, if it can.
     `put` writes the map and the file.  Both take the ideal's hash as
     `_key` when the caller holds it, so that `gin` hashes once per call.
     The directory is made when the cache is, so one that cannot hold the
@@ -742,7 +728,8 @@ class GinCache:
     def get(self, ideal, seed, *, _key=None):
         """The stored gin, or None."""
         key = _key or ideal_content_hash(ideal)
-        held = self._memory.get((key, int(seed)))
+        slot = (key, int(seed))
+        held = self._memory.get(slot)
         if self.directory is None:
             return held
         try:
@@ -760,17 +747,20 @@ class GinCache:
                 SeqcmError):
             result = None
         if result is not None and is_strongly_stable(result)[0]:
+            self._hold(slot, result)
             return result
         if held is not None:
             self.put(ideal, seed, held, _key=key)
         return held
 
-    def put(self, ideal, seed, result, *, _key=None):
-        key = _key or ideal_content_hash(ideal)
-        slot = (key, int(seed))
+    def _hold(self, slot, result):
         if slot not in self._memory and len(self._memory) >= GIN_MEMO_CAP:
             del self._memory[next(iter(self._memory))]
         self._memory[slot] = result
+
+    def put(self, ideal, seed, result, *, _key=None):
+        key = _key or ideal_content_hash(ideal)
+        self._hold((key, int(seed)), result)
         if self.directory is None:
             return
         path = self._path(key, seed)

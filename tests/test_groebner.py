@@ -168,15 +168,17 @@ def _packed(p):
     return {groebner._pack(e): c for e, c in p.items()}
 
 
-def _unpacked_dict(n, p):
-    return {groebner._unpack(n, m): c for m, c in p.items()}
+def _elements(dicts):
+    # Integer exponent-tuple dicts as engine elements, leads found anew.
+    return [groebner._primitive(q, min(q)) for q in map(_packed, dicts)]
 
 
 def _unpacked(n, element):
     if element is None:
         return None
     lead, terms = element
-    return groebner._unpack(n, lead), _unpacked_dict(n, terms)
+    return groebner._unpack(n, lead), {groebner._unpack(n, m): c
+                                       for m, c in terms.items()}
 
 
 def interreduce_until_unchanged(elements):
@@ -212,7 +214,7 @@ _NS = st.sampled_from([1, 3, 5])
 @settings(max_examples=100, deadline=None)
 def test_interreduce_stops_where_the_fixpoint_loop_does(case):
     n, dicts = case
-    got = groebner._interreduce(n, groebner._divisors(map(_packed, dicts)))
+    got = groebner._interreduce(n, _elements(dicts))
     assert [_unpacked(n, e) for e in got] == \
         interreduce_until_unchanged([_reference_element(p) for p in dicts])
 
@@ -377,6 +379,14 @@ def test_content_hash_ignores_generator_order():
     assert ideal_content_hash(a) != ideal_content_hash(ideal(2, "x1^2"))
 
 
+def test_monomial_ideal_hashes_like_its_minimal_generators_only():
+    # MonomialIdeal (x1, x1*x2) keeps the minimal generator x1 alone.
+    m = MonomialIdeal(2, [(1, 0), (1, 1)])
+    assert ideal_content_hash(m) == ideal_content_hash(ideal(2, "x1"))
+    for other in (ideal(2, "x1", "x1*x2"), ideal(2, "2*x1")):
+        assert ideal_content_hash(m) != ideal_content_hash(other)
+
+
 def variable_colon(ideal_m, var):
     # (J : x_var) for monomial J: divide each generator by its x_var part.
     out = []
@@ -463,6 +473,7 @@ def test_cli_gin_cache_dir_serves_a_later_plain_gin(monkeypatch, tmp_path,
 def alternate_identity(monkeypatch):
     # Every other coordinate change is the identity, so the two derived
     # seeds of each attempt disagree and the whole retry budget is spent.
+    # Returns the seeds drawn, in order.
     real = groebner.random_unipotent
     draws = []
 
@@ -473,6 +484,7 @@ def alternate_identity(monkeypatch):
         return real(n, seed)
 
     monkeypatch.setattr(groebner, "random_unipotent", alternating)
+    return draws
 
 
 def test_gin_spends_the_retry_budget_then_raises(monkeypatch):
@@ -494,6 +506,24 @@ def test_saturation_spends_the_retry_budget_then_raises(monkeypatch):
     assert len(runs) == 4 * GIN_RETRY_BUDGET == 12
 
 
+@pytest.mark.parametrize("certified, error, message", [
+    (lambda: gin(ideal(2, "x2^2"), seed=5), GenericityError,
+     "gin candidates disagreed across 3 seed pairs"),
+    (lambda: saturation(ideal(2, "x1*x2"), seed=5), CertificationError,
+     "saturation results disagreed across 3 seed pairs"),
+], ids=["gin", "saturation"])
+def test_gin_and_saturation_draw_one_seed_schedule(certified, error, message,
+                                                   monkeypatch):
+    # Attempt t draws the derived seeds 2t and 2t + 1 of the caller's seed.
+    monkeypatch.setattr(GinCache, "_memory", {})
+    draws = alternate_identity(monkeypatch)
+    with pytest.raises(error) as raised:
+        certified()
+    assert str(raised.value) == message
+    assert draws == [(5 * 1000003 + 10007 * j + 17) % (1 << 64)
+                     for j in range(6)]
+
+
 def test_gin_cache_file_hit_runs_no_engine(monkeypatch, tmp_path):
     base = ideal(3, "x1*x2 - x3^2", "x2^2")
     cache = GinCache(str(tmp_path))
@@ -501,6 +531,16 @@ def test_gin_cache_file_hit_runs_no_engine(monkeypatch, tmp_path):
     monkeypatch.setattr(GinCache, "_memory", {})
     runs = counted_engine_runs(monkeypatch)
     assert gin(base, seed=5, cache=cache) == result
+    assert runs == []
+
+
+def test_gin_cache_file_hit_fills_the_map(monkeypatch, tmp_path):
+    base = ideal(3, "x1*x2 - x3^2", "x2^2")
+    result = gin(base, 5, cache=GinCache(str(tmp_path)))
+    monkeypatch.setattr(GinCache, "_memory", {})
+    runs = counted_engine_runs(monkeypatch)
+    assert gin(base, 5, cache=GinCache(str(tmp_path))) == result
+    assert gin(base, 5) == result
     assert runs == []
 
 
@@ -784,20 +824,33 @@ def _leads(basis):
 
 def _engine_leads_agree(base, moved):
     # The full-pair engine (target None) is the oracle for both outputs of a
-    # Hilbert-driven run: the reduced basis and the minimal one.
-    target = _target_of(base)
-    full = _leads(groebner._groebner(base.n, moved))
-    assert _leads(groebner._groebner(base.n, moved, target)) == full
-    assert _leads(groebner._groebner(base.n, moved, target, minimal=True)) \
-        == full
+    # Hilbert-driven run: the reduced basis and the lead ideal of the
+    # unreduced one.
+    n, target = base.n, _target_of(base)
+    full = groebner._groebner(n, moved)
+    assert _leads(groebner._groebner(n, moved, target)) == _leads(full)
+    unreduced = groebner._groebner(n, moved, target, reduced=False)
+    assert MonomialIdeal(n, groebner._leads(n, unreduced)) \
+        == MonomialIdeal(n, groebner._leads(n, full))
+
+
+def test_unreduced_run_keeps_a_redundant_lead():
+    # The pair loop adds x1^3*x3 before x1^2*x3, which divides it; the
+    # unreduced run keeps both, and its lead ideal is still the initial one.
+    base = ideal(3, "-x1*x2 - x3^2", "x2^2 + 2*x1*x3", "2*x1^2*x2^2")
+    basis = groebner._groebner(3, groebner._generators(base), reduced=False)
+    leads = groebner._leads(3, basis)
+    assert len(leads) == 5
+    assert (3, 0, 1) in leads and (2, 0, 1) in leads
+    assert MonomialIdeal(3, leads) == initial_ideal(base)
 
 
 def full_pair_gin(monkeypatch):
     # gin with every Hilbert target dropped, so every pair is reduced.
     real = groebner._groebner
 
-    def full_pair(n, gens, target=None, minimal=False):
-        return real(n, gens, None, minimal)
+    def full_pair(n, gens, target=None, reduced=True):
+        return real(n, gens, None, reduced)
 
     monkeypatch.setattr(groebner, "_groebner", full_pair)
     monkeypatch.setattr(GinCache, "_memory", {})
@@ -881,9 +934,9 @@ def test_wrong_hilbert_target_is_refused(leads):
     moved = [groebner._substitute(6, p, rows)
              for p in groebner._generators(base)]
     target = groebner._HilbertTarget(6, leads)
-    for minimal in (False, True):
+    for reduced in (True, False):
         with pytest.raises(CertificationError):
-            groebner._groebner(6, moved, target, minimal=minimal)
+            groebner._groebner(6, moved, target, reduced=reduced)
 
 
 def test_gin_with_a_wrong_target_raises_and_stores_nothing(monkeypatch):
@@ -938,11 +991,15 @@ def _division_cases(coefficients):
 
 @given(_division_cases(_RATIONAL))
 @settings(max_examples=150, deadline=None)
-def test_divide_matches_max_reference(case):
+def test_normal_form_matches_max_reference(case):
     n, p, divisors = case
-    got = groebner._divide(n, _packed(p),
-                           groebner._divisors(map(_packed, divisors)))
-    assert _unpacked_dict(n, got) == _reference_remainder(p, divisors)
+
+    def poly(q):
+        return Polynomial(n, [(Monomial(e), c) for e, c in q.items()])
+
+    got = normal_form(poly(p), [poly(q) for q in divisors])
+    assert {m.exponents: c for m, c in got.terms()} \
+        == _reference_remainder(p, divisors)
 
 
 @given(_division_cases(_NONZERO))
@@ -952,8 +1009,8 @@ def test_reduce_int_matches_max_reference(case):
     # primitive with a positive lead.
     n, p, divisors = case
     expected = _reference_remainder(p, divisors)
-    got = _unpacked(n, groebner._reduce_int(
-        n, _packed(p), groebner._divisors(map(_packed, divisors))))
+    got = _unpacked(n, groebner._reduce_int(n, _packed(p),
+                                            _elements(divisors)))
     if not expected:
         assert got is None
         return

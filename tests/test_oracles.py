@@ -17,11 +17,11 @@ from seqcm.errors import BoundTooSmallError, CapacityError, UndefinedInputError
 from seqcm.groebner import (
     _STEPS,
     PolynomialIdeal,
-    _divide,
     _generators,
     _groebner,
     _leads,
     _pack,
+    _remainder,
     _substitute,
     _to_polynomial,
     gin,
@@ -702,10 +702,10 @@ def all_rows_koszul_general(n, elements, lead_ideal, bound):
             for k in range(n):
                 if mask >> k & 1:
                     sub = mask ^ (1 << k)
-                    nf = _divide(n, {m + _STEPS[n][k]: 1}, elements)
+                    scale, nf = _remainder(n, {m + _STEPS[n][k]: 1}, elements)
                     for mono, c in nf.items():
                         idx = target[(sub, mono)]
-                        row[idx] = row.get(idx, 0) + sign * c
+                        row[idx] = row.get(idx, 0) + sign * Fraction(c, scale)
                     sign = -sign
             rows.append(row)
         return rank(rows)
@@ -869,9 +869,10 @@ def test_each_site_keeps_its_clearing_direction(monkeypatch):
 
 def test_koszul_general_route_reads_packed_integers_only(monkeypatch):
     # The general Koszul route grows its standard monomials from packed
-    # leads and reduces with `_remainder`: no rational division, no
-    # Monomial enumeration and no membership scan.  The Fraction reference
-    # above, which uses all three, gives the expected tables first.
+    # leads and reduces with `_remainder`: no Fraction Polynomial of a
+    # remainder, no Monomial enumeration and no membership scan.  The
+    # Fraction reference above, which divides each remainder by its scale
+    # and enumerates and scans, gives the expected tables first.
     cases = []
     for ideal in clearing_ideals():
         if isinstance(ideal, MonomialIdeal):
@@ -890,7 +891,7 @@ def test_koszul_general_route_reads_packed_integers_only(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the general Koszul route left packed integers")
 
-    monkeypatch.setattr(groebner, "_divide", refuse)
+    monkeypatch.setattr(groebner, "_to_polynomial", refuse)
     monkeypatch.setattr(monomial, "monomials_of_degree", refuse)
     monkeypatch.setattr(oracles, "monomials_of_degree", refuse)
     monkeypatch.setattr(MonomialIdeal, "contains", refuse)
