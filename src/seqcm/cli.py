@@ -34,11 +34,10 @@ from .oracles import cech_local_cohomology, koszul_betti
 from .rings import MAX_DIGITS
 from .simplicial import (
     SimplicialComplex,
-    _face_ring_cohomology,
     alexander_dual,
     complex_of,
-    dual_ideal,
     hochster_betti,
+    local_cohomology_face_ring,
     shifted_complex,
     stanley_reisner_ideal,
 )
@@ -172,9 +171,10 @@ def _cmd_localcoh(args):
     else:  # enrico-style closed formula, always cross-checked against Cech
         cx = obj if isinstance(obj, SimplicialComplex) else complex_of(
             obj.as_monomial_ideal())
-        dual = alexander_dual(cx)
-        table = _face_ring_cohomology(dual, window)
-        cech = cech_local_cohomology(dual_ideal(dual), table.window).to_json()
+        ideal = stanley_reisner_ideal(cx)
+        table = local_cohomology_face_ring(
+            cx, window or default_cohomology_window(ideal))
+        cech = cech_local_cohomology(ideal, table.window).to_json()
         if cech != table.to_json():
             raise InconsistencyError(
                 "face-ring table differs from its Cech check on window %r"

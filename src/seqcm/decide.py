@@ -14,8 +14,10 @@ raises those numbers (Aramova-Herzog-Hibi, Math. Z. 1998); and
 
 One gin serves each complex.  D is sequentially CM exactly when the Betti
 numbers of I_{D^v} equal those of the ideal of (D^v)^s (Herzog-Hibi,
-Aramova-Herzog-Hibi), and (D^v)^s = (D^s)^v is read off the generators of
-the shifted face ideal that the Cech side of Theorem 4.1 computes anyway.
+Aramova-Herzog-Hibi).  The former are read off the links of D
+(`simplicial._dual_betti`), so D^v itself is never built, and
+(D^v)^s = (D^s)^v is read off the generators of the shifted face ideal
+that the Cech side of Theorem 4.1 computes anyway.
 A gin of I_{D^v}, whose generators are the facets' complements and of high
 degree, repeats that work and is taken only when cheaper.  The verdict
 stays independently checked by a route with no gin, `_skeleta_cm`.
@@ -42,14 +44,15 @@ from .monomial import (
 )
 from .oracles import _check_cech_work, cech_local_cohomology
 from .simplicial import (
+    _dual_betti,
     _dual_complex,
     _skeleta_cm,
-    alexander_dual,
     betti_from_cohomology,
     betti_numbers_of_ideal,
     complex_of,
     dual_ideal,
     shifted_ideal,
+    stanley_reisner_ideal,
 )
 
 
@@ -147,9 +150,10 @@ def is_componentwise_linear(ideal, seed):
     is shifted directly, and each side's complex is built once, for
     Hochster's formula.  The zero and unit ideals qualify trivially.
     """
-    return _betti_verdict(complex_of(ideal),
-                          complex_of(shifted_ideal(ideal, seed)), seed,
-                          "betti-vs-shifted")
+    return _betti_verdict(
+        betti_numbers_of_ideal(complex_of(ideal)),
+        betti_numbers_of_ideal(complex_of(shifted_ideal(ideal, seed))), seed,
+        "betti-vs-shifted")
 
 
 def is_sequentially_cm(cx, seed):
@@ -163,28 +167,27 @@ def is_sequentially_cm(cx, seed):
     shifted, so a refusal names the smaller count.  The gin-free skeleta
     route must concur (see the module docstring).
     """
-    dual = alexander_dual(cx)
-    face, cofacets = dual_ideal(dual), dual_ideal(cx)
+    face, cofacets = stanley_reisner_ideal(cx), dual_ideal(cx)
     if gin_terms(face) <= gin_terms(cofacets):
         shifted_dual = _dual_complex(shifted_ideal(face, seed))
     else:
         shifted_dual = complex_of(shifted_ideal(cofacets, seed))
-    return _sequentially_cm(cx, dual, shifted_dual, seed)
+    return _sequentially_cm(cx, shifted_dual, seed)
 
 
-def _betti_verdict(cx, shifted, seed, route):
-    """Whether the Betti numbers of the face ideals of cx and of shifted,
-    its shift's complex, agree, as a verdict of the given route."""
-    comparison = BettiComparison(
-        "ideal", "shifted ideal",
-        betti_numbers_of_ideal(cx), betti_numbers_of_ideal(shifted))
+def _betti_verdict(table, shifted, seed, route):
+    """Whether the Betti table of an ideal and that of its shift agree, as
+    a verdict of the given route."""
+    comparison = BettiComparison("ideal", "shifted ideal", table, shifted)
     return SeqCMVerdict(comparison.equal, route, seed, comparison)
 
 
-def _sequentially_cm(cx, dual, shifted_dual, seed):
-    """The Betti verdict on dual = D^v and shifted_dual = (D^s)^v, checked
-    against the gin-free skeleta route on cx = D."""
-    verdict = _betti_verdict(dual, shifted_dual, seed,
+def _sequentially_cm(cx, shifted_dual, seed):
+    """The Betti verdict on I_{D^v}, read off the links of cx = D by
+    `_dual_betti`, and the ideal of shifted_dual = (D^s)^v, checked against
+    the gin-free skeleta route on cx."""
+    verdict = _betti_verdict(_dual_betti(cx),
+                             betti_numbers_of_ideal(shifted_dual), seed,
                              "dual-componentwise-linear")
     if verdict.value != _skeleta_cm(cx):
         raise InconsistencyError(
@@ -264,15 +267,14 @@ def theorem41_check(cx, seed, window=None):
     equal the Betti table the decider computed on that side.  A mismatch
     anywhere raises InconsistencyError.
     """
-    dual = alexander_dual(cx)
-    ideal = dual_ideal(dual)
+    ideal = stanley_reisner_ideal(cx)
     _check_cech_work(ideal, "Cech")  # before gin, which may take long
     shifted = shifted_ideal(ideal, seed)
     report = _compare(
         ("cech face ring", "cech shifted face ring"), ideal,
         cech_local_cohomology, shifted, window, seed,
         ["verdict concords with the sequential Cohen-Macaulay decider"])
-    verdict = _sequentially_cm(cx, dual, _dual_complex(shifted), seed)
+    verdict = _sequentially_cm(cx, _dual_complex(shifted), seed)
     if (report.verdict == "equal") != verdict.value:
         raise InconsistencyError(
             "cohomology comparison says %s but the shifting decider says %s"

@@ -6,17 +6,21 @@ all (its Stanley-Reisner ideal is the unit ideal, the face ring is the
 zero ring), while the irrelevant complex has the empty face as its only
 face (ideal (x1,...,xn), face ring K).
 
-The Stanley-Reisner transfer has one subset enumeration, `complex_of`:
-`dual_ideal` reads the ideal of the Alexander dual off the facets, and the
-dual and the Stanley-Reisner ideal are built from it.  Back the other way,
-`_dual_complex` reads the Alexander dual off the generators of a face ideal.
-Shifting acts on ideals, where gin works, and `shifted_complex` is the
-complex of the result.
+The Stanley-Reisner transfer has one subset enumeration, `complex_of`,
+from an ideal to its complex; the Alexander dual is built by it, from
+`dual_ideal`, which reads the ideal of the dual off the facets.  From a
+complex to its ideals nothing is enumerated over vertex subsets:
+`stanley_reisner_ideal` reads the minimal nonfaces off the faces,
+`_dual_complex` reads the Alexander dual off the generators of a face
+ideal, and `_dual_betti` reads the Betti numbers of the dual's ideal off
+the links of the faces.  Shifting acts on ideals, where gin works, and
+`shifted_complex` is the complex of the result.
 
 Complexes, restrictions and links are held by maximal vertex masks
 (`_maximal`), and their homology has one entry, `_homology`: cones have
 none, and any other complex has that of its strong-collapse core, computed
-once per core in the caller's memo.  Hochster's Betti numbers,
+once per core in the caller's memo.  Hochster's Betti numbers, both over
+restrictions (`hochster_betti`) and over links (`_dual_betti`),
 `reduced_homology` and the skeleta route's links call it.  Local cohomology
 of a face ring is a graded sum over the Betti numbers of the dual ideal.
 The same formula runs backwards: its matrix, `build_A_matrix`, is unit
@@ -125,12 +129,8 @@ class SimplicialComplex(_Value):
 
     def faces(self):
         """All faces as sorted tuples, ordered by (size, lex); empty for void."""
-        seen = set()
-        for f in self.facets:
-            k = len(f)
-            for mask in range(1 << k):
-                seen.add(tuple(f[i] for i in range(k) if mask >> i & 1))
-        return sorted(seen, key=lambda f: (len(f), f))
+        return sorted((tuple(v for v in range(1, self.n + 1) if m >> v - 1 & 1)
+                       for m in _faces(self)), key=lambda f: (len(f), f))
 
     def f_vector(self):
         """Face counts (f_{-1}, f_0, ..., f_dim); () for the void complex."""
@@ -207,20 +207,50 @@ def alexander_dual(cx):
     return complex_of(dual_ideal(cx))
 
 
-def stanley_reisner_ideal(cx):
-    """Squarefree monomial ideal of minimal nonfaces.
+def _faces(cx):
+    """The faces of cx as vertex masks: the submasks of its facet masks."""
+    faces = {0} if cx.facets else set()
+    for m in map(_mask, cx.facets):
+        sub = m
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m
+    return faces
 
-    The dual ideal of the dual: its generators are the complements of the
-    dual's facets.  Void complex -> unit ideal, full simplex -> zero ideal.
+
+def stanley_reisner_ideal(cx):
+    """Squarefree monomial ideal of minimal nonfaces, read off the faces.
+
+    A minimal nonface is a face F with a vertex v above F's last one added,
+    that is no face itself but whose other one-smaller subsets are faces;
+    each is met once, from F, itself less its last vertex.  Void complex ->
+    unit ideal (the empty set is its minimal nonface), full simplex -> zero
+    ideal.
     """
-    return dual_ideal(alexander_dual(cx))
+    n = cx.n
+    if cx.is_void():
+        return MonomialIdeal.unit(n)
+    faces, gens = _faces(cx), []
+    for f in faces:
+        for i in range(f.bit_length(), n):
+            c = f | 1 << i
+            if c in faces:
+                continue
+            rest = f
+            while rest and c ^ (rest & -rest) in faces:
+                rest &= rest - 1
+            if not rest:
+                gens.append(tuple(c >> k & 1 for k in range(n)))
+    return MonomialIdeal(n, gens)
 
 
 def _maximal(masks):
     """The maximal ones among vertex masks, as a frozenset: largest first,
-    each kept unless a kept mask contains it."""
+    each kept unless a kept mask contains it.  A mask is a smaller integer
+    than any other that contains it, so sorting by value puts containers
+    first."""
     kept = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+    for m in sorted(set(masks), reverse=True):
         for k in kept:
             if m & k == m:
                 break
@@ -397,6 +427,35 @@ def betti_numbers_of_ideal(cx):
     return BettiTable("ideal", entries)
 
 
+def _dual_betti(cx):
+    """Betti table of the ideal of the Alexander dual, off the links of cx.
+
+    beta_{i, [n] - F}(I_{D^v}) = dim H~_{i-1}(lk F) for each face F of D
+    (Eagon-Reiner, J. Pure Appl. Algebra 130, 1998; Hochster's formula
+    through Alexander duality), so only the faces of D are walked, not the
+    2^n vertex sets of the dual.  The link's maximal faces are G - F over
+    the facets G through F, which no two contain each other, and a facet's
+    link, {empty face}, gives H~_{-1} = 1: a generator of the dual ideal.
+    A link is a cone, with no homology, when the facets through F share a
+    vertex outside F.  The other links are counted up to relabelling, so
+    the many alike links of a sphere are one, and their homology comes from
+    `_homology`, one per strong-collapse core.  The void complex has no
+    face, and its dual ideal, zero, an empty table.
+    """
+    n, facets = cx.n, [_mask(f) for f in cx.facets]
+    links = {}
+    for face in _faces(cx):
+        link = [g & ~face for g in facets if g & face == face]
+        if not reduce(int.__and__, link):
+            key = (_relabelled(frozenset(link)), n - face.bit_count())
+            links[key] = links.get(key, 0) + 1
+    entries, homology = {}, {}
+    for (link, j), count in links.items():
+        for deg, dim in _homology(link, homology).items():
+            entries[(deg + 1, j)] = entries.get((deg + 1, j), 0) + count * dim
+    return BettiTable("ideal", entries)
+
+
 def sigma(mono):
     """Squarefree image of a monomial: the t-th smallest index moves up by t.
 
@@ -461,23 +520,19 @@ def local_cohomology_face_ring(cx, window=None):
 
     where c_0(j) is 1 exactly at j = 0 and c_h(j) = C(j-1, h-1) counts the
     strictly negative exponent vectors of total degree -j on h fixed
-    variables.  Degrees e > 0 carry nothing.  Each beta_{p,j} is the part
-    (0, n - j, beta) of H^{p+n-j}, summed by `monomial._graded_sum`, which
-    also attaches the tails, as on the Cech and filtration routes.  The
-    inverse, `betti_from_cohomology`, reads the Betti numbers back off the
-    degrees -n..0; `theorem41_check` runs it on its Cech tables.
+    variables.  Degrees e > 0 carry nothing.  The Betti numbers are
+    `_dual_betti`'s, read off the links of cx, and the default window is
+    that of the face ideal.  Each beta_{p,j} is the part (0, n - j, beta) of
+    H^{p+n-j}, summed by `monomial._graded_sum`, which also attaches the
+    tails, as on the Cech and filtration routes.  The inverse,
+    `betti_from_cohomology`, reads the Betti numbers back off the degrees
+    -n..0; `theorem41_check` runs it on its Cech tables.
     """
-    return _face_ring_cohomology(alexander_dual(cx), window)
-
-
-def _face_ring_cohomology(dual, window=None):
-    """`local_cohomology_face_ring` of the complex whose Alexander dual is
-    given, for callers that hold the dual already."""
-    n = dual.n
+    n = cx.n
     if window is None:
-        window = default_cohomology_window(dual_ideal(dual))
+        window = default_cohomology_window(stanley_reisner_ideal(cx))
     parts = {}
-    for (p, j), b in betti_numbers_of_ideal(dual).entries.items():
+    for (p, j), b in _dual_betti(cx).entries.items():
         parts.setdefault(p + n - j, []).append((0, n - j, b))
     return CohomologyTable(window, {
         i: _graded_sum(window, part) for i, part in parts.items()})

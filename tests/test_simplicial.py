@@ -468,6 +468,29 @@ def test_hochster_tables():
     assert hochster_betti(two_points).module == "quotient"
 
 
+def test_dual_betti_and_face_ideal_match_the_alexander_dual():
+    # The links of the complex give the Betti table of the dual ideal, and
+    # its faces the face ideal, as the dual built by subset enumeration does.
+    cxs = [corpus_complex(name) for name in sorted(COMPLEXES)]
+    cxs += [make(n) for n in (0, 1, 4) for make in (
+        SimplicialComplex.void, SimplicialComplex.irrelevant,
+        SimplicialComplex.full)]
+    # vertex 5 is in no facet, so x5 is a generator of the face ideal
+    cxs.append(SimplicialComplex(5, [(1, 2, 3), (3, 4)]))
+    cxs += [_random_complex(seed, n) for n in range(3, 10)
+            for seed in range(30)]
+    for cx in cxs:
+        dual = alexander_dual(cx)
+        assert simplicial._dual_betti(cx) == betti_numbers_of_ideal(dual), cx
+        assert stanley_reisner_ideal(cx) == dual_ideal(dual), cx
+
+
+@given(st.lists(st.integers(0, 255), max_size=12))
+def test_maximal_keeps_the_masks_no_other_contains(masks):
+    assert simplicial._maximal(masks) == {
+        m for m in masks if not any(m != k and m & k == m for k in masks)}
+
+
 def test_betti_numbers_of_ideal():
     assert betti_numbers_of_ideal(hollow_triangle).entries == {(0, 3): 1}
     assert betti_numbers_of_ideal(SimplicialComplex.full(2)).entries == {}
